@@ -11,10 +11,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mmph_core::solvers::{
-    ComplexGreedy, Exhaustive, LazyGreedy, LocalGreedy, LocalSearch, RecenterRule, RoundBased,
-    SeededGreedy,
+    ComplexGreedy, Exhaustive, LocalGreedy, LocalSearch, RecenterRule, RoundBased, SeededGreedy,
 };
-use mmph_core::{Kernel, Solver};
+use mmph_core::{Kernel, OracleStrategy, Solver};
 use mmph_geom::l1ball::{l1_minimax_center_2d, l1_radius_at, projection_center};
 use mmph_geom::Norm;
 use mmph_sim::gen::WeightScheme;
@@ -28,7 +27,10 @@ fn bench_lazy_greedy(c: &mut Criterion) {
         let inst = scenario.generate_2d().unwrap();
         // Print the work saved once per size.
         let eager = LocalGreedy::new().solve(&inst).unwrap();
-        let lazy = LazyGreedy::new().solve(&inst).unwrap();
+        let lazy = LocalGreedy::new()
+            .with_oracle(OracleStrategy::Lazy)
+            .solve(&inst)
+            .unwrap();
         assert_eq!(eager.centers, lazy.centers, "CELF must be exact");
         println!(
             "n = {n}: eager {} evals, lazy {} evals ({:.1}% of eager)",
@@ -40,14 +42,20 @@ fn bench_lazy_greedy(c: &mut Criterion) {
             b.iter(|| LocalGreedy::new().solve(inst).unwrap().total_reward)
         });
         group.bench_with_input(BenchmarkId::new("lazy_celf", n), &inst, |b, inst| {
-            b.iter(|| LazyGreedy::new().solve(inst).unwrap().total_reward)
+            b.iter(|| {
+                LocalGreedy::new()
+                    .with_oracle(OracleStrategy::Lazy)
+                    .solve(inst)
+                    .unwrap()
+                    .total_reward
+            })
         });
     }
     group.finish();
 }
 
 fn bench_oracle(c: &mut Criterion) {
-    use mmph_core::{GainOracle, OracleStrategy, Residuals};
+    use mmph_core::{GainOracle, Residuals};
     let mut group = c.benchmark_group("ablation_oracle");
     group.sample_size(10);
     // On a single-core host the parallel oracle degenerates to one
@@ -93,7 +101,13 @@ fn bench_oracle(c: &mut Criterion) {
             );
         }
         group.bench_with_input(BenchmarkId::new("solve_lazy", n), &inst, |b, inst| {
-            b.iter(|| LazyGreedy::new().solve(inst).unwrap().total_reward)
+            b.iter(|| {
+                LocalGreedy::new()
+                    .with_oracle(OracleStrategy::Lazy)
+                    .solve(inst)
+                    .unwrap()
+                    .total_reward
+            })
         });
     }
     group.finish();
@@ -101,7 +115,7 @@ fn bench_oracle(c: &mut Criterion) {
 
 fn bench_spatial_index(c: &mut Criterion) {
     use mmph_core::reward::RewardEngine;
-    use mmph_core::Residuals;
+    use mmph_core::{EngineKind, Residuals};
     let mut group = c.benchmark_group("ablation_spatial_index");
     group.sample_size(10);
     for r in [0.2f64, 0.5, 1.0, 2.0] {
@@ -118,14 +132,14 @@ fn bench_spatial_index(c: &mut Criterion) {
             |b, inst| {
                 b.iter(|| {
                     LocalGreedy::new()
-                        .with_spatial_index(true)
+                        .with_engine(EngineKind::Kd)
                         .solve(inst)
                         .unwrap()
                         .total_reward
                 })
             },
         );
-        // Raw gain-evaluation throughput of all three engines (one
+        // Raw gain-evaluation throughput of the scan and kd engines (one
         // full candidate sweep against fresh residuals).
         let residuals = Residuals::new(inst.n());
         let sweep = |engine: &RewardEngine<2>| -> f64 {
@@ -143,11 +157,6 @@ fn bench_spatial_index(c: &mut Criterion) {
             BenchmarkId::new("engine_kd_sweep", format!("r{r}")),
             &inst,
             |b, inst| b.iter(|| sweep(&RewardEngine::indexed(inst))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("engine_ball_sweep", format!("r{r}")),
-            &inst,
-            |b, inst| b.iter(|| sweep(&RewardEngine::ball_indexed(inst))),
         );
     }
     group.finish();

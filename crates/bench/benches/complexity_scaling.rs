@@ -6,8 +6,8 @@
 //! greedy 2 ≪ greedy 4 with slopes ~1, ~2 and ~3 on a log-log plot.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mmph_core::solvers::{ComplexGreedy, LazyGreedy, LocalGreedy, SimpleGreedy};
-use mmph_core::Solver;
+use mmph_core::solvers::{ComplexGreedy, LocalGreedy, SimpleGreedy};
+use mmph_core::{OracleStrategy, Solver};
 use mmph_geom::Norm;
 use mmph_sim::gen::WeightScheme;
 use mmph_sim::scenario::Scenario;
@@ -28,7 +28,15 @@ fn bench_scaling(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("greedy2_lazy_celf", n),
             &inst,
-            |b, inst| b.iter(|| LazyGreedy::new().solve(inst).unwrap().total_reward),
+            |b, inst| {
+                b.iter(|| {
+                    LocalGreedy::new()
+                        .with_oracle(OracleStrategy::Lazy)
+                        .solve(inst)
+                        .unwrap()
+                        .total_reward
+                })
+            },
         );
         // The cubic algorithm gets a reduced top size to keep the bench
         // wall-clock sane.

@@ -51,23 +51,25 @@ impl Flags {
         self.values.get(name).map(String::as_str)
     }
 
+    /// Typed value, `None` when the flag was not passed.
+    pub fn get_opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>> {
+        self.get(name)
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|_| CliError::Usage(format!("invalid value `{raw}` for --{name}")))
+            })
+            .transpose()
+    }
+
     /// Typed value with a default.
     pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| CliError::Usage(format!("invalid value `{raw}` for --{name}"))),
-        }
+        Ok(self.get_opt(name)?.unwrap_or(default))
     }
 
     /// Required typed value.
     pub fn require<T: std::str::FromStr>(&self, name: &str) -> Result<T> {
-        let raw = self
-            .get(name)
-            .ok_or_else(|| CliError::Usage(format!("missing required flag --{name}")))?;
-        raw.parse()
-            .map_err(|_| CliError::Usage(format!("invalid value `{raw}` for --{name}")))
+        self.get_opt(name)?
+            .ok_or_else(|| CliError::Usage(format!("missing required flag --{name}")))
     }
 }
 
@@ -90,7 +92,7 @@ pub fn parse_oracle(raw: &str) -> Result<mmph_core::OracleStrategy> {
     raw.parse().map_err(CliError::Usage)
 }
 
-/// Parses a reward-engine name ("auto", "scan", "kd", "ball", "sparse",
+/// Parses a reward-engine name ("auto", "scan", "kd", "sparse",
 /// "sparse-f32").
 pub fn parse_engine(raw: &str) -> Result<mmph_core::EngineKind> {
     raw.parse().map_err(CliError::Usage)
@@ -228,10 +230,11 @@ mod tests {
         assert_eq!(parse_engine("auto").unwrap(), EngineKind::Auto);
         assert_eq!(parse_engine("scan").unwrap(), EngineKind::Scan);
         assert_eq!(parse_engine("kd").unwrap(), EngineKind::Kd);
-        assert_eq!(parse_engine("ball").unwrap(), EngineKind::Ball);
         assert_eq!(parse_engine("sparse").unwrap(), EngineKind::Sparse);
         assert_eq!(parse_engine("sparse-f32").unwrap(), EngineKind::SparseF32);
         assert!(parse_engine("dense").is_err());
+        let err = parse_engine("ball").unwrap_err().to_string();
+        assert!(err.contains("auto|scan|kd|sparse|sparse-f32"), "{err}");
         assert!(parse_engine("f32").is_err());
     }
 

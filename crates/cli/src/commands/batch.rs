@@ -10,7 +10,7 @@
 use std::io::Write;
 use std::time::Instant;
 
-use mmph_core::{verify_reports, BatchReport, OracleStrategy};
+use mmph_core::{verify_reports, BatchReport, OracleStrategy, Pipeline};
 use mmph_serve::{report_from_responses, Request, Service, ServiceConfig};
 use serde::Serialize;
 
@@ -29,7 +29,7 @@ OPTIONS:
                     n=10000,k=16,count=4,repeat=8,seed=0,norm=l2,weights=diff
   --solver NAME     greedy2 (sequential argmax) or lazy (CELF) [lazy]
   --oracle NAME     seq|par|lazy — overrides the solver's strategy
-  --engine NAME     auto|scan|kd|ball|sparse|sparse-f32 [sparse]
+  --engine NAME     auto|scan|kd|sparse|sparse-f32 [sparse]
   --threads N       worker threads (default: all cores)
   --par-csr         build CSR adjacency with the parallel path
   --cold            disable scratch/engine reuse (per-request baseline)
@@ -97,29 +97,10 @@ struct PipelineFlags {
 
 impl PipelineFlags {
     fn from_flags(flags: &Flags) -> Result<Self> {
-        let coreset_cells = flags
-            .get("coreset-cells")
-            .map(|raw| {
-                raw.parse::<f64>()
-                    .ok()
-                    .filter(|c| *c > 0.0 && c.is_finite())
-                    .ok_or_else(|| CliError::Usage(format!("invalid --coreset-cells: {raw}")))
-            })
-            .transpose()?;
-        let shards = flags
-            .get("shards")
-            .map(|raw| {
-                raw.parse::<usize>()
-                    .ok()
-                    .filter(|s| *s >= 1)
-                    .ok_or_else(|| CliError::Usage(format!("invalid --shards: {raw}")))
-            })
-            .transpose()?;
-        if coreset_cells.is_some() && shards.is_some() {
-            return Err(CliError::Usage(
-                "--coreset-cells and --shards are mutually exclusive; pick one pipeline".into(),
-            ));
-        }
+        let coreset_cells = flags.get_opt("coreset-cells")?;
+        let shards = flags.get_opt("shards")?;
+        Pipeline::requested(coreset_cells, shards)
+            .map_err(|e| CliError::Usage(format!("--coreset-cells/--shards: {e}")))?;
         Ok(PipelineFlags {
             coreset_cells,
             shards,

@@ -19,7 +19,7 @@ INPUT (one of):
 OPTIONS:
   --solver NAME  one of the names from `mmph solvers` (default greedy2)
   --oracle S     candidate-scoring strategy: seq | par | lazy (default seq)
-  --engine E     reward-evaluation engine: auto | scan | kd | ball | sparse
+  --engine E     reward-evaluation engine: auto | scan | kd | sparse
                  (default auto); all engines are bit-identical
   --threads N    rayon worker threads for --oracle par";
 

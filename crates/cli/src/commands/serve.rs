@@ -36,7 +36,7 @@ OPTIONS:
   --tcp ADDR       listen on ADDR instead of stdin/stdout
   --solver NAME    default solver for requests without one [lazy]
   --oracle NAME    seq|par|lazy — overrides the solver's strategy
-  --engine NAME    default engine: auto|scan|kd|ball|sparse|sparse-f32 [sparse]
+  --engine NAME    default engine: auto|scan|kd|sparse|sparse-f32 [sparse]
   --threads N      worker threads (default: all cores)
   --par-csr        build CSR adjacency with the parallel path
   --cold           disable scratch/engine reuse across requests

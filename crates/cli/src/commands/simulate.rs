@@ -32,7 +32,7 @@ OPTIONS:
   --clusters M   Gaussian interest clusters; 0 = uniform (default 0)
   --solver NAME  greedy2 | greedy3 | adaptive (default greedy3)
   --oracle S     seq | par | lazy candidate scoring for greedy2 (default seq)
-  --engine E     auto | scan | kd | ball | sparse reward engine for greedy2
+  --engine E     auto | scan | kd | sparse reward engine for greedy2
                  (default auto); all engines are bit-identical
   --threads N    rayon worker threads for --oracle par
   --seed S       RNG seed (default 0)

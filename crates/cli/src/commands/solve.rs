@@ -5,13 +5,13 @@ use std::path::PathBuf;
 
 use mmph_core::budget::{SolveBudget, SolveOutcome, SolveStatus};
 use mmph_core::solvers::{
-    AdaptiveSolver, BeamSearch, ComplexGreedy, Exhaustive, KCenter, KMeans, LazyGreedy,
-    LocalGreedy, LocalSearch, RoundBased, SeededGreedy, SimpleGreedy, StochasticGreedy,
+    AdaptiveSolver, BeamSearch, ComplexGreedy, Exhaustive, KCenter, KMeans, LocalGreedy,
+    LocalSearch, RoundBased, SeededGreedy, SimpleGreedy, StochasticGreedy,
 };
 use mmph_core::{
-    plan_scale, solve_coreset, solve_sharded, CoresetConfig, EngineKind, IncrementalInstance,
-    Instance, OracleStrategy, ResolveConfig, ScalePlan, ShardConfig, Solution, SolveScratch,
-    Solver, DEFAULT_SPARSE_CAP_BYTES,
+    solve_coreset, solve_sharded, CoresetConfig, EngineKind, IncrementalInstance, Instance,
+    OracleStrategy, Pipeline, ResolveConfig, ShardConfig, Solution, SolveScratch, Solver,
+    DEFAULT_SPARSE_CAP_BYTES,
 };
 use mmph_sim::churn::ChurnPlan;
 use mmph_sim::scenario::Scenario;
@@ -35,7 +35,7 @@ OPTIONS:
   --all          run every solver and print a comparison table
   --oracle S     candidate-scoring strategy: seq | par | lazy (default seq);
                  all three produce identical solutions
-  --engine E     reward-evaluation engine: auto | scan | kd | ball | sparse
+  --engine E     reward-evaluation engine: auto | scan | kd | sparse
                  | sparse-f32 (default auto = sparse with a memory-cap
                  fallback to kd); all engines except the opt-in
                  mixed-precision sparse-f32 produce bit-identical solutions
@@ -48,7 +48,8 @@ OPTIONS:
   --churn SxF    after the initial solve, run S churn steps each mutating
                  a fraction F of the points (e.g. 20x0.01), re-solving
                  incrementally and printing warm-vs-cold timings;
-                 requires a sparse engine (auto/sparse/sparse-f32)
+                 requires a sparse engine (auto/sparse/sparse-f32) and
+                 excludes --coreset-cells and --shards
   --churn-seed N seed for the churn plan (default: --seed)
   --coreset-cells C  solve through the weighted coreset path: aggregate
                  points on a grid of C cells per radius, solve the
@@ -57,7 +58,8 @@ OPTIONS:
                  512 MiB cap escalate to this path automatically
   --shards S     solve through the shard-then-merge path: S spatial
                  shards solved independently (in parallel under rayon),
-                 then a final greedy over the union of shard candidates";
+                 then a final greedy over the union of shard candidates.
+                 Excludes --coreset-cells";
 
 /// The solver registry: names accepted by `--solver`.
 pub const SOLVER_NAMES: [&str; 14] = [
@@ -85,7 +87,7 @@ pub(crate) fn solve_outcome_by_name<const D: usize>(
     budget: &SolveBudget,
 ) -> Result<SolveOutcome<D>> {
     // Solvers with a candidate-scan hot path accept the strategy and
-    // the engine; `lazy` is the CELF wrapper itself and greedy3/
+    // the engine; `lazy` is greedy2 pinned to the CELF oracle and greedy3/
     // greedy4/seeded/kcenter/kmeans/exhaustive have no eager scan to
     // switch (their evaluations, if any, score arbitrary points the
     // sparse engine cannot precompute).
@@ -102,7 +104,8 @@ pub(crate) fn solve_outcome_by_name<const D: usize>(
             .solve_within(inst, budget)?,
         "greedy3" => SimpleGreedy::new().solve_within(inst, budget)?,
         "greedy4" => ComplexGreedy::new().solve_within(inst, budget)?,
-        "lazy" => LazyGreedy::new()
+        "lazy" => LocalGreedy::new()
+            .with_oracle(OracleStrategy::Lazy)
             .with_engine(engine)
             .solve_within(inst, budget)?,
         "stochastic" => StochasticGreedy::new()
@@ -292,15 +295,6 @@ fn run_churn(
     churn_seed: u64,
 ) -> Result<()> {
     let (steps, fraction) = parse_churn_spec(spec)?;
-    let kind = match engine {
-        EngineKind::Auto | EngineKind::Sparse => EngineKind::Sparse,
-        EngineKind::SparseF32 => EngineKind::SparseF32,
-        other => {
-            return Err(CliError::Usage(format!(
-                "--churn needs a sparse engine (auto, sparse or sparse-f32), got {other:?}"
-            )))
-        }
-    };
     let plan = ChurnPlan::new(churn_seed, steps, fraction);
     writeln!(
         out,
@@ -312,7 +306,8 @@ fn run_churn(
         fraction,
         churn_seed
     )?;
-    let mut inc = IncrementalInstance::new(inst, kind)?;
+    let mut inc = IncrementalInstance::new(inst, engine)
+        .map_err(|e| CliError::Usage(format!("--churn: {e}")))?;
     let mut scratch = SolveScratch::new();
     let t0 = std::time::Instant::now();
     let initial = inc.resolve(&mut scratch, &ResolveConfig::default());
@@ -336,7 +331,10 @@ fn run_churn(
         // Cold reference: CELF from scratch, CSR rebuild included —
         // exactly what a non-incremental caller would pay per step.
         let t = std::time::Instant::now();
-        let cold = LazyGreedy::new().with_engine(kind).solve(inc.instance())?;
+        let cold = LocalGreedy::new()
+            .with_oracle(OracleStrategy::Lazy)
+            .with_engine(inc.kind())
+            .solve(inc.instance())?;
         let cold_ms = t.elapsed().as_secs_f64() * 1e3;
         writeln!(
             out,
@@ -485,40 +483,38 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<()> {
     let engine = parse_engine(flags.get("engine").unwrap_or("auto"))?;
     let budget = parse_budget(&flags)?;
     install_thread_pool(&flags)?;
+    let requested = Pipeline::requested(flags.get_opt("coreset-cells")?, flags.get_opt("shards")?)
+        .map_err(|e| CliError::Usage(format!("--coreset-cells/--shards: {e}")))?;
+    if flags.get("churn").is_some() && requested != Pipeline::Direct {
+        return Err(CliError::Usage(
+            "--churn re-solves the full instance; it cannot run through \
+             --coreset-cells or --shards"
+                .into(),
+        ));
+    }
     let inst = load_or_generate_2d(&flags)?;
     if let Some(spec) = flags.get("churn") {
         let churn_seed: u64 = flags.get_or("churn-seed", flags.get_or("seed", 0u64)?)?;
         let spec = spec.to_owned();
         return run_churn(out, inst, engine, &spec, churn_seed);
     }
-    if let Some(shards) = flags.get("shards") {
-        let shards: usize = shards
-            .parse()
-            .map_err(|_| CliError::Usage(format!("invalid --shards: {shards}")))?;
-        return run_sharded(out, &inst, shards, engine, strategy, budget);
-    }
-    if let Some(cells) = flags.get("coreset-cells") {
-        let cells: f64 = cells
-            .parse()
-            .map_err(|_| CliError::Usage(format!("invalid --coreset-cells: {cells}")))?;
-        return run_coreset(out, &inst, cells, engine, strategy, budget);
-    }
-    if plan_scale(&inst, engine, DEFAULT_SPARSE_CAP_BYTES) == ScalePlan::Coreset {
-        writeln!(
-            out,
-            "n = {} busts the {} MiB sparse cap: escalating to the coreset path \
-             (pass --engine kd to force a direct solve, or --coreset-cells to tune)",
-            inst.n(),
-            DEFAULT_SPARSE_CAP_BYTES >> 20,
-        )?;
-        return run_coreset(
-            out,
-            &inst,
-            mmph_core::DEFAULT_CORESET_CELLS,
-            engine,
-            strategy,
-            budget,
-        );
+    match requested.for_instance(&inst, engine, DEFAULT_SPARSE_CAP_BYTES) {
+        Pipeline::Direct => {}
+        Pipeline::Shard(shards) => {
+            return run_sharded(out, &inst, shards, engine, strategy, budget);
+        }
+        Pipeline::Coreset(cells) => {
+            if requested == Pipeline::Direct {
+                writeln!(
+                    out,
+                    "n = {} busts the {} MiB sparse cap: escalating to the coreset path \
+                     (pass --engine kd to force a direct solve, or --coreset-cells to tune)",
+                    inst.n(),
+                    DEFAULT_SPARSE_CAP_BYTES >> 20,
+                )?;
+            }
+            return run_coreset(out, &inst, cells, engine, strategy, budget);
+        }
     }
     let outcomes: Vec<SolveOutcome<2>> = if flags.has("all") {
         SOLVER_NAMES
@@ -581,6 +577,31 @@ mod tests {
         assert!(r.is_err());
         let (r, _) = run_capture(&["--n", "50", "--k", "2", "--shards", "0"]);
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn conflicting_pipeline_flags_are_usage_errors() {
+        let (r, out) = run_capture(&[
+            "--n",
+            "50",
+            "--k",
+            "2",
+            "--shards",
+            "2",
+            "--coreset-cells",
+            "3",
+        ]);
+        let Err(CliError::Usage(msg)) = r else {
+            panic!("shards + coreset must be rejected: {r:?}");
+        };
+        assert!(msg.contains("pick one pipeline"), "{msg}");
+        assert!(out.is_empty(), "nothing solved: {out}");
+        for pipeline in [["--shards", "2"], ["--coreset-cells", "3"]] {
+            let mut argv = vec!["--n", "50", "--k", "2", "--churn", "2x0.1"];
+            argv.extend(pipeline);
+            let (r, _) = run_capture(&argv);
+            assert!(matches!(r, Err(CliError::Usage(_))), "{pipeline:?}: {r:?}");
+        }
     }
 
     #[test]
@@ -791,6 +812,11 @@ mod tests {
         }
         // Non-sparse engines cannot patch in place.
         let (r, _) = run_capture(&["--n", "20", "--churn", "2x0.1", "--engine", "kd"]);
-        assert!(matches!(r, Err(CliError::Usage(_))));
+        let Err(CliError::Usage(msg)) = r else {
+            panic!("kd churn must be rejected: {r:?}");
+        };
+        assert!(msg.contains("sparse engine"), "{msg}");
+        let (r, _) = run_capture(&["--n", "20", "--engine", "ball"]);
+        assert!(matches!(r, Err(CliError::Usage(_))), "ball engine is gone");
     }
 }

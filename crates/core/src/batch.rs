@@ -249,7 +249,6 @@ pub struct BatchRunner {
     engine: EngineKind,
     parallel_csr: bool,
     warm: bool,
-    dirty_region: bool,
     panic_at: Option<usize>,
 }
 
@@ -260,7 +259,6 @@ impl Default for BatchRunner {
             engine: EngineKind::Sparse,
             parallel_csr: false,
             warm: true,
-            dirty_region: false,
             panic_at: None,
         }
     }
@@ -304,12 +302,6 @@ impl BatchRunner {
         self
     }
 
-    /// Enables the dirty-region CELF upgrade on sparse engines.
-    pub fn with_dirty_region(mut self, yes: bool) -> Self {
-        self.dirty_region = yes;
-        self
-    }
-
     /// Fault injection: the request at stream position `index` panics
     /// inside its worker. Used by the panic-isolation regression tests
     /// and the serve smoke checks; the report must still deliver an
@@ -342,8 +334,10 @@ impl BatchRunner {
             }
             kind => RewardEngine::with_kind(inst, kind),
         };
+        // Plain CELF: dirty-region revalidation is unmeasured on the
+        // served workloads, so the batch and serve paths leave it off.
         GainOracle::from_engine(engine, self.strategy)
-            .with_dirty_region(self.dirty_region)
+            .with_dirty_region(false)
             .with_lazy_scratch(scratch.take_lazy())
     }
 
@@ -403,7 +397,7 @@ impl BatchRunner {
         let solved = catch_unwind(AssertUnwindSafe(|| {
             self.maybe_inject_panic(index);
             let oracle = GainOracle::with_engine(inst, kind, self.strategy)
-                .with_dirty_region(self.dirty_region)
+                .with_dirty_region(false)
                 .with_cancel(budget.cancel_token().cloned());
             let mut residuals = crate::reward::Residuals::new(inst.n());
             let mut picks = Vec::with_capacity(inst.k());
@@ -637,14 +631,6 @@ mod tests {
         let serial = BatchRunner::new().run(&insts);
         let parallel = BatchRunner::new().with_parallel_csr(true).run(&insts);
         verify_reports(&serial, &parallel).unwrap();
-    }
-
-    #[test]
-    fn dirty_region_batch_matches_plain() {
-        let insts = stream(29, 2, 2, Norm::L2);
-        let plain = BatchRunner::new().run(&insts);
-        let dirty = BatchRunner::new().with_dirty_region(true).run(&insts);
-        verify_reports(&plain, &dirty).unwrap();
     }
 
     #[test]

@@ -347,6 +347,67 @@ pub fn plan_scale<const D: usize>(
     }
 }
 
+/// The solve pipeline a request runs through. The CLI, `mmph batch`
+/// and the service all pick it the same way: [`Pipeline::requested`]
+/// checks the caller's knobs before any instance exists, then
+/// [`Pipeline::for_instance`] applies the auto-escalation past the cap.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Pipeline {
+    /// One solve of the full instance.
+    Direct,
+    /// Weighted grid coreset at this many cells per radius
+    /// ([`solve_coreset`]).
+    Coreset(f64),
+    /// Shard-then-merge over this many spatial shards
+    /// ([`crate::solve_sharded`]).
+    Shard(usize),
+}
+
+impl Pipeline {
+    /// The pipeline the caller named: `coreset_cells` picks the coreset
+    /// path, `shards` the shard path, neither the direct path. Naming
+    /// both, a non-positive or non-finite cell count, or zero shards is
+    /// an error.
+    pub fn requested(coreset_cells: Option<f64>, shards: Option<usize>) -> Result<Self> {
+        if let Some(c) = coreset_cells.filter(|c| !c.is_finite() || *c <= 0.0) {
+            return Err(CoreError::InvalidConfig(format!(
+                "coreset cells per radius must be finite and positive, got {c}"
+            )));
+        }
+        if shards == Some(0) {
+            return Err(CoreError::InvalidConfig(
+                "a shard pipeline needs at least one shard".into(),
+            ));
+        }
+        match (coreset_cells, shards) {
+            (Some(_), Some(_)) => Err(CoreError::InvalidConfig(
+                "a coreset and a shard pipeline are mutually exclusive; pick one pipeline".into(),
+            )),
+            (Some(cells), None) => Ok(Pipeline::Coreset(cells)),
+            (None, Some(shards)) => Ok(Pipeline::Shard(shards)),
+            (None, None) => Ok(Pipeline::Direct),
+        }
+    }
+
+    /// The pipeline to run on `inst`. A named pipeline stands; a direct
+    /// solve whose engine resolves through [`plan_scale`] to
+    /// [`ScalePlan::Coreset`] escalates to the coreset path at
+    /// [`DEFAULT_CORESET_CELLS`].
+    pub fn for_instance<const D: usize>(
+        self,
+        inst: &Instance<D>,
+        engine: EngineKind,
+        cap_bytes: usize,
+    ) -> Self {
+        match self {
+            Pipeline::Direct if plan_scale(inst, engine, cap_bytes) == ScalePlan::Coreset => {
+                Pipeline::Coreset(DEFAULT_CORESET_CELLS)
+            }
+            named => named,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,6 +516,41 @@ mod tests {
         // Explicit kinds never escalate.
         assert_eq!(plan_scale(&inst, EngineKind::Kd, 16), ScalePlan::Direct);
         assert_eq!(plan_scale(&inst, EngineKind::Sparse, 16), ScalePlan::Direct);
+    }
+
+    #[test]
+    fn pipeline_choice() {
+        let inst = grid_instance(10, 3.0, 2);
+        assert_eq!(Pipeline::requested(None, None).unwrap(), Pipeline::Direct);
+        assert_eq!(
+            Pipeline::requested(Some(3.0), None).unwrap(),
+            Pipeline::Coreset(3.0)
+        );
+        assert_eq!(
+            Pipeline::requested(None, Some(2)).unwrap(),
+            Pipeline::Shard(2)
+        );
+        let err = Pipeline::requested(Some(3.0), Some(2)).unwrap_err();
+        assert!(err.to_string().contains("pick one pipeline"), "{err}");
+        for cells in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(Pipeline::requested(Some(cells), None).is_err(), "{cells}");
+        }
+        assert!(Pipeline::requested(None, Some(0)).is_err());
+        // Only an unnamed pipeline on the auto engine escalates.
+        let escalate = |p: Pipeline, kind| p.for_instance(&inst, kind, 16);
+        assert_eq!(
+            escalate(Pipeline::Direct, EngineKind::Auto),
+            Pipeline::Coreset(DEFAULT_CORESET_CELLS)
+        );
+        assert_eq!(escalate(Pipeline::Direct, EngineKind::Kd), Pipeline::Direct);
+        assert_eq!(
+            escalate(Pipeline::Shard(2), EngineKind::Auto),
+            Pipeline::Shard(2)
+        );
+        assert_eq!(
+            Pipeline::Direct.for_instance(&inst, EngineKind::Auto, usize::MAX),
+            Pipeline::Direct
+        );
     }
 
     #[test]

@@ -279,28 +279,29 @@ impl<const D: usize> IncrementalInstance<D> {
     /// Builds the CSR for `inst` (forced sparse; the cap-checked
     /// `auto` path does not apply — patching only makes sense on a
     /// materialized adjacency) and the churn index. `kind` must be
-    /// [`EngineKind::Sparse`] or [`EngineKind::SparseF32`].
+    /// [`EngineKind::Sparse`] (or [`EngineKind::Auto`], which means
+    /// it here) or [`EngineKind::SparseF32`]; any other kind is an
+    /// error, reported before the CSR is built.
     pub fn new(inst: Instance<D>, kind: EngineKind) -> Result<Self> {
+        if !matches!(
+            kind,
+            EngineKind::Sparse | EngineKind::Auto | EngineKind::SparseF32
+        ) {
+            return Err(CoreError::InvalidConfig(format!(
+                "incremental instances require a sparse engine (auto, sparse or sparse-f32), \
+                 got {kind}"
+            )));
+        }
         let mut csr_scratch = CsrScratch::new();
         let enumerator = Enumerator::build(inst.points(), inst.radius());
-        let state = match kind {
-            EngineKind::Sparse | EngineKind::Auto => {
-                let mut csr =
-                    SparseCsr::<f64>::build_with(&inst, &enumerator, &mut csr_scratch, false);
-                csr.offsets.pop(); // drop the sentinel: row ends derive from degrees
-                CsrState::F64(csr)
-            }
-            EngineKind::SparseF32 => {
-                let mut csr =
-                    SparseCsr::<f32>::build_with(&inst, &enumerator, &mut csr_scratch, false);
-                csr.offsets.pop();
-                CsrState::F32(csr)
-            }
-            other => {
-                return Err(CoreError::InvalidConfig(format!(
-                    "incremental instances require a sparse engine (got {other})"
-                )))
-            }
+        let state = if kind == EngineKind::SparseF32 {
+            let mut csr = SparseCsr::<f32>::build_with(&inst, &enumerator, &mut csr_scratch, false);
+            csr.offsets.pop();
+            CsrState::F32(csr)
+        } else {
+            let mut csr = SparseCsr::<f64>::build_with(&inst, &enumerator, &mut csr_scratch, false);
+            csr.offsets.pop(); // drop the sentinel: row ends derive from degrees
+            CsrState::F64(csr)
         };
         let grid = ChurnGrid::build(inst.points(), inst.radius());
         let dirty = vec![false; inst.n()];
@@ -682,7 +683,8 @@ impl<const D: usize> IncrementalInstance<D> {
             let clock = budget.start();
             // The cold fallback runs the configured strategy through
             // the shared round loop (dirty-CELF by default) — for f64
-            // this is bit-identical to a from-scratch LazyGreedy.
+            // this is bit-identical to a from-scratch CELF
+            // `LocalGreedy`.
             oracle.set_strategy(cfg.cold_strategy);
             let (total, reason) = solve_rounds_within(&oracle, scratch, &clock);
             outcome.reward = total;
@@ -1485,7 +1487,12 @@ mod tests {
     use super::*;
     use crate::instance::InstanceBuilder;
     use crate::solver::Solver;
-    use crate::solvers::LazyGreedy;
+    use crate::solvers::LocalGreedy;
+
+    /// The from-scratch CELF reference the cold path must equal.
+    fn celf() -> LocalGreedy {
+        LocalGreedy::new().with_oracle(crate::oracle::OracleStrategy::Lazy)
+    }
 
     fn grid_instance(side: usize, r: f64, k: usize) -> Instance<2> {
         let mut b = InstanceBuilder::new();
@@ -1583,8 +1590,8 @@ mod tests {
         let first = inc.resolve(&mut scratch, &ResolveConfig::default());
         assert!(!first.warm);
         assert_eq!(first.cold_reason, Some("no seed selection"));
-        // Cold path equals the plain LazyGreedy solver bit for bit.
-        let reference = LazyGreedy::default().solve(inc.instance()).unwrap();
+        // Cold path equals the plain CELF solver bit for bit.
+        let reference = celf().solve(inc.instance()).unwrap();
         assert_eq!(first.reward.to_bits(), reference.total_reward.to_bits());
         // Light churn, warm resolve: objective must not regress below
         // the cold greedy of the mutated instance.
@@ -1595,7 +1602,7 @@ mod tests {
         };
         let warm = inc.resolve(&mut scratch, &cfg);
         assert!(warm.warm);
-        let cold_ref = LazyGreedy::default().solve(inc.instance()).unwrap();
+        let cold_ref = celf().solve(inc.instance()).unwrap();
         assert!(
             warm.reward >= cold_ref.total_reward - 1e-9,
             "warm {} < cold {}",
@@ -1616,7 +1623,7 @@ mod tests {
         let out = inc.resolve(&mut scratch, &ResolveConfig::default());
         assert!(!out.warm);
         assert_eq!(out.cold_reason, Some("churn over threshold"));
-        let reference = LazyGreedy::default().solve(inc.instance()).unwrap();
+        let reference = celf().solve(inc.instance()).unwrap();
         assert_eq!(out.reward.to_bits(), reference.total_reward.to_bits());
     }
 

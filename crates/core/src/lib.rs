@@ -24,7 +24,7 @@
 //! | [`solvers::SimpleGreedy`] | Algorithm 3 ("greedy 3") | `1−(1−1/n)^k` |
 //! | [`solvers::ComplexGreedy`] | Algorithm 4 ("greedy 4") | open |
 //! | [`solvers::Exhaustive`] | the evaluation's "exhaustive reward" | exact over candidates |
-//! | [`solvers::LazyGreedy`] | — (CELF extension) | ≡ Algorithm 2 |
+//! | [`solvers::LocalGreedy`] + [`OracleStrategy::Lazy`] | — (CELF extension) | ≡ Algorithm 2 |
 //! | [`solvers::StochasticGreedy`] | — (extension) | `1−1/e−ε` in expectation |
 //!
 //! All solvers share the residual-satisfaction state machine
@@ -61,14 +61,14 @@ pub use budget::{DegradeReason, SolveBudget, SolveOutcome, SolveStatus};
 pub use cancel::CancelToken;
 pub use coreset::{
     build_coreset, plan_scale, solve_coreset, streaming_objective, Coreset, CoresetConfig,
-    CoresetReport, ScalePlan, DEFAULT_CORESET_CELLS,
+    CoresetReport, Pipeline, ScalePlan, DEFAULT_CORESET_CELLS,
 };
 pub use incremental::{
     IncrementalInstance, ResolveConfig, ResolveOutcome, DEFAULT_CHURN_THRESHOLD,
 };
 pub use instance::{Delta, Instance, InstanceBuilder};
 pub use kernel::{Kernel, PreparedKernel};
-pub use oracle::{GainOracle, LazyScratch, OracleStrategy, Pruning, Scored};
+pub use oracle::{GainOracle, LazyScratch, OracleStrategy, Scored};
 pub use reward::{
     coverage_reward, objective, psi, CsrScratch, EngineKind, Residuals, RewardEngine, SparseStats,
     DEFAULT_SPARSE_CAP_BYTES, SPARSE_LANES,

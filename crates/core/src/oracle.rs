@@ -21,19 +21,11 @@
 //!   true argmax. The heap breaks ties toward the smaller index, so
 //!   the selected sequence is identical to `Seq` — only the number of
 //!   reward evaluations changes.
-//!
-//! Independently of the strategy, the oracle can *prune* candidates
-//! through a spatial index ([`Pruning`]): a candidate whose radius-`r`
-//! ball contains no residual mass has gain exactly 0, so the oracle
-//! substitutes 0.0 without charging a reward evaluation. Gains are
-//! non-negative, hence substituting the exact value 0 never changes an
-//! argmax and the pruned oracle stays bit-identical to the unpruned
-//! one whenever some candidate has positive gain.
 
 use std::collections::BinaryHeap;
 use std::sync::Mutex;
 
-use mmph_geom::{BallTree, KdTree, Point};
+use mmph_geom::Point;
 use rayon::prelude::*;
 
 use crate::cancel::CancelToken;
@@ -77,19 +69,6 @@ impl std::str::FromStr for OracleStrategy {
     }
 }
 
-/// Optional spatial pruning of zero-gain candidates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Pruning {
-    /// Score every candidate.
-    #[default]
-    Off,
-    /// Skip candidates whose radius-`r` kd-tree ball holds no residual
-    /// mass.
-    Kd,
-    /// Same, via a ball tree (better pruning as `D` grows).
-    Ball,
-}
-
 /// A candidate index together with its coverage-reward gain.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scored {
@@ -97,12 +76,6 @@ pub struct Scored {
     pub index: usize,
     /// Coverage reward of that point against the queried residuals.
     pub gain: f64,
-}
-
-#[derive(Debug)]
-enum PruneIndex<const D: usize> {
-    Kd(KdTree<D>),
-    Ball(BallTree<D>),
 }
 
 /// CELF heap entry: a cached gain for candidate `idx`, valid as an
@@ -195,7 +168,6 @@ impl LazyScratch {
 pub struct GainOracle<'a, const D: usize> {
     engine: RewardEngine<'a, D>,
     strategy: OracleStrategy,
-    prune: Option<PruneIndex<D>>,
     /// Dirty-region revalidation of stale CELF entries (sparse engine
     /// only). On by default; `perfsuite` ablates it off to isolate the
     /// effect.
@@ -219,16 +191,6 @@ impl<'a, const D: usize> GainOracle<'a, D> {
         Self::from_engine(RewardEngine::scan(inst), strategy)
     }
 
-    /// Oracle over a kd-tree-indexed [`RewardEngine`].
-    pub fn indexed(inst: &'a Instance<D>, strategy: OracleStrategy) -> Self {
-        Self::from_engine(RewardEngine::indexed(inst), strategy)
-    }
-
-    /// Oracle over a ball-tree-indexed [`RewardEngine`].
-    pub fn ball_indexed(inst: &'a Instance<D>, strategy: OracleStrategy) -> Self {
-        Self::from_engine(RewardEngine::ball_indexed(inst), strategy)
-    }
-
     /// Oracle over the engine selected by `kind` (see
     /// [`RewardEngine::with_kind`]).
     pub fn with_engine(inst: &'a Instance<D>, kind: EngineKind, strategy: OracleStrategy) -> Self {
@@ -240,7 +202,6 @@ impl<'a, const D: usize> GainOracle<'a, D> {
         GainOracle {
             engine,
             strategy,
-            prune: None,
             dirty_region: true,
             dirty_skips: std::sync::atomic::AtomicU64::new(0),
             cancel: None,
@@ -313,20 +274,6 @@ impl<'a, const D: usize> GainOracle<'a, D> {
     pub fn reset_lazy(&self) {
         let mut state = self.lazy.lock().unwrap_or_else(|p| p.into_inner());
         state.primed = false;
-    }
-
-    /// Enables (or disables) spatial pruning of zero-gain candidates.
-    pub fn with_pruning(mut self, pruning: Pruning) -> Self {
-        self.prune = match pruning {
-            Pruning::Off => None,
-            Pruning::Kd => Some(PruneIndex::Kd(KdTree::build(
-                self.engine.instance().points(),
-            ))),
-            Pruning::Ball => Some(PruneIndex::Ball(BallTree::build(
-                self.engine.instance().points(),
-            ))),
-        };
-        self
     }
 
     /// The instance this oracle scores against.
@@ -404,33 +351,10 @@ impl<'a, const D: usize> GainOracle<'a, D> {
         objective(self.instance(), centers)
     }
 
-    /// True when the candidate's radius-`r` ball provably contains no
-    /// residual mass, i.e. its gain is exactly 0.
-    fn pruned(&self, i: usize, residuals: &Residuals) -> bool {
-        let Some(index) = &self.prune else {
-            return false;
-        };
-        let inst = self.engine.instance();
-        let c = inst.point(i);
-        let r = inst.radius();
-        // Short-circuits on the first point with residual mass instead
-        // of walking the entire radius ball.
-        let mass = |j: usize, _d: f64| residuals.y(j) > 0.0;
-        let found = match index {
-            PruneIndex::Kd(tree) => tree.any_within(c, r, inst.norm(), mass),
-            PruneIndex::Ball(tree) => tree.any_within(c, r, inst.norm(), mass),
-        };
-        !found
-    }
-
-    /// Gain of candidate `i`, with pruning applied. A pruned candidate
-    /// returns exact 0.0 without charging an evaluation, as does every
-    /// call after the cancel token trips.
+    /// Gain of candidate `i`. Every call after the cancel token trips
+    /// returns exact 0.0 without charging an evaluation.
     fn candidate_gain(&self, i: usize, residuals: &Residuals) -> f64 {
         if self.cancel_tripped() {
-            return 0.0;
-        }
-        if self.pruned(i, residuals) {
             return 0.0;
         }
         self.engine.candidate_gain(i, residuals)
@@ -747,42 +671,6 @@ mod tests {
             lazy.evals(),
             seq.evals()
         );
-    }
-
-    #[test]
-    fn pruning_preserves_selection_and_saves_evals() {
-        for pruning in [Pruning::Kd, Pruning::Ball] {
-            let inst = random_instance(17, 80);
-            let plain = GainOracle::new(&inst, OracleStrategy::Seq);
-            let pruned = GainOracle::new(&inst, OracleStrategy::Seq).with_pruning(pruning);
-            let (pa, ta) = greedy_rounds(&plain);
-            let (pb, tb) = greedy_rounds(&pruned);
-            assert_eq!(pa, pb, "{pruning:?} changed the selection");
-            assert_eq!(ta.to_bits(), tb.to_bits());
-            assert!(pruned.evals() <= plain.evals());
-        }
-    }
-
-    #[test]
-    fn pruned_candidate_scores_exact_zero() {
-        // Two far-apart clusters: once a cluster is satisfied, its
-        // candidates carry no residual mass and must be pruned to 0.0.
-        let inst = InstanceBuilder::new()
-            .point([0.0, 0.0], 1.0)
-            .point([100.0, 0.0], 1.0)
-            .radius(1.0)
-            .k(2)
-            .build()
-            .unwrap();
-        let oracle = GainOracle::new(&inst, OracleStrategy::Seq).with_pruning(Pruning::Kd);
-        let mut residuals = Residuals::new(inst.n());
-        residuals.apply(&inst, inst.point(0));
-        let before = oracle.evals();
-        let gains = oracle.score_all(&residuals);
-        assert_eq!(gains[0], 0.0);
-        assert_eq!(gains[1], 1.0);
-        // Candidate 0 was pruned: only candidate 1 was evaluated.
-        assert_eq!(oracle.evals() - before, 1);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   telescope exactly to `f(C)` (tested below), so every solver's
 //!   reported total equals the closed-form objective.
 
-use mmph_geom::{BallTree, GridIndex, KdTree, Norm, Point};
+use mmph_geom::{GridIndex, KdTree, Norm, Point};
 
 use crate::instance::Instance;
 use crate::kernel::PreparedKernel;
@@ -227,16 +227,10 @@ impl Residuals {
     }
 
     /// The assignment vector `z_i = min([1 − d/r]_+, y_i)` a center
-    /// would claim, without mutating the residuals.
-    pub fn assignments<const D: usize>(&self, inst: &Instance<D>, c: &Point<D>) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.assignments_into(inst, c, &mut out);
-        out
-    }
-
-    /// [`Self::assignments`] written into a caller-provided buffer: the
-    /// buffer is cleared and refilled, so repeated calls through a warm
-    /// scratch arena never allocate once the capacity has grown to `n`.
+    /// would claim, written into `out` without mutating the residuals.
+    /// The buffer is cleared and refilled, so repeated calls through a
+    /// warm scratch arena never allocate once the capacity has grown to
+    /// `n`.
     pub fn assignments_into<const D: usize>(
         &self,
         inst: &Instance<D>,
@@ -290,8 +284,6 @@ pub enum EngineKind {
     Scan,
     /// Kd-tree radius queries.
     Kd,
-    /// Ball-tree radius queries.
-    Ball,
     /// Precomputed CSR neighbor lists (forced, ignoring the memory cap).
     Sparse,
     /// The sparse CSR engine with `frac`/`weight` stored as `f32`
@@ -305,8 +297,7 @@ pub enum EngineKind {
 
 impl EngineKind {
     /// All parseable names, for CLI help strings.
-    pub const NAMES: &'static [&'static str] =
-        &["auto", "scan", "kd", "ball", "sparse", "sparse-f32"];
+    pub const NAMES: &'static [&'static str] = &["auto", "scan", "kd", "sparse", "sparse-f32"];
 
     /// Parses a CLI name.
     pub fn parse(s: &str) -> Result<Self, String> {
@@ -314,7 +305,6 @@ impl EngineKind {
             "auto" => Ok(EngineKind::Auto),
             "scan" => Ok(EngineKind::Scan),
             "kd" => Ok(EngineKind::Kd),
-            "ball" => Ok(EngineKind::Ball),
             "sparse" => Ok(EngineKind::Sparse),
             "sparse-f32" => Ok(EngineKind::SparseF32),
             other => Err(format!(
@@ -330,7 +320,6 @@ impl EngineKind {
             EngineKind::Auto => "auto",
             EngineKind::Scan => "scan",
             EngineKind::Kd => "kd",
-            EngineKind::Ball => "ball",
             EngineKind::Sparse => "sparse",
             EngineKind::SparseF32 => "sparse-f32",
         }
@@ -1132,7 +1121,6 @@ pub struct RewardEngine<'a, const D: usize> {
 pub(crate) enum Backend<const D: usize> {
     Scan,
     Kd(KdTree<D>),
-    Ball(BallTree<D>),
     Sparse(SparseCsr<f64>),
     SparseF32(SparseCsr<f32>),
 }
@@ -1186,12 +1174,6 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     /// `ablation_spatial_index` bench for the crossover).
     pub fn indexed(inst: &'a Instance<D>) -> Self {
         Self::with_backend(inst, Backend::Kd(KdTree::build(inst.points())))
-    }
-
-    /// Engine backed by a ball-tree radius query — same results as
-    /// [`Self::indexed`], typically better pruning as `D` grows.
-    pub fn ball_indexed(inst: &'a Instance<D>) -> Self {
-        Self::with_backend(inst, Backend::Ball(BallTree::build(inst.points())))
     }
 
     /// Engine backed by a precomputed CSR neighbor adjacency: candidate
@@ -1367,7 +1349,6 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
             EngineKind::Auto => Self::auto(inst),
             EngineKind::Scan => Self::scan(inst),
             EngineKind::Kd => Self::indexed(inst),
-            EngineKind::Ball => Self::ball_indexed(inst),
             EngineKind::Sparse => Self::sparse(inst),
             EngineKind::SparseF32 => Self::sparse_f32(inst),
         }
@@ -1378,7 +1359,6 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
         match self.backend {
             Backend::Scan => EngineKind::Scan,
             Backend::Kd(_) => EngineKind::Kd,
-            Backend::Ball(_) => EngineKind::Ball,
             Backend::Sparse(_) => EngineKind::Sparse,
             Backend::SparseF32(_) => EngineKind::SparseF32,
         }
@@ -1481,7 +1461,6 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
                 return coverage_reward_with(self.inst, c, residuals, kernel);
             }
             Backend::Kd(tree) => tree.for_each_within(c, r, self.inst.norm(), &mut add),
-            Backend::Ball(tree) => tree.for_each_within(c, r, self.inst.norm(), &mut add),
         }
         total
     }
@@ -1732,7 +1711,8 @@ mod tests {
         let inst = line_instance(1, 2.0);
         let res = Residuals::new(inst.n());
         let c = Point::new([1.0, 0.0]);
-        let z = res.assignments(&inst, &c);
+        let mut z = Vec::new();
+        res.assignments_into(&inst, &c, &mut z);
         assert_eq!(z.len(), 3);
         assert!((z[0] - 0.5).abs() < 1e-12);
         assert!((z[1] - 1.0).abs() < 1e-12);
@@ -1771,24 +1751,6 @@ mod tests {
     }
 
     #[test]
-    fn ball_engine_agrees_with_scan() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(123);
-        let pts: Vec<Point<2>> = (0..80)
-            .map(|_| Point::new([rng.gen_range(0.0..4.0), rng.gen_range(0.0..4.0)]))
-            .collect();
-        let inst = Instance::new(pts, vec![1.0; 80], 1.2, 2, Norm::L2).unwrap();
-        let scan = RewardEngine::scan(&inst);
-        let ball = RewardEngine::ball_indexed(&inst);
-        let res = Residuals::new(inst.n());
-        for _ in 0..25 {
-            let c = Point::new([rng.gen_range(0.0..4.0), rng.gen_range(0.0..4.0)]);
-            assert!((scan.gain(&c, &res) - ball.gain(&c, &res)).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn engine_counts_evaluations() {
         let inst = line_instance(1, 1.0);
         let engine = RewardEngine::scan(&inst);
@@ -1816,15 +1778,16 @@ mod tests {
     }
 
     #[test]
-    fn assignments_into_matches_allocating_form() {
+    fn assignments_into_overwrites_a_dirty_buffer() {
         let inst = line_instance(1, 2.0);
         let mut res = Residuals::new(inst.n());
         res.apply(&inst, &Point::new([0.0, 0.0]));
         let c = Point::new([1.0, 0.0]);
-        let alloc = res.assignments(&inst, &c);
+        let mut fresh = Vec::new();
+        res.assignments_into(&inst, &c, &mut fresh);
         let mut buf = vec![99.0; 7]; // dirty, over-sized buffer
         res.assignments_into(&inst, &c, &mut buf);
-        assert_eq!(alloc, buf);
+        assert_eq!(fresh, buf);
     }
 
     fn random_instance_for_csr(seed: u64, n: usize) -> Instance<2> {

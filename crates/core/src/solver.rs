@@ -110,7 +110,9 @@ pub(crate) fn run_rounds<const D: usize>(
             break;
         }
         if let Some(tr) = assignments.as_mut() {
-            tr.push(residuals.assignments(inst, &c));
+            let mut z = Vec::new();
+            residuals.assignments_into(inst, &c, &mut z);
+            tr.push(z);
         }
         let gain = residuals.apply(inst, &c);
         centers.push(c);

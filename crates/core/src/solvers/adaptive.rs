@@ -7,8 +7,8 @@
 //!
 //! 1. `greedy4` ([`ComplexGreedy`]) — continuous centers, best quality,
 //!    most expensive;
-//! 2. `greedy2-lazy` ([`LazyGreedy`]) — point candidates with CELF
-//!    acceleration;
+//! 2. `greedy2-lazy` ([`LocalGreedy`] on [`OracleStrategy::Lazy`]) —
+//!    point candidates with CELF acceleration;
 //! 3. `greedy3` ([`SimpleGreedy`]) — `O(kn)`, charges zero objective
 //!    evaluations, essentially cannot run out of budget.
 //!
@@ -23,8 +23,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::budget::{DegradeReason, SolveBudget, SolveOutcome, SolveStatus};
 use crate::instance::Instance;
+use crate::oracle::OracleStrategy;
 use crate::solver::{Solution, Solver};
-use crate::solvers::{ComplexGreedy, LazyGreedy, SimpleGreedy};
+use crate::solvers::{ComplexGreedy, LocalGreedy, SimpleGreedy};
 use crate::{CoreError, Result};
 
 /// Degradation-ladder solver. See the module docs.
@@ -68,7 +69,9 @@ fn run_ladder<const D: usize>(
                             .as_ref()
                             .is_none_or(|(b, _)| outcome.solution.total_reward > b.total_reward)
                         {
-                            best = Some((outcome.solution, reason));
+                            let mut sol = outcome.solution;
+                            sol.solver = name.to_owned();
+                            best = Some((sol, reason));
                         }
                     }
                 }
@@ -125,7 +128,7 @@ impl<const D: usize> Solver<D> for AdaptiveSolver {
 
     fn solve_within(&self, inst: &Instance<D>, budget: &SolveBudget) -> Result<SolveOutcome<D>> {
         let g4 = ComplexGreedy::new();
-        let lazy = LazyGreedy::new();
+        let lazy = LocalGreedy::new().with_oracle(OracleStrategy::Lazy);
         let g3 = SimpleGreedy::new();
         run_ladder(
             inst,

@@ -12,10 +12,18 @@
 //! [`GainOracle`], so the same solver runs sequentially, in parallel, or
 //! with CELF lazy evaluation depending on the configured
 //! [`OracleStrategy`].
+//!
+//! CELF applies because per-round coverage rewards are monotone
+//! non-increasing: the residuals `y_i` only shrink, so a stale gain from
+//! an earlier round is a valid upper bound (Leskovec et al., KDD '07).
+//! `with_oracle(OracleStrategy::Lazy)` produces *identical* selections to
+//! the eager scan (the heap breaks ties toward smaller indices, like the
+//! paper's index rule) while evaluating a small fraction of the
+//! candidates after round 1.
 
 use crate::budget::{SolveBudget, SolveOutcome};
 use crate::instance::Instance;
-use crate::oracle::{GainOracle, OracleStrategy, Pruning};
+use crate::oracle::{GainOracle, OracleStrategy};
 use crate::reward::EngineKind;
 use crate::solver::{run_rounds, Solution, Solver};
 use crate::Result;
@@ -42,28 +50,14 @@ use crate::Result;
 pub struct LocalGreedy {
     engine: EngineKind,
     strategy: OracleStrategy,
-    pruning: Pruning,
     trace: bool,
 }
 
 impl LocalGreedy {
-    /// Plain configuration: sequential oracle, linear-scan evaluation,
-    /// no tracing.
+    /// Plain configuration: sequential oracle, the
+    /// [`EngineKind::Auto`] engine, no tracing.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Evaluate coverage rewards through a kd-tree radius query instead
-    /// of the default engine (identical results; see
-    /// `ablation_spatial_index` for when this pays off). Kept for
-    /// back-compat; [`Self::with_engine`] is the general form.
-    pub fn with_spatial_index(mut self, yes: bool) -> Self {
-        self.engine = if yes {
-            EngineKind::Kd
-        } else {
-            EngineKind::Auto
-        };
-        self
     }
 
     /// Selects the reward-evaluation engine. The default
@@ -82,12 +76,6 @@ impl LocalGreedy {
         self
     }
 
-    /// Enables spatial pruning of provably-zero-gain candidates.
-    pub fn with_pruning(mut self, pruning: Pruning) -> Self {
-        self.pruning = pruning;
-        self
-    }
-
     /// Record per-round assignment vectors in the solution.
     pub fn with_trace(mut self, yes: bool) -> Self {
         self.trace = yes;
@@ -95,7 +83,7 @@ impl LocalGreedy {
     }
 
     fn oracle<'a, const D: usize>(&self, inst: &'a Instance<D>) -> GainOracle<'a, D> {
-        GainOracle::with_engine(inst, self.engine, self.strategy).with_pruning(self.pruning)
+        GainOracle::with_engine(inst, self.engine, self.strategy)
     }
 }
 
@@ -131,9 +119,15 @@ mod tests {
     use super::*;
     use crate::instance::InstanceBuilder;
     use crate::reward::objective;
-    use mmph_geom::Norm;
+    use mmph_geom::{Norm, Point};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    const STRATEGIES: [OracleStrategy; 3] = [
+        OracleStrategy::Seq,
+        OracleStrategy::Par,
+        OracleStrategy::Lazy,
+    ];
 
     fn cluster_instance() -> Instance<2> {
         // A heavy pair near (0,0) and a single heavy point at (3,3).
@@ -147,6 +141,31 @@ mod tests {
             .unwrap()
     }
 
+    fn random_instance(rng: &mut StdRng, n: usize, k: usize, r: f64, norm: Norm) -> Instance<2> {
+        let pts: Vec<Point<2>> = (0..n)
+            .map(|_| Point::new([rng.gen_range(0.0..4.0), rng.gen_range(0.0..4.0)]))
+            .collect();
+        let ws: Vec<f64> = (0..n).map(|_| rng.gen_range(1..=5) as f64).collect();
+        Instance::new(pts, ws, r, k, norm).unwrap()
+    }
+
+    /// Solves `inst` with traces under every strategy, checks each
+    /// selection and trace against the eager scan, and returns the
+    /// eager solution.
+    fn solve_every_strategy(inst: &Instance<2>) -> Solution<2> {
+        let eager = LocalGreedy::new().with_trace(true).solve(inst).unwrap();
+        for strategy in STRATEGIES {
+            let sol = LocalGreedy::new()
+                .with_oracle(strategy)
+                .with_trace(true)
+                .solve(inst)
+                .unwrap();
+            assert_eq!(eager.centers, sol.centers, "{strategy}");
+            assert_eq!(eager.assignments, sol.assignments, "{strategy}");
+        }
+        eager
+    }
+
     #[test]
     fn picks_cluster_then_singleton() {
         let sol = LocalGreedy::new().solve(&cluster_instance()).unwrap();
@@ -154,7 +173,7 @@ mod tests {
         // beating p2's 3.0. Round 2: p2's 3.0 is all that remains.
         assert_eq!(sol.centers.len(), 2);
         assert!(sol.centers[0][1] < 1.0, "first center is in the cluster");
-        assert_eq!(sol.centers[1], mmph_geom::Point::new([3.0, 3.0]));
+        assert_eq!(sol.centers[1], Point::new([3.0, 3.0]));
         assert!((sol.round_gains[0] - 3.6).abs() < 1e-12);
         assert!((sol.round_gains[1] - 3.0).abs() < 1e-12);
         assert!(sol.verify_consistency(&cluster_instance()));
@@ -171,22 +190,33 @@ mod tests {
             .k(1)
             .build()
             .unwrap();
-        let sol = LocalGreedy::new().solve(&inst).unwrap();
-        assert_eq!(sol.centers[0], *inst.point(0));
+        assert_eq!(solve_every_strategy(&inst).centers[0], *inst.point(0));
+        // Equal weights on an integer lattice produce many gain ties;
+        // every strategy must resolve them like the eager index scan.
+        for seed in 0..15 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pts: Vec<Point<2>> = (0..20)
+                .map(|_| Point::new([rng.gen_range(0..4) as f64, rng.gen_range(0..4) as f64]))
+                .collect();
+            solve_every_strategy(&Instance::unweighted(pts, 1.0, 4, Norm::L1).unwrap());
+        }
+    }
+
+    #[test]
+    fn trace_is_identical_under_every_strategy() {
+        let inst = random_instance(&mut StdRng::seed_from_u64(4), 15, 3, 1.2, Norm::L2);
+        let eager = solve_every_strategy(&inst);
+        assert_eq!(eager.assignments.as_ref().map(Vec::len), Some(3));
     }
 
     #[test]
     fn spatial_index_gives_identical_solution() {
         let mut rng = StdRng::seed_from_u64(5);
         for norm in [Norm::L1, Norm::L2] {
-            let pts: Vec<mmph_geom::Point<2>> = (0..60)
-                .map(|_| mmph_geom::Point::new([rng.gen_range(0.0..4.0), rng.gen_range(0.0..4.0)]))
-                .collect();
-            let ws: Vec<f64> = (0..60).map(|_| rng.gen_range(1..=5) as f64).collect();
-            let inst = Instance::new(pts, ws, 1.0, 4, norm).unwrap();
+            let inst = random_instance(&mut rng, 60, 4, 1.0, norm);
             let plain = LocalGreedy::new().solve(&inst).unwrap();
             let indexed = LocalGreedy::new()
-                .with_spatial_index(true)
+                .with_engine(EngineKind::Kd)
                 .solve(&inst)
                 .unwrap();
             assert_eq!(plain.centers, indexed.centers);
@@ -200,12 +230,9 @@ mod tests {
         // cannot increase.
         let mut rng = StdRng::seed_from_u64(6);
         for _ in 0..10 {
-            let pts: Vec<mmph_geom::Point<2>> = (0..30)
-                .map(|_| mmph_geom::Point::new([rng.gen_range(0.0..4.0), rng.gen_range(0.0..4.0)]))
-                .collect();
-            let ws: Vec<f64> = (0..30).map(|_| rng.gen_range(1..=5) as f64).collect();
-            let inst = Instance::new(pts, ws, 1.0, 5, Norm::L2).unwrap();
-            let sol = LocalGreedy::new().solve(&inst).unwrap();
+            let sol = LocalGreedy::new()
+                .solve(&random_instance(&mut rng, 30, 5, 1.0, Norm::L2))
+                .unwrap();
             for w in sol.round_gains.windows(2) {
                 assert!(w[1] <= w[0] + 1e-9, "gains {:?}", sol.round_gains);
             }
@@ -230,11 +257,14 @@ mod tests {
             .k(3)
             .build()
             .unwrap();
-        let sol = LocalGreedy::new().solve(&inst).unwrap();
+        let sol = solve_every_strategy(&inst);
         assert_eq!(sol.centers.len(), 3);
         assert!((sol.total_reward - 1.0).abs() < 1e-12);
         assert_eq!(sol.round_gains[1], 0.0);
         assert_eq!(sol.round_gains[2], 0.0);
+        // Several points, k > n: re-picks happen in the same order.
+        let inst = random_instance(&mut StdRng::seed_from_u64(2), 3, 7, 1.0, Norm::L2);
+        assert_eq!(solve_every_strategy(&inst).centers.len(), 7);
     }
 
     #[test]

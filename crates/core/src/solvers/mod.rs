@@ -1,7 +1,9 @@
 //! The paper's algorithms and our extensions.
 //!
 //! * [`LocalGreedy`] — Algorithm 2: every input point is a candidate
-//!   center each round; pick the max coverage reward.
+//!   center each round; pick the max coverage reward. Under
+//!   [`crate::OracleStrategy::Lazy`] it is the CELF-accelerated variant
+//!   (identical output, far fewer evaluations).
 //! * [`SimpleGreedy`] — Algorithm 3: pick the point with the largest
 //!   residual single-point reward `w_i y_i` as the center.
 //! * [`ComplexGreedy`] — Algorithm 4: grow candidate centers off every
@@ -11,8 +13,6 @@
 //!   continuous round oracle.
 //! * [`Exhaustive`] — the evaluation's "exhaustive reward" baseline:
 //!   exact maximum of `f` over all `C(n, k)` point-located center sets.
-//! * [`LazyGreedy`] — CELF-accelerated Algorithm 2 (identical output,
-//!   far fewer evaluations).
 //! * [`StochasticGreedy`] — subsampled-candidate greedy.
 //! * [`LocalSearch`] — greedy-seeded best-improvement swap polish.
 //! * [`SeededGreedy`] — partial prefix enumeration + greedy completion.
@@ -27,7 +27,6 @@ mod beam_search;
 mod clustering;
 mod complex_greedy;
 mod exhaustive;
-mod lazy_greedy;
 mod local_greedy;
 mod local_search;
 mod round_based;
@@ -42,7 +41,6 @@ pub use beam_search::BeamSearch;
 pub use clustering::{KCenter, KMeans};
 pub use complex_greedy::{ComplexGreedy, RecenterRule};
 pub use exhaustive::Exhaustive;
-pub use lazy_greedy::LazyGreedy;
 pub use local_greedy::LocalGreedy;
 pub use local_search::LocalSearch;
 pub use round_based::{

@@ -10,10 +10,12 @@
 //! unperturbed by the token riding along.
 
 use mmph_core::solvers::{
-    AdaptiveSolver, BeamSearch, ComplexGreedy, Exhaustive, KCenter, KMeans, LazyGreedy,
-    LocalGreedy, LocalSearch, RoundBased, SeededGreedy, SimpleGreedy, StochasticGreedy,
+    AdaptiveSolver, BeamSearch, ComplexGreedy, Exhaustive, KCenter, KMeans, LocalGreedy,
+    LocalSearch, RoundBased, SeededGreedy, SimpleGreedy, StochasticGreedy,
 };
-use mmph_core::{CancelToken, DegradeReason, Instance, SolveBudget, SolveStatus, Solver};
+use mmph_core::{
+    CancelToken, DegradeReason, Instance, OracleStrategy, SolveBudget, SolveStatus, Solver,
+};
 use mmph_geom::{Norm, Point};
 use proptest::prelude::*;
 
@@ -38,7 +40,10 @@ fn all_solvers(norm: Norm) -> Vec<(&'static str, Box<dyn Solver<2>>)> {
         ("greedy2", Box::new(LocalGreedy::new())),
         ("greedy3", Box::new(SimpleGreedy::new())),
         ("greedy4", Box::new(ComplexGreedy::new())),
-        ("lazy", Box::new(LazyGreedy::new())),
+        (
+            "lazy",
+            Box::new(LocalGreedy::new().with_oracle(OracleStrategy::Lazy)),
+        ),
         ("stochastic", Box::new(StochasticGreedy::new())),
         ("seeded", Box::new(SeededGreedy::new())),
         ("beam", Box::new(BeamSearch::new())),
@@ -66,7 +71,10 @@ fn prefix_solvers() -> Vec<(&'static str, Box<dyn Solver<2>>)> {
         ("greedy2", Box::new(LocalGreedy::new())),
         ("greedy3", Box::new(SimpleGreedy::new())),
         ("greedy4", Box::new(ComplexGreedy::new())),
-        ("lazy", Box::new(LazyGreedy::new())),
+        (
+            "lazy",
+            Box::new(LocalGreedy::new().with_oracle(OracleStrategy::Lazy)),
+        ),
         ("stochastic", Box::new(StochasticGreedy::new())),
     ]
 }

@@ -128,52 +128,6 @@ impl<const D: usize> KdTree<D> {
         out
     }
 
-    /// True as soon as any point within `radius` of `center` satisfies
-    /// `pred` — the traversal short-circuits on the first hit, unlike
-    /// [`Self::for_each_within`], which always walks the whole ball.
-    pub fn any_within(
-        &self,
-        center: &Point<D>,
-        radius: f64,
-        norm: Norm,
-        mut pred: impl FnMut(usize, f64) -> bool,
-    ) -> bool {
-        if self.nodes.is_empty() || radius < 0.0 {
-            return false;
-        }
-        self.visit_any(0, center, radius, norm, &mut pred)
-    }
-
-    fn visit_any(
-        &self,
-        node: usize,
-        center: &Point<D>,
-        radius: f64,
-        norm: Norm,
-        pred: &mut impl FnMut(usize, f64) -> bool,
-    ) -> bool {
-        let n = &self.nodes[node];
-        if n.bbox.dist_to(center, norm) > radius {
-            return false;
-        }
-        match n.kind {
-            NodeKind::Leaf { start, end } => {
-                for &idx in &self.order[start as usize..end as usize] {
-                    let p = &self.points[idx as usize];
-                    let d = norm.dist(center, p);
-                    if d <= radius && pred(idx as usize, d) {
-                        return true;
-                    }
-                }
-                false
-            }
-            NodeKind::Internal { left, right } => {
-                self.visit_any(left as usize, center, radius, norm, pred)
-                    || self.visit_any(right as usize, center, radius, norm, pred)
-            }
-        }
-    }
-
     fn visit(
         &self,
         node: usize,
@@ -427,43 +381,5 @@ mod tests {
             assert!((d - c.dist_l2(&pts[i])).abs() < 1e-12);
             assert!(d <= 2.0);
         });
-    }
-
-    #[test]
-    fn any_within_agrees_with_full_walk() {
-        let pts = random_points(200, 41);
-        let t = KdTree::build(&pts);
-        let mut rng = StdRng::seed_from_u64(42);
-        for norm in [Norm::L1, Norm::L2, Norm::LInf] {
-            for _ in 0..30 {
-                let c = Point::new([rng.gen_range(-1.0..5.0), rng.gen_range(-1.0..5.0)]);
-                let r = rng.gen_range(0.0..2.0);
-                let mut seen = 0usize;
-                let any = t.any_within(&c, r, norm, |_, _| true);
-                t.for_each_within(&c, r, norm, |_, _| seen += 1);
-                assert_eq!(any, seen > 0, "norm {norm} r {r}");
-            }
-        }
-    }
-
-    #[test]
-    fn any_within_short_circuits_after_first_accept() {
-        let pts = random_points(300, 43);
-        let t = KdTree::build(&pts);
-        let c = Point::new([2.0, 2.0]);
-        let mut calls = 0usize;
-        let hit = t.any_within(&c, 3.0, Norm::L2, |_, _| {
-            calls += 1;
-            true
-        });
-        assert!(hit);
-        assert_eq!(calls, 1, "predicate must stop the walk on first accept");
-        // A rejecting predicate sees every point in the ball.
-        let mut rejected = 0usize;
-        assert!(!t.any_within(&c, 3.0, Norm::L2, |_, _| {
-            rejected += 1;
-            false
-        }));
-        assert_eq!(rejected, t.within(&c, 3.0, Norm::L2).len());
     }
 }

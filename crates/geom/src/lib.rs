@@ -14,7 +14,7 @@
 //! * [`l1ball`] — minimax centers under the 1-norm: the paper's
 //!   per-dimension projection center (§V-B) and an exact 2-D L1 center via
 //!   rotation duality.
-//! * [`kdtree`] / [`grid`] / [`balltree`] — spatial indexes for
+//! * [`kdtree`] / [`grid`] — spatial indexes for
 //!   within-radius queries used by the incremental reward evaluators.
 //! * [`aabb`] — axis-aligned bounding boxes and Chebyshev centers.
 //! * [`hull`] — 2-D convex hulls (plot overlays, pre-filtering).
@@ -30,7 +30,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod aabb;
-pub mod balltree;
 pub mod grid;
 pub mod hull;
 pub mod kdtree;
@@ -40,7 +39,6 @@ pub mod point;
 pub mod welzl;
 
 pub use aabb::Aabb;
-pub use balltree::BallTree;
 pub use grid::GridIndex;
 pub use kdtree::KdTree;
 pub use norm::Norm;

@@ -30,10 +30,9 @@
 use std::time::{Duration, Instant};
 
 use mmph_core::{
-    plan_scale, solve_coreset, solve_sharded, BatchReport, BatchResult, BatchRunner, CancelToken,
-    CoresetConfig, EngineKind, IncrementalInstance, Instance, OracleStrategy, ResolveConfig,
-    ScalePlan, ShardConfig, SolveBudget, SolveScratch, SolveStatus, DEFAULT_CORESET_CELLS,
-    DEFAULT_SPARSE_CAP_BYTES,
+    solve_coreset, solve_sharded, BatchReport, BatchResult, BatchRunner, CancelToken,
+    CoresetConfig, EngineKind, IncrementalInstance, Instance, OracleStrategy, Pipeline,
+    ResolveConfig, ShardConfig, SolveBudget, SolveScratch, SolveStatus, DEFAULT_SPARSE_CAP_BYTES,
 };
 use mmph_sim::{parse_spec, validate_scenario, Scenario};
 
@@ -58,8 +57,6 @@ pub struct ServiceConfig {
     /// Scratch/engine reuse (the warm batch pipeline). `false` is the
     /// cold per-request baseline.
     pub warm: bool,
-    /// Dirty-region CELF upgrade on sparse engines.
-    pub dirty_region: bool,
     /// Budget applied to requests that carry none of their own.
     pub default_budget: SolveBudget,
     /// Most requests drained into one dispatch round by the
@@ -98,7 +95,6 @@ impl Default for ServiceConfig {
             engine: EngineKind::Sparse,
             parallel_csr: false,
             warm: true,
-            dirty_region: false,
             default_budget: SolveBudget::unlimited(),
             max_batch: 64,
             queue_cap: 1024,
@@ -383,10 +379,12 @@ impl Service {
 
     /// Resolves one solve request to an instance + budget + config, or
     /// to an immediate response when queueing already decided its
-    /// fate: a tripped connection token means the client is gone
-    /// (degraded, no solve), and a *positive* deadline fully consumed
-    /// by queueing delay is shed as `overloaded` without burning a
-    /// worker. A zero deadline stays an explicit empty-prefix probe
+    /// fate. The solver, engine and pipeline knobs are checked before
+    /// the instance is generated, so a malformed request is rejected
+    /// without paying for its points. A tripped connection token means
+    /// the client is gone (degraded, no solve), and a *positive*
+    /// deadline fully consumed by queueing delay is shed as
+    /// `overloaded` without burning a worker. A zero deadline stays an explicit empty-prefix probe
     /// and degrades through the clock as before. Otherwise queueing
     /// delay is subtracted from the effective deadline so
     /// `deadline_ms` bounds end-to-end latency, not just solve time.
@@ -400,6 +398,15 @@ impl Service {
             ServeError::Protocol("solve request needs a `scenario` or a `spec`".into())
         })?;
         validate_scenario(&scenario)?;
+        let strategy = match &req.solver {
+            Some(name) => parse_solver(name)?,
+            None => self.config.strategy,
+        };
+        let engine = match &req.engine {
+            Some(name) => EngineKind::parse(name).map_err(ServeError::Protocol)?,
+            None => self.config.engine,
+        };
+        let requested = Pipeline::requested(req.coreset_cells, req.shards)?;
         let instance = self.instance_for(&scenario)?;
         let queue_delay = received.elapsed();
         if cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
@@ -437,28 +444,14 @@ impl Service {
         if let Some(token) = cancel {
             budget = budget.with_cancel(token);
         }
-        let strategy = match &req.solver {
-            Some(name) => parse_solver(name)?,
-            None => self.config.strategy,
-        };
-        let engine = match &req.engine {
-            Some(name) => EngineKind::parse(name).map_err(ServeError::Protocol)?,
-            None => self.config.engine,
-        };
-        if req.coreset_cells.is_some() && req.shards.is_some() {
-            return Err(ServeError::Protocol(
-                "request carries both `coreset_cells` and `shards`; pick one pipeline".into(),
-            ));
-        }
         // Explicit pipeline request, or an `auto` engine whose CSR
         // estimate busts the sparse cap: answer through the large-n
         // pipeline instead of the direct batch path.
-        let escalate = req.coreset_cells.is_none()
-            && req.shards.is_none()
-            && plan_scale(&instance, engine, self.config.sparse_cap_bytes) == ScalePlan::Coreset;
-        if req.coreset_cells.is_some() || req.shards.is_some() || escalate {
+        let pipeline = requested.for_instance(&instance, engine, self.config.sparse_cap_bytes);
+        if pipeline != Pipeline::Direct {
             let resp = self.pipeline_response(
-                req,
+                req.id,
+                pipeline,
                 &instance,
                 budget,
                 strategy,
@@ -479,16 +472,16 @@ impl Service {
     }
 
     /// Runs one solve through a large-n pipeline — coreset reduction
-    /// (`coreset_cells` or auto-escalation) or shard-then-merge
-    /// (`shards`) — and maps the report onto the solve wire shape with
-    /// the pipeline extras (`pipeline`, `coreset_n`, `gap`, `centers`)
+    /// or shard-then-merge — and maps the report onto the solve wire
+    /// shape with the pipeline extras (`pipeline`, `coreset_n`, `gap`, `centers`)
     /// filled in. Pipelines run inline on the dispatch thread: they
     /// parallelize internally, so fanning them out per-request would
     /// only oversubscribe the pool.
     #[allow(clippy::too_many_arguments)]
     fn pipeline_response(
         &self,
-        req: &Request,
+        id: u64,
+        pipeline: Pipeline,
         instance: &Instance<2>,
         budget: SolveBudget,
         strategy: OracleStrategy,
@@ -497,11 +490,11 @@ impl Service {
         queue_delay: Duration,
     ) -> Result<Response> {
         let solve_start = Instant::now();
-        let mut resp = Response::new(Some(req.id), "solve_ok");
+        let mut resp = Response::new(Some(id), "solve_ok");
         resp.n = Some(instance.n());
         resp.k = Some(instance.k());
         resp.engine_reused = Some(false);
-        let degraded = if let Some(shards) = req.shards {
+        let degraded = if let Pipeline::Shard(shards) = pipeline {
             let cfg = ShardConfig {
                 shards,
                 engine,
@@ -517,8 +510,11 @@ impl Service {
             resp.centers = Some(report.centers.iter().map(|p| p.0).collect());
             report.degraded
         } else {
+            let Pipeline::Coreset(cells_per_radius) = pipeline else {
+                unreachable!("direct solves take the batch path")
+            };
             let cfg = CoresetConfig {
-                cells_per_radius: req.coreset_cells.unwrap_or(DEFAULT_CORESET_CELLS),
+                cells_per_radius,
                 engine,
                 strategy,
                 budget,
@@ -582,23 +578,11 @@ impl Service {
         }
         if let Some(scenario) = scenario {
             validate_scenario(&scenario)?;
-            let instance = self.instance_for(&scenario)?;
-            let kind = match req
-                .engine
-                .as_deref()
-                .map(EngineKind::parse)
-                .transpose()
-                .map_err(ServeError::Protocol)?
-                .unwrap_or(self.config.engine)
-            {
-                EngineKind::Auto | EngineKind::Sparse => EngineKind::Sparse,
-                EngineKind::SparseF32 => EngineKind::SparseF32,
-                other => {
-                    return Err(ServeError::Protocol(format!(
-                        "mutate needs a sparse engine (auto, sparse or sparse-f32), got {other:?}"
-                    )))
-                }
+            let kind = match &req.engine {
+                Some(name) => EngineKind::parse(name).map_err(ServeError::Protocol)?,
+                None => self.config.engine,
             };
+            let instance = self.instance_for(&scenario)?;
             self.tracked = Some(Tracked {
                 inc: IncrementalInstance::new(instance, kind)?,
                 scratch: SolveScratch::new(),
@@ -758,8 +742,7 @@ impl Service {
                 .with_strategy(strategy)
                 .with_engine(engine)
                 .with_parallel_csr(self.config.parallel_csr)
-                .with_warm(self.config.warm)
-                .with_dirty_region(self.config.dirty_region);
+                .with_warm(self.config.warm);
             let report = runner.run_budgeted(&instances, &budgets);
             out.extend(report.results);
             i = j;
@@ -1064,11 +1047,16 @@ mod tests {
         );
         assert_eq!(out[1].engine_reused, Some(false), "segment split, no reuse");
 
-        let mut bad = Request::solve(2, sc);
+        let mut bad = Request::solve(2, sc.clone());
         bad.solver = Some("quantum".into());
-        let out = svc.handle_lines(&lines(&[bad]));
+        let mut ball = Request::solve(3, sc);
+        ball.engine = Some("ball".into());
+        let out = svc.handle_lines(&lines(&[bad, ball]));
         assert_eq!(out[0].op, "error");
         assert!(out[0].error.as_deref().unwrap().contains("unknown solver"));
+        assert_eq!(out[1].op, "error");
+        let msg = out[1].error.as_deref().unwrap();
+        assert!(msg.contains("auto|scan|kd|sparse|sparse-f32"), "{msg}");
     }
 
     #[test]
@@ -1116,6 +1104,7 @@ mod tests {
             .as_deref()
             .unwrap()
             .contains("pick one pipeline"));
+        assert!(svc.cache.is_empty(), "rejected before generating points");
     }
 
     #[test]

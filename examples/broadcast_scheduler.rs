@@ -108,7 +108,10 @@ fn main() {
         ),
         (
             "lazy greedy (CELF)",
-            LazyGreedy::new().solve(&instance).expect("lazy"),
+            LocalGreedy::new()
+                .with_oracle(OracleStrategy::Lazy)
+                .solve(&instance)
+                .expect("lazy"),
         ),
     ];
     for (name, sol) in &solvers {

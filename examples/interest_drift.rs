@@ -174,7 +174,8 @@ fn delta_api_cost() {
         let warm_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         let t0 = Instant::now();
-        let cold = LazyGreedy::new()
+        let cold = LocalGreedy::new()
+            .with_oracle(OracleStrategy::Lazy)
             .with_engine(mmph::core::EngineKind::Sparse)
             .solve(inc.instance())
             .expect("cold solve runs");

@@ -31,12 +31,17 @@ fn main() {
 
     // The paper's three local greedies, the round-based heuristic, our
     // CELF extension, and the exhaustive optimum over point candidates.
+    let mut lazy = LocalGreedy::new()
+        .with_oracle(OracleStrategy::Lazy)
+        .solve(&instance)
+        .expect("lazy greedy");
+    lazy.solver = "greedy2-lazy".into();
     let solutions = vec![
         RoundBased::grid().solve(&instance).expect("greedy 1"),
         LocalGreedy::new().solve(&instance).expect("greedy 2"),
         SimpleGreedy::new().solve(&instance).expect("greedy 3"),
         ComplexGreedy::new().solve(&instance).expect("greedy 4"),
-        LazyGreedy::new().solve(&instance).expect("lazy greedy"),
+        lazy,
         Exhaustive::new().solve(&instance).expect("exhaustive"),
     ];
 

@@ -42,11 +42,12 @@ pub mod prelude {
     pub use mmph_core::budget::{DegradeReason, SolveBudget, SolveOutcome, SolveStatus};
     pub use mmph_core::incremental::{IncrementalInstance, ResolveConfig, ResolveOutcome};
     pub use mmph_core::instance::{Delta, Instance, InstanceBuilder};
+    pub use mmph_core::oracle::OracleStrategy;
     pub use mmph_core::reward::{coverage_reward, objective, psi, Residuals};
     pub use mmph_core::solver::{Solution, Solver};
     pub use mmph_core::solvers::{
-        AdaptiveSolver, BeamSearch, ComplexGreedy, Exhaustive, LazyGreedy, LocalGreedy,
-        LocalSearch, RoundBased, SeededGreedy, SimpleGreedy, StochasticGreedy,
+        AdaptiveSolver, BeamSearch, ComplexGreedy, Exhaustive, LocalGreedy, LocalSearch,
+        RoundBased, SeededGreedy, SimpleGreedy, StochasticGreedy,
     };
     pub use mmph_geom::{Norm, Point, Point2, Point3};
     pub use mmph_sim::churn::ChurnPlan;

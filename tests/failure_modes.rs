@@ -17,7 +17,10 @@ fn all_solvers() -> Vec<(&'static str, Box<dyn Solver<2>>)> {
         ("greedy2", Box::new(LocalGreedy::new())),
         ("greedy3", Box::new(SimpleGreedy::new())),
         ("greedy4", Box::new(ComplexGreedy::new())),
-        ("lazy", Box::new(LazyGreedy::new())),
+        (
+            "lazy",
+            Box::new(LocalGreedy::new().with_oracle(OracleStrategy::Lazy)),
+        ),
         ("stochastic", Box::new(StochasticGreedy::new())),
         ("seeded", Box::new(SeededGreedy::new())),
         ("beam", Box::new(BeamSearch::new())),

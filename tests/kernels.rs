@@ -39,7 +39,10 @@ fn solvers_remain_consistent_under_every_kernel() {
             LocalGreedy::new().solve(&inst).unwrap(),
             SimpleGreedy::new().solve(&inst).unwrap(),
             ComplexGreedy::new().solve(&inst).unwrap(),
-            LazyGreedy::new().solve(&inst).unwrap(),
+            LocalGreedy::new()
+                .with_oracle(OracleStrategy::Lazy)
+                .solve(&inst)
+                .unwrap(),
         ] {
             assert!(
                 sol.verify_consistency(&inst),
@@ -49,7 +52,10 @@ fn solvers_remain_consistent_under_every_kernel() {
         }
         // CELF equivalence is kernel-independent.
         let eager = LocalGreedy::new().solve(&inst).unwrap();
-        let lazy = LazyGreedy::new().solve(&inst).unwrap();
+        let lazy = LocalGreedy::new()
+            .with_oracle(OracleStrategy::Lazy)
+            .solve(&inst)
+            .unwrap();
         assert_eq!(eager.centers, lazy.centers, "{kernel:?}");
     }
 }

@@ -235,7 +235,7 @@ proptest! {
             LocalGreedy::new().solve(&inst).unwrap(),
             SimpleGreedy::new().solve(&inst).unwrap(),
             ComplexGreedy::new().solve(&inst).unwrap(),
-            LazyGreedy::new().solve(&inst).unwrap(),
+            LocalGreedy::new().with_oracle(OracleStrategy::Lazy).solve(&inst).unwrap(),
         ] {
             prop_assert_eq!(sol.centers.len(), inst.k());
             prop_assert!(sol.verify_consistency(&inst), "{} inconsistent", sol.solver);
@@ -246,7 +246,7 @@ proptest! {
     #[test]
     fn lazy_equals_eager_everywhere(inst in instance2()) {
         let eager = LocalGreedy::new().solve(&inst).unwrap();
-        let lazy = LazyGreedy::new().solve(&inst).unwrap();
+        let lazy = LocalGreedy::new().with_oracle(OracleStrategy::Lazy).solve(&inst).unwrap();
         prop_assert_eq!(&eager.centers, &lazy.centers);
         prop_assert!((eager.total_reward - lazy.total_reward).abs() < 1e-12);
     }
