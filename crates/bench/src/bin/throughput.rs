@@ -6,33 +6,28 @@
 //! ```
 //!
 //! Sweeps batch shapes (distinct instances × adjacent repeats) ×
-//! {cold, warm-scratch} × {serial, parallel CSR build} through the
-//! [`BatchRunner`] pipeline at the PR4 baseline scale (n=10⁴, k=16,
-//! degree-pinned radius), and records:
+//! {cold, warm-scratch} through the [`BatchRunner`] pipeline at the
+//! PR4 baseline scale (n=10⁴, k=16, degree-pinned radius), and records:
 //!
 //! - per-arm throughput (requests/s) with warm-vs-cold speedups;
-//! - the parallel-vs-serial CSR build ratio plus a byte-identity
-//!   check of the two adjacency structures;
 //! - the steady-state allocation count of the warm solve path,
 //!   measured with a counting global allocator (must be 0);
 //! - in full mode, perfsuite-style rows at n=10⁶ (lazy × sparse only)
 //!   — the ROADMAP's "millions of users" scale.
 //!
 //! Every warm arm is verified bit-identical to the cold unbatched
-//! reference in-binary; any mismatch, nonzero steady-state allocation
-//! count, or CSR divergence exits non-zero so CI can run this binary
+//! reference in-binary; any mismatch or nonzero steady-state allocation
+//! count exits non-zero so CI can run this binary
 //! directly (`--quick` in the `throughput-smoke` job).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use mmph_bench::perfrows::{build_instance, run_one, Row, DEFAULT_SEED, TARGET_DEGREE};
 use mmph_core::{
-    solve_rounds, verify_reports, BatchRunner, CsrScratch, EngineKind, Instance, OracleStrategy,
-    RewardEngine, SolveScratch,
+    solve_rounds, verify_reports, BatchRunner, EngineKind, Instance, OracleStrategy, SolveScratch,
 };
 use serde::Serialize;
 
@@ -120,7 +115,6 @@ struct Arm {
     distinct: usize,
     repeat: usize,
     mode: String,
-    csr: String,
     requests: usize,
     workers: usize,
     wall_ms: f64,
@@ -139,16 +133,6 @@ struct WarmCold {
     speedup: f64,
 }
 
-#[derive(Debug, Clone, Serialize)]
-struct CsrBuild {
-    n: usize,
-    threads: usize,
-    serial_ms: f64,
-    parallel_ms: f64,
-    speedup: f64,
-    byte_identical: bool,
-}
-
 #[derive(Debug, Serialize)]
 struct Report {
     suite: String,
@@ -160,7 +144,6 @@ struct Report {
     target_degree: f64,
     arms: Vec<Arm>,
     warm_vs_cold: Vec<WarmCold>,
-    csr_build: CsrBuild,
     steady_state_allocs: Vec<(String, u64)>,
     huge_rows: Vec<Row>,
     checks_ok: bool,
@@ -186,14 +169,12 @@ fn arm(
     distinct: usize,
     repeat: usize,
     mode: &str,
-    csr: &str,
 ) -> (Arm, mmph_core::BatchReport) {
     let report = runner.run(insts);
     let a = Arm {
         distinct,
         repeat,
         mode: mode.to_owned(),
-        csr: csr.to_owned(),
         requests: report.results.len(),
         workers: report.workers,
         wall_ms: report.wall_nanos as f64 / 1e6,
@@ -203,38 +184,6 @@ fn arm(
         verified: false,
     };
     (a, report)
-}
-
-/// Times serial vs parallel CSR construction on a fresh scratch each
-/// and checks byte-identity of the resulting adjacency.
-fn csr_build_check(inst: &Instance<2>) -> CsrBuild {
-    let mut s1 = CsrScratch::new();
-    let mut s2 = CsrScratch::new();
-    // Warm both scratches so the comparison is build work, not growth.
-    RewardEngine::sparse_with_scratch(inst, &mut s1, false).reclaim(&mut s1);
-    RewardEngine::sparse_with_scratch(inst, &mut s2, true).reclaim(&mut s2);
-
-    let t0 = Instant::now();
-    let serial = RewardEngine::sparse_with_scratch(inst, &mut s1, false);
-    let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t1 = Instant::now();
-    let parallel = RewardEngine::sparse_with_scratch(inst, &mut s2, true);
-    let parallel_ms = t1.elapsed().as_secs_f64() * 1e3;
-
-    let (so, sd, si, sf, sw) = serial.csr_parts().expect("serial CSR present");
-    let (po, pd, pi, pf, pw) = parallel.csr_parts().expect("parallel CSR present");
-    fn bits_eq(a: &[f64], b: &[f64]) -> bool {
-        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-    }
-    let byte_identical = so == po && sd == pd && si == pi && bits_eq(sf, pf) && bits_eq(sw, pw);
-    CsrBuild {
-        n: inst.n(),
-        threads: rayon::current_num_threads(),
-        serial_ms,
-        parallel_ms,
-        speedup: serial_ms / parallel_ms,
-        byte_identical,
-    }
 }
 
 /// Counts allocations during a steady-state warm solve (after one
@@ -276,16 +225,13 @@ fn main() -> ExitCode {
     let mut checks_ok = true;
 
     let cold_runner = BatchRunner::new().with_warm(false).with_engine(args.engine);
-    let warm_serial = BatchRunner::new().with_engine(args.engine);
-    let warm_parallel = BatchRunner::new()
-        .with_parallel_csr(true)
-        .with_engine(args.engine);
+    let warm_runner = BatchRunner::new().with_engine(args.engine);
 
     for &repeat in repeats {
         let insts = stream(n, k, args.seed, distinct, repeat);
-        let (cold_arm, cold_report) = arm(&cold_runner, &insts, distinct, repeat, "cold", "serial");
+        let (cold_arm, cold_report) = arm(&cold_runner, &insts, distinct, repeat, "cold");
         println!(
-            "n={n} k={k} distinct={distinct} repeat={repeat} cold          {:>8.1} req/s",
+            "n={n} k={k} distinct={distinct} repeat={repeat} cold {:>8.1} req/s",
             cold_arm.throughput_per_sec
         );
         let mut cold_arm = cold_arm;
@@ -293,30 +239,26 @@ fn main() -> ExitCode {
         let cold_rps = cold_arm.throughput_per_sec;
         arms.push(cold_arm);
 
-        for (runner, csr) in [(&warm_serial, "serial"), (&warm_parallel, "parallel")] {
-            let (mut warm_arm, warm_report) = arm(runner, &insts, distinct, repeat, "warm", csr);
-            match verify_reports(&warm_report, &cold_report) {
-                Ok(()) => warm_arm.verified = true,
-                Err(e) => {
-                    eprintln!("throughput: VERIFICATION FAILED (warm/{csr} repeat={repeat}): {e}");
-                    checks_ok = false;
-                }
+        let (mut warm_arm, warm_report) = arm(&warm_runner, &insts, distinct, repeat, "warm");
+        match verify_reports(&warm_report, &cold_report) {
+            Ok(()) => warm_arm.verified = true,
+            Err(e) => {
+                eprintln!("throughput: VERIFICATION FAILED (warm repeat={repeat}): {e}");
+                checks_ok = false;
             }
-            println!(
-                "n={n} k={k} distinct={distinct} repeat={repeat} warm/{csr:<8} {:>8.1} req/s  ({} engines reused, verified={})",
-                warm_arm.throughput_per_sec, warm_arm.engines_reused, warm_arm.verified
-            );
-            if csr == "serial" {
-                warm_vs_cold.push(WarmCold {
-                    distinct,
-                    repeat,
-                    cold_rps,
-                    warm_rps: warm_arm.throughput_per_sec,
-                    speedup: warm_arm.throughput_per_sec / cold_rps,
-                });
-            }
-            arms.push(warm_arm);
         }
+        println!(
+            "n={n} k={k} distinct={distinct} repeat={repeat} warm {:>8.1} req/s  ({} engines reused, verified={})",
+            warm_arm.throughput_per_sec, warm_arm.engines_reused, warm_arm.verified
+        );
+        warm_vs_cold.push(WarmCold {
+            distinct,
+            repeat,
+            cold_rps,
+            warm_rps: warm_arm.throughput_per_sec,
+            speedup: warm_arm.throughput_per_sec / cold_rps,
+        });
+        arms.push(warm_arm);
     }
 
     for wc in &warm_vs_cold {
@@ -324,19 +266,6 @@ fn main() -> ExitCode {
             "warm/cold n={n} repeat={:>2}: {:>8.1} vs {:>8.1} req/s = {:.2}x",
             wc.repeat, wc.warm_rps, wc.cold_rps, wc.speedup
         );
-    }
-
-    // Parallel CSR build ratio + byte-identity, on one stream instance.
-    let probe = build_instance(n, k, args.seed);
-    let csr_build = csr_build_check(&probe);
-    println!(
-        "csr build n={n} threads={}: serial {:.2} ms vs parallel {:.2} ms = {:.2}x (byte-identical: {})",
-        csr_build.threads, csr_build.serial_ms, csr_build.parallel_ms, csr_build.speedup,
-        csr_build.byte_identical
-    );
-    if !csr_build.byte_identical {
-        eprintln!("throughput: PARALLEL CSR DIVERGED from serial build");
-        checks_ok = false;
     }
 
     // Zero-allocation steady state, per serving strategy.
@@ -402,7 +331,6 @@ fn main() -> ExitCode {
         target_degree: TARGET_DEGREE,
         arms,
         warm_vs_cold,
-        csr_build,
         steady_state_allocs: steady,
         huge_rows,
         checks_ok,

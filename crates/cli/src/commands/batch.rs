@@ -31,7 +31,6 @@ OPTIONS:
   --oracle NAME     seq|par|lazy — overrides the solver's strategy
   --engine NAME     auto|scan|kd|sparse|sparse-f32 [sparse]
   --threads N       worker threads (default: all cores)
-  --par-csr         build CSR adjacency with the parallel path
   --cold            disable scratch/engine reuse (per-request baseline)
   --deadline-ms N   per-request wall-clock budget (degrades, never hangs)
   --max-evals N     per-request objective-evaluation budget
@@ -54,7 +53,6 @@ struct JsonReport {
     scenarios: String,
     solver: String,
     engine: String,
-    parallel_csr: bool,
     report: BatchReport,
     throughput_per_sec: f64,
     engines_reused: usize,
@@ -80,7 +78,6 @@ pub fn service_config_from_flags(flags: &Flags) -> Result<ServiceConfig> {
     Ok(ServiceConfig {
         strategy: strategy_from_flags(flags)?,
         engine: args::parse_engine(flags.get("engine").unwrap_or("sparse"))?,
-        parallel_csr: flags.has("par-csr"),
         warm: !flags.has("cold"),
         default_budget: args::parse_budget(flags)?,
         ..ServiceConfig::default()
@@ -158,7 +155,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<()> {
             "coreset-cells",
             "shards",
         ],
-        &["par-csr", "cold", "verify", "quiet"],
+        &["cold", "verify", "quiet"],
     )?;
     args::install_thread_pool(&flags)?;
     let scenarios_arg: String = flags.require("scenarios")?;
@@ -213,12 +210,11 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<()> {
     }
     writeln!(
         out,
-        "batch: {} requests on {} worker(s) [{} | {} | {} csr] in {:.3} s = {:.1} req/s; engines reused {}/{}",
+        "batch: {} requests on {} worker(s) [{} | {}] in {:.3} s = {:.1} req/s; engines reused {}/{}",
         report.results.len(),
         report.workers,
         if warm { "warm" } else { "cold" },
         config.strategy,
-        if config.parallel_csr { "parallel" } else { "serial" },
         report.wall_nanos as f64 / 1e9,
         report.throughput(),
         report.engines_reused(),
@@ -246,7 +242,6 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<()> {
             scenarios: scenarios_arg.clone(),
             solver: config.strategy.to_string(),
             engine: config.engine.name().to_owned(),
-            parallel_csr: config.parallel_csr,
             throughput_per_sec: report.throughput(),
             engines_reused: report.engines_reused(),
             verified,
@@ -320,16 +315,12 @@ mod tests {
     }
 
     #[test]
-    fn par_csr_flag_verifies_against_serial_cold() {
-        let (r, out) = run_capture(&[
-            "--scenarios",
-            "n=40,count=2,repeat=2",
-            "--par-csr",
-            "--verify",
-            "--quiet",
-        ]);
-        assert!(r.is_ok(), "{r:?}");
-        assert!(out.contains("parallel csr"), "{out}");
+    fn par_csr_flag_is_gone() {
+        let (r, _) = run_capture(&["--scenarios", "n=40", "--par-csr"]);
+        let Err(CliError::Usage(msg)) = r else {
+            panic!("--par-csr must be a usage error: {r:?}");
+        };
+        assert!(msg.contains("unknown flag --par-csr"), "{msg}");
     }
 
     #[test]

@@ -38,7 +38,6 @@ OPTIONS:
   --oracle NAME    seq|par|lazy — overrides the solver's strategy
   --engine NAME    default engine: auto|scan|kd|sparse|sparse-f32 [sparse]
   --threads N      worker threads (default: all cores)
-  --par-csr        build CSR adjacency with the parallel path
   --cold           disable scratch/engine reuse across requests
   --max-batch N    max requests folded into one dispatch round [64]
   --deadline-ms N  default per-request wall-clock budget
@@ -103,7 +102,7 @@ where
             "write-timeout-ms",
             "chunk-selection",
         ],
-        &["par-csr", "cold"],
+        &["cold"],
     )?;
     args::install_thread_pool(&flags)?;
     let mut config = service_config_from_flags(&flags)?;
@@ -157,6 +156,8 @@ mod tests {
     fn unknown_flag_rejected() {
         let (r, _) = run_script(&["--udp", "x"], "");
         assert!(matches!(r, Err(CliError::Usage(_))));
+        let (r, _) = run_script(&["--par-csr"], "");
+        assert!(matches!(r, Err(CliError::Usage(_))), "{r:?}");
     }
 
     #[test]

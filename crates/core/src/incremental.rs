@@ -295,11 +295,11 @@ impl<const D: usize> IncrementalInstance<D> {
         let mut csr_scratch = CsrScratch::new();
         let enumerator = Enumerator::build(inst.points(), inst.radius());
         let state = if kind == EngineKind::SparseF32 {
-            let mut csr = SparseCsr::<f32>::build_with(&inst, &enumerator, &mut csr_scratch, false);
+            let mut csr = SparseCsr::<f32>::build_with(&inst, &enumerator, &mut csr_scratch);
             csr.offsets.pop();
             CsrState::F32(csr)
         } else {
-            let mut csr = SparseCsr::<f64>::build_with(&inst, &enumerator, &mut csr_scratch, false);
+            let mut csr = SparseCsr::<f64>::build_with(&inst, &enumerator, &mut csr_scratch);
             csr.offsets.pop(); // drop the sentinel: row ends derive from degrees
             CsrState::F64(csr)
         };
@@ -586,24 +586,16 @@ impl<const D: usize> IncrementalInstance<D> {
             CsrState::F64(csr_slot) => {
                 let old = std::mem::replace(csr_slot, SparseCsr::<f64>::empty());
                 old.recycle(&mut self.csr_scratch);
-                let mut csr = SparseCsr::<f64>::build_with(
-                    &self.inst,
-                    &enumerator,
-                    &mut self.csr_scratch,
-                    false,
-                );
+                let mut csr =
+                    SparseCsr::<f64>::build_with(&self.inst, &enumerator, &mut self.csr_scratch);
                 csr.offsets.pop();
                 *csr_slot = csr;
             }
             CsrState::F32(csr_slot) => {
                 let old = std::mem::replace(csr_slot, SparseCsr::<f32>::empty());
                 old.recycle(&mut self.csr_scratch);
-                let mut csr = SparseCsr::<f32>::build_with(
-                    &self.inst,
-                    &enumerator,
-                    &mut self.csr_scratch,
-                    false,
-                );
+                let mut csr =
+                    SparseCsr::<f32>::build_with(&self.inst, &enumerator, &mut self.csr_scratch);
                 csr.offsets.pop();
                 *csr_slot = csr;
             }

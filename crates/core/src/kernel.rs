@@ -110,6 +110,49 @@ pub struct PreparedKernel {
     denom: f64,
 }
 
+/// A computation generic over one kernel's fraction formula:
+/// [`PreparedKernel::dispatch`] matches the kernel variant once and runs
+/// the pass with that variant's `frac(d, r)`, so a hot loop inside the
+/// pass branches on the kernel once instead of once per distance.
+pub(crate) trait FracPass {
+    type Output;
+    fn run(self, frac: impl Fn(f64, f64) -> f64 + Copy + Send + Sync) -> Self::Output;
+}
+
+/// The rim cut every kernel shares: 0 beyond the radius, else the
+/// kernel's shape at `t = d / r`.
+#[inline(always)]
+fn cut(d: f64, r: f64, shape: impl Fn(f64) -> f64) -> f64 {
+    debug_assert!(r > 0.0);
+    if d > r {
+        return 0.0;
+    }
+    shape(d / r)
+}
+
+// The kernel shapes at `t = d / r ∈ [0, 1]`, one source for both the
+// per-call and the dispatched fraction.
+
+#[inline(always)]
+fn linear(t: f64) -> f64 {
+    1.0 - t
+}
+
+#[inline(always)]
+fn step(_t: f64) -> f64 {
+    1.0
+}
+
+#[inline(always)]
+fn quadratic(t: f64) -> f64 {
+    1.0 - t * t
+}
+
+#[inline(always)]
+fn exponential(t: f64, lambda: f64, e_r: f64, denom: f64) -> f64 {
+    (((-lambda * t).exp()) - e_r) / denom
+}
+
 impl PreparedKernel {
     /// Coverage fraction at distance `d` with radius `r` — the same
     /// expression as [`Kernel::frac`], term for term (the division by
@@ -122,10 +165,25 @@ impl PreparedKernel {
         }
         let t = d / r;
         match self.kernel {
-            Kernel::Linear => 1.0 - t,
-            Kernel::Step => 1.0,
-            Kernel::Quadratic => 1.0 - t * t,
-            Kernel::Exponential { lambda } => (((-lambda * t).exp()) - self.e_r) / self.denom,
+            Kernel::Linear => linear(t),
+            Kernel::Step => step(t),
+            Kernel::Quadratic => quadratic(t),
+            Kernel::Exponential { lambda } => exponential(t, lambda, self.e_r, self.denom),
+        }
+    }
+
+    /// Runs `pass` with this kernel's fraction formula: [`Self::frac`]
+    /// with the variant matched once, up front.
+    #[inline]
+    pub(crate) fn dispatch<P: FracPass>(&self, pass: P) -> P::Output {
+        let (e_r, denom) = (self.e_r, self.denom);
+        match self.kernel {
+            Kernel::Linear => pass.run(|d, r| cut(d, r, linear)),
+            Kernel::Step => pass.run(|d, r| cut(d, r, step)),
+            Kernel::Quadratic => pass.run(|d, r| cut(d, r, quadratic)),
+            Kernel::Exponential { lambda } => {
+                pass.run(move |d, r| cut(d, r, |t| exponential(t, lambda, e_r, denom)))
+            }
         }
     }
 

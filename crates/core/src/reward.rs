@@ -14,10 +14,13 @@
 //!   telescope exactly to `f(C)` (tested below), so every solver's
 //!   reported total equals the closed-form objective.
 
-use mmph_geom::{GridIndex, KdTree, Norm, Point};
+use std::mem::MaybeUninit;
+use std::ops::Range;
+
+use mmph_geom::{CellBox, GridIndex, KdTree, Norm, Point};
 
 use crate::instance::Instance;
-use crate::kernel::PreparedKernel;
+use crate::kernel::{FracPass, PreparedKernel};
 
 /// Coverage fraction `[1 − d(c, x)/r]_+` of a point at distance `d`
 /// (Eq. 1 without the weight).
@@ -584,8 +587,8 @@ impl<const D: usize> Enumerator<D> {
 
 /// Reusable buffers for the sparse CSR adjacency: the flat CSR arrays
 /// (including the lane-padded layout vectors and the `f32` streams of
-/// the mixed-precision engine) plus the per-row sort buffer the serial
-/// build uses. A [`RewardEngine::sparse_with_scratch`] or
+/// the mixed-precision engine) plus the per-row sort buffer of the kd
+/// path's row-by-row fill. A [`RewardEngine::sparse_with_scratch`] or
 /// [`RewardEngine::sparse_f32_with_scratch`] build *takes* the vectors
 /// it needs (an O(1) move), refills them in place, and
 /// [`RewardEngine::reclaim`] puts them back after the solve — so a
@@ -662,102 +665,113 @@ impl<S: LaneScalar> SparseCsr<S> {
     }
 
     /// Builds the CSR over `inst`'s points via `enumerator`, with fresh
-    /// buffers and the serial fill path.
+    /// buffers.
     pub(crate) fn build<const D: usize>(inst: &Instance<D>, enumerator: &Enumerator<D>) -> Self {
-        Self::build_with(inst, enumerator, &mut CsrScratch::default(), false)
+        Self::build_with(inst, enumerator, &mut CsrScratch::default())
     }
 
     /// Builds the CSR into the buffers taken from `scratch` (leaving
-    /// this scalar's buffers empty; see [`RewardEngine::reclaim`]).
-    /// When `parallel` is set the rows are enumerated by contiguous
-    /// slot chunks across the rayon pool and stitched together with a
-    /// prefix-sum pass; each row's content (enumeration, sort, kernel
-    /// math, padding) is untouched, so the resulting arrays are
-    /// byte-identical to the serial build.
+    /// this scalar's buffers empty; see [`RewardEngine::reclaim`]). The
+    /// grid path fills cell by cell ([`Self::fill_cells`]), split across
+    /// the rayon pool from [`PARALLEL_BUILD_MIN_POINTS`] points up; the
+    /// kd path fills row by row ([`Self::fill_rows`]). Both produce the
+    /// same arrays from the same enumerated pairs.
     pub(crate) fn build_with<const D: usize>(
         inst: &Instance<D>,
         enumerator: &Enumerator<D>,
         scratch: &mut CsrScratch,
-        parallel: bool,
+    ) -> Self {
+        let parts = if inst.n() >= PARALLEL_BUILD_MIN_POINTS {
+            rayon::current_num_threads()
+        } else {
+            1
+        };
+        Self::build_in_parts(inst, enumerator, scratch, parts)
+    }
+
+    /// [`Self::build_with`] with an explicit part count for the grid
+    /// path's cell split.
+    fn build_in_parts<const D: usize>(
+        inst: &Instance<D>,
+        enumerator: &Enumerator<D>,
+        scratch: &mut CsrScratch,
+        parts: usize,
     ) -> Self {
         let started = std::time::Instant::now();
-        let n = inst.n();
-        let mut offsets = std::mem::take(&mut scratch.offsets);
-        let mut degrees = std::mem::take(&mut scratch.degrees);
-        let mut slot_of = std::mem::take(&mut scratch.slot_of);
-        let mut order = std::mem::take(&mut scratch.order);
-        let mut by_coords = std::mem::take(&mut scratch.by_coords);
-        let mut neighbors = std::mem::take(&mut scratch.neighbors);
-        let (mut frac, mut weight) = S::take_bufs(scratch);
-        offsets.clear();
-        degrees.clear();
-        neighbors.clear();
-        frac.clear();
-        weight.clear();
-        offsets.reserve(n + 1);
-        degrees.reserve(n);
-        spatial_order(inst.points(), inst.radius(), &mut order);
-        slot_of.clear();
-        slot_of.resize(n, 0);
-        for (slot, &i) in order.iter().enumerate() {
-            slot_of[i as usize] = slot as u32;
-        }
-        by_coords.clear();
-        by_coords.extend(0..n as u32);
-        by_coords.sort_unstable_by_key(|&j| point_bits(inst.point(j as usize)));
-        offsets.push(0u32);
-        let max_degree = if parallel && rayon::current_num_threads() > 1 && n > 1 {
-            Self::fill_parallel(
-                inst,
-                enumerator,
-                &order,
-                &mut offsets,
-                &mut degrees,
-                &mut neighbors,
-                &mut frac,
-                &mut weight,
-            )
-        } else {
-            let mut row = std::mem::take(&mut scratch.row);
-            let max = Self::fill_serial(
-                inst,
-                enumerator,
-                &order,
-                &mut offsets,
-                &mut degrees,
-                &mut neighbors,
-                &mut frac,
-                &mut weight,
-                &mut row,
-            );
-            scratch.row = row;
-            max
+        let mut csr = Self::from_scratch(scratch);
+        let max_degree = match enumerator {
+            Enumerator::Grid(grid) => csr.fill_cells(inst, grid, parts),
+            Enumerator::Kd(_) => {
+                let mut row = std::mem::take(&mut scratch.row);
+                let max = csr.fill_rows(inst, enumerator, &mut row);
+                scratch.row = row;
+                max
+            }
         };
-        let entries = degrees.iter().map(|&d| d as usize).sum::<usize>();
-        let padded_entries = neighbors.len();
-        let bytes = (offsets.len() + degrees.len() + slot_of.len() + order.len() + by_coords.len())
-            * 4
-            + padded_entries * Self::BYTES_PER_ENTRY;
-        let stats = SparseStats {
+        csr.finish(inst, enumerator.used_grid(), max_degree, started);
+        csr
+    }
+
+    /// An empty CSR over the buffers taken from `scratch`, cleared with
+    /// their capacity kept.
+    fn from_scratch(scratch: &mut CsrScratch) -> Self {
+        let (frac, weight) = S::take_bufs(scratch);
+        let mut csr = SparseCsr {
+            offsets: std::mem::take(&mut scratch.offsets),
+            degrees: std::mem::take(&mut scratch.degrees),
+            slot_of: std::mem::take(&mut scratch.slot_of),
+            order: std::mem::take(&mut scratch.order),
+            by_coords: std::mem::take(&mut scratch.by_coords),
+            neighbors: std::mem::take(&mut scratch.neighbors),
+            frac,
+            weight,
+            ..Self::empty()
+        };
+        csr.offsets.clear();
+        csr.degrees.clear();
+        csr.slot_of.clear();
+        csr.order.clear();
+        csr.by_coords.clear();
+        csr.neighbors.clear();
+        csr.frac.clear();
+        csr.weight.clear();
+        csr
+    }
+
+    /// Derives `slot_of` and `by_coords` from the filled rows and
+    /// records the build statistics.
+    fn finish<const D: usize>(
+        &mut self,
+        inst: &Instance<D>,
+        used_grid: bool,
+        max_degree: usize,
+        started: std::time::Instant,
+    ) {
+        let n = inst.n();
+        self.slot_of.resize(n, 0);
+        for (slot, &i) in self.order.iter().enumerate() {
+            self.slot_of[i as usize] = slot as u32;
+        }
+        self.by_coords.extend(0..n as u32);
+        self.by_coords
+            .sort_unstable_by_key(|&j| point_bits(inst.point(j as usize)));
+        let entries = self.degrees.iter().map(|&d| d as usize).sum::<usize>();
+        let padded_entries = self.neighbors.len();
+        self.stats = SparseStats {
             build_nanos: started.elapsed().as_nanos() as u64,
-            bytes,
+            bytes: (self.offsets.len()
+                + self.degrees.len()
+                + self.slot_of.len()
+                + self.order.len()
+                + self.by_coords.len())
+                * 4
+                + padded_entries * Self::BYTES_PER_ENTRY,
             entries,
             padded_entries,
             avg_degree: entries as f64 / n as f64,
             max_degree,
-            used_grid: enumerator.used_grid(),
+            used_grid,
         };
-        SparseCsr {
-            offsets,
-            degrees,
-            slot_of,
-            order,
-            by_coords,
-            neighbors,
-            frac,
-            weight,
-            stats,
-        }
     }
 
     /// Appends one enumerated-and-sorted row: keeps the entries with
@@ -800,25 +814,24 @@ impl<S: LaneScalar> SparseCsr<S> {
         deg
     }
 
-    /// The reference row fill, in storage-slot order: enumerate, sort
-    /// ascending, drop zero-`frac` entries, append, pad.
-    #[allow(clippy::too_many_arguments)]
-    fn fill_serial<const D: usize>(
+    /// The per-row fill of the kd path: rows in [`spatial_order`], each
+    /// one enumerated, sorted ascending, stripped of zero-`frac`
+    /// entries, appended and padded. Returns the largest degree.
+    fn fill_rows<const D: usize>(
+        &mut self,
         inst: &Instance<D>,
         enumerator: &Enumerator<D>,
-        order: &[u32],
-        offsets: &mut Vec<u32>,
-        degrees: &mut Vec<u32>,
-        neighbors: &mut Vec<u32>,
-        frac: &mut Vec<S>,
-        weight: &mut Vec<S>,
         row: &mut Vec<(u32, f64)>,
     ) -> usize {
+        spatial_order(inst.points(), inst.radius(), &mut self.order);
         let r = inst.radius();
         let norm = inst.norm();
         let kernel = inst.kernel().prepared();
+        self.offsets.reserve(self.order.len() + 1);
+        self.degrees.reserve(self.order.len());
+        self.offsets.push(0);
         let mut max_degree = 0usize;
-        for &i in order {
+        for &i in &self.order {
             row.clear();
             enumerator.for_each_within(inst.point(i as usize), r, norm, |j, d| {
                 row.push((j as u32, d));
@@ -827,103 +840,107 @@ impl<S: LaneScalar> SparseCsr<S> {
             // order); ascending neighbor index is what makes the sparse
             // accumulation bit-identical to the dense scan.
             row.sort_unstable_by_key(|&(j, _)| j);
-            let deg = Self::append_row(inst, &kernel, row, neighbors, frac, weight);
+            let deg = Self::append_row(
+                inst,
+                &kernel,
+                row,
+                &mut self.neighbors,
+                &mut self.frac,
+                &mut self.weight,
+            );
             max_degree = max_degree.max(deg);
-            degrees.push(deg as u32);
+            self.degrees.push(deg as u32);
             assert!(
-                neighbors.len() <= u32::MAX as usize,
+                self.neighbors.len() <= u32::MAX as usize,
                 "sparse engine: neighbor entries overflow u32 offsets"
             );
-            offsets.push(neighbors.len() as u32);
+            self.offsets.push(self.neighbors.len() as u32);
         }
         max_degree
     }
 
-    /// Parallel row fill: each worker enumerates a contiguous chunk of
-    /// storage slots into local buffers (same per-row enumeration,
-    /// sort, zero-drop, kernel math and padding as
-    /// [`Self::fill_serial`]), then a serial prefix-sum pass
-    /// concatenates the chunks in slot order — the flat arrays come
-    /// out byte-identical to the serial build.
-    #[allow(clippy::too_many_arguments)]
-    fn fill_parallel<const D: usize>(
+    /// The grid-path fill. Rows are stored in the grid's slot order,
+    /// which is [`spatial_order`]'s permutation without its comparison
+    /// sort. Each occupied cell gathers its candidates once — every
+    /// point in the union of its members' query boxes, in ascending
+    /// index — and each member's row is one scan of that list (see
+    /// [`scan_row`]), so rows come out sorted with no per-row sort.
+    ///
+    /// Two passes over `parts` contiguous cell ranges balanced by point
+    /// count (on the rayon pool when `parts > 1`): the first counts
+    /// each row's degree, a prefix sum turns degrees into offsets, and
+    /// the second writes every row into its exact place through
+    /// disjoint slices of the final buffers. Returns the largest degree.
+    fn fill_cells<const D: usize>(
+        &mut self,
         inst: &Instance<D>,
-        enumerator: &Enumerator<D>,
-        order: &[u32],
-        offsets: &mut Vec<u32>,
-        degrees: &mut Vec<u32>,
-        neighbors: &mut Vec<u32>,
-        frac: &mut Vec<S>,
-        weight: &mut Vec<S>,
+        grid: &GridIndex<D>,
+        parts: usize,
     ) -> usize {
-        use rayon::prelude::*;
-        let n = order.len();
-        let r = inst.radius();
-        let norm = inst.norm();
-        let kernel = inst.kernel().prepared();
-        let threads = rayon::current_num_threads().max(1);
-        let chunk = n.div_ceil(threads);
-        let ranges: Vec<&[u32]> = order.chunks(chunk).collect();
-        struct ChunkOut<S> {
-            degrees: Vec<u32>,
-            neighbors: Vec<u32>,
-            frac: Vec<S>,
-            weight: Vec<S>,
-            max_degree: usize,
-        }
-        let parts: Vec<ChunkOut<S>> = ranges
-            .into_par_iter()
-            .map(|slots| {
-                let mut out = ChunkOut {
-                    degrees: Vec::with_capacity(slots.len()),
-                    neighbors: Vec::new(),
-                    frac: Vec::new(),
-                    weight: Vec::new(),
-                    max_degree: 0,
-                };
-                let mut row: Vec<(u32, f64)> = Vec::new();
-                for &i in slots {
-                    row.clear();
-                    enumerator.for_each_within(inst.point(i as usize), r, norm, |j, d| {
-                        row.push((j as u32, d));
-                    });
-                    row.sort_unstable_by_key(|&(j, _)| j);
-                    let deg = Self::append_row(
-                        inst,
-                        &kernel,
-                        &row,
-                        &mut out.neighbors,
-                        &mut out.frac,
-                        &mut out.weight,
-                    );
-                    out.max_degree = out.max_degree.max(deg);
-                    out.degrees.push(deg as u32);
-                }
-                out
-            })
-            .collect();
-        let total: usize = parts.iter().map(|p| p.neighbors.len()).sum();
-        assert!(
-            total <= u32::MAX as usize,
-            "sparse engine: neighbor entries overflow u32 offsets"
+        let n = inst.n();
+        self.order.extend_from_slice(grid.entries());
+        let fill = CellFill::new(inst, grid, parts);
+
+        self.degrees.resize(n, 0);
+        let degree_parts = split_by_lens(
+            &mut self.degrees,
+            fill.parts.iter().map(|c| fill.slots(c).len()),
         );
-        neighbors.reserve(total);
-        frac.reserve(total);
-        weight.reserve(total);
-        let mut max_degree = 0usize;
-        let mut running = 0u32;
-        for part in parts {
-            for &deg in &part.degrees {
-                running += padded_len(deg as usize) as u32;
-                offsets.push(running);
-            }
-            degrees.extend_from_slice(&part.degrees);
-            neighbors.extend_from_slice(&part.neighbors);
-            frac.extend_from_slice(&part.frac);
-            weight.extend_from_slice(&part.weight);
-            max_degree = max_degree.max(part.max_degree);
+        with_pair_frac(
+            inst,
+            CountPass {
+                fill: &fill,
+                degrees: degree_parts,
+            },
+        );
+
+        self.offsets.reserve(n + 1);
+        self.offsets.push(0);
+        let mut total = 0usize;
+        for &deg in &self.degrees {
+            total += padded_len(deg as usize);
+            assert!(
+                total <= u32::MAX as usize,
+                "sparse engine: neighbor entries overflow u32 offsets"
+            );
+            self.offsets.push(total as u32);
         }
-        max_degree
+
+        // Writing through `MaybeUninit` skips a serial zero-fill and
+        // leaves the first touch of the pages to the parallel pass: at
+        // n = 10⁶ on 2 vCPUs, zero-filling first cost 0.3 s of a 1.7 s
+        // build.
+        self.neighbors.reserve(total);
+        self.frac.reserve(total);
+        self.weight.reserve(total);
+        let lens = || {
+            fill.parts.iter().map(|c| {
+                let slots = fill.slots(c);
+                (self.offsets[slots.end] - self.offsets[slots.start]) as usize
+            })
+        };
+        with_pair_frac(
+            inst,
+            WritePass {
+                fill: &fill,
+                offsets: &self.offsets,
+                degrees: &self.degrees,
+                neighbors: split_by_lens(&mut self.neighbors.spare_capacity_mut()[..total], lens()),
+                frac: split_by_lens(&mut self.frac.spare_capacity_mut()[..total], lens()),
+                weight: split_by_lens(&mut self.weight.spare_capacity_mut()[..total], lens()),
+            },
+        );
+        // SAFETY: the write pass initialized every entry below `total`.
+        // The padded rows tile `0..offsets[n] = total` exactly, and the
+        // pass asserts that each row's scan finds the degree the count
+        // pass found before writing it and its padding, so a mismatch
+        // panics before this point.
+        unsafe {
+            self.neighbors.set_len(total);
+            self.frac.set_len(total);
+            self.weight.set_len(total);
+        }
+        self.degrees.iter().max().map_or(0, |&d| d as usize)
     }
 
     /// Moves the flat buffers back into `scratch` for the next build.
@@ -1100,6 +1117,297 @@ impl<S: LaneScalar> SparseCsr<S> {
     }
 }
 
+/// Smallest instance whose grid-path CSR build is split across the
+/// rayon pool. Smaller builds run as one part on the calling thread, so
+/// small served solves spawn no threads. On a 2-vCPU Xeon a 2-part
+/// build of a degree-48 instance took 2.5 ms against 3.3 ms serial at
+/// n = 2,000, and 13 ms against 22 ms at n = 10,000: from here on the
+/// saving dwarfs the cost of spawning the workers.
+const PARALLEL_BUILD_MIN_POINTS: usize = 10_000;
+
+/// A CSR pass generic over the pair fraction: [`with_pair_frac`]
+/// resolves the norm and the kernel once and runs the pass with
+/// `pair(center, other)`, the kernel fraction of `other` seen from
+/// `center`, so the pass's inner loop carries no per-pair `match`.
+trait PairPass<const D: usize> {
+    type Output;
+    fn run(self, pair: impl Fn(&Point<D>, &Point<D>) -> f64 + Copy + Send + Sync) -> Self::Output;
+}
+
+/// Runs `pass` with `inst`'s pair fraction `frac(dist(center, other),
+/// r)`, built from the same `Point::dist_*` calls as [`Norm::dist`] and
+/// the same kernel formula as [`PreparedKernel::frac`].
+fn with_pair_frac<const D: usize, P: PairPass<D>>(inst: &Instance<D>, pass: P) -> P::Output {
+    struct ByNorm<const D: usize, P> {
+        norm: Norm,
+        r: f64,
+        pass: P,
+    }
+    impl<const D: usize, P: PairPass<D>> FracPass for ByNorm<D, P> {
+        type Output = P::Output;
+        fn run(self, frac: impl Fn(f64, f64) -> f64 + Copy + Send + Sync) -> P::Output {
+            let (norm, r) = (self.norm, self.r);
+            match norm {
+                Norm::L1 => self.pass.run(move |a, b| frac(a.dist_l1(b), r)),
+                Norm::L2 => self.pass.run(move |a, b| frac(a.dist_l2(b), r)),
+                Norm::LInf => self.pass.run(move |a, b| frac(a.dist_linf(b), r)),
+                Norm::Lp(_) => self.pass.run(move |a, b| frac(norm.dist(a, b), r)),
+            }
+        }
+    }
+    inst.kernel().prepared().dispatch(ByNorm {
+        norm: inst.norm(),
+        r: inst.radius(),
+        pass,
+    })
+}
+
+/// A candidate gathered for one cell block: index, coordinates, weight.
+#[derive(Debug, Clone, Copy)]
+struct Cand<const D: usize> {
+    index: u32,
+    point: Point<D>,
+    weight: f64,
+}
+
+/// The per-cell callback of [`CellFill::sweep`].
+type CellBlock<'b, const D: usize> = dyn FnMut(Range<usize>, &CellBox<D>, &[Cand<D>]) + 'b;
+
+/// The grid-path fill's shared inputs: the instance, its grid, the
+/// weights in slot order and the contiguous cell ranges, one per part,
+/// balanced by point count.
+struct CellFill<'a, const D: usize> {
+    inst: &'a Instance<D>,
+    grid: &'a GridIndex<D>,
+    weights: Vec<f64>,
+    parts: Vec<Range<usize>>,
+}
+
+impl<'a, const D: usize> CellFill<'a, D> {
+    fn new(inst: &'a Instance<D>, grid: &'a GridIndex<D>, parts: usize) -> Self {
+        let starts = grid.cell_starts();
+        let (n, cells, parts) = (grid.len(), starts.len() - 1, parts.max(1));
+        // Part p starts at the first cell boundary with at least
+        // p·n/parts points before it.
+        let bound = |p: usize| {
+            if p == parts {
+                cells
+            } else {
+                starts.partition_point(|&s| (s as usize) < n * p / parts)
+            }
+        };
+        CellFill {
+            inst,
+            grid,
+            weights: grid
+                .entries()
+                .iter()
+                .map(|&i| inst.weight(i as usize))
+                .collect(),
+            parts: (0..parts).map(|p| bound(p)..bound(p + 1)).collect(),
+        }
+    }
+
+    /// The slots (rows) of a range of cells.
+    fn slots(&self, cells: &Range<usize>) -> Range<usize> {
+        let starts = self.grid.cell_starts();
+        starts[cells.start] as usize..starts[cells.end] as usize
+    }
+
+    /// Calls `block(members, union, candidates)` for every occupied cell
+    /// in `cells`: its member slots, the union of their query boxes and
+    /// every point in that union, in ascending index. `block` is a
+    /// trait object so the sweep is compiled once, not once per pass.
+    fn sweep(&self, cells: Range<usize>, block: &mut CellBlock<'_, D>) {
+        let (grid, r) = (self.grid, self.inst.radius());
+        let (entries, points) = (grid.entries(), grid.slot_points());
+        let (mut keys, mut cands) = (Vec::new(), Vec::new());
+        for c in cells {
+            let members = self.slots(&(c..c + 1));
+            let Some(union) = members
+                .clone()
+                .filter_map(|s| grid.query_box(&points[s], r))
+                .reduce(|a, b| a.union(&b))
+            else {
+                continue;
+            };
+            // (index, slot) keys: one integer sort merges the cells'
+            // ascending runs into ascending index.
+            keys.clear();
+            grid.for_each_cell_in(&union, |slots| {
+                keys.extend(slots.map(|s| (u64::from(entries[s]) << 32) | s as u64));
+            });
+            keys.sort_unstable();
+            cands.clear();
+            cands.extend(keys.iter().map(|&key| {
+                let s = key as u32 as usize;
+                Cand {
+                    index: entries[s],
+                    point: points[s],
+                    weight: self.weights[s],
+                }
+            }));
+            block(members, &union, &cands);
+        }
+    }
+}
+
+/// Scans the row of `x` and returns its degree. The row's entries are
+/// the candidates with positive `frac = pair(x, ·)` that lie in `x`'s
+/// own query box — exactly the pairs [`GridIndex::for_each_within`]
+/// reports and [`SparseCsr::append_row`] keeps, since a positive
+/// fraction implies `d ≤ r`. Float rounding at a cell edge can make a
+/// member's box narrower than the block's union; only then does a
+/// candidate's cell need checking.
+///
+/// `emit(m, position, frac)` sees every scanned candidate with the
+/// number `m` of entries before it, and only entries advance `m`: a
+/// sink that stores at `m` compacts the row, in ascending index, with
+/// no data-dependent branch.
+#[inline(always)]
+fn scan_row<const D: usize>(
+    grid: &GridIndex<D>,
+    r: f64,
+    x: &Point<D>,
+    union: &CellBox<D>,
+    cands: &[Cand<D>],
+    pair: impl Fn(&Point<D>, &Point<D>) -> f64,
+    mut emit: impl FnMut(usize, usize, f64),
+) -> usize {
+    let mut m = 0;
+    match grid.query_box(x, r) {
+        Some(own) if own == *union => {
+            for (p, c) in cands.iter().enumerate() {
+                let f = pair(x, &c.point);
+                emit(m, p, f);
+                m += usize::from(f > 0.0);
+            }
+        }
+        Some(own) => {
+            for (p, c) in cands.iter().enumerate() {
+                if own.contains(&grid.cell_of(&c.point)) {
+                    let f = pair(x, &c.point);
+                    emit(m, p, f);
+                    m += usize::from(f > 0.0);
+                }
+            }
+        }
+        None => {}
+    }
+    m
+}
+
+/// Splits `buf` into consecutive disjoint slices of the given lengths.
+fn split_by_lens<T>(mut buf: &mut [T], lens: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
+    lens.map(|len| {
+        let (head, tail) = std::mem::take(&mut buf).split_at_mut(len);
+        buf = tail;
+        head
+    })
+    .collect()
+}
+
+/// Runs `work` on each task: across the rayon pool when there are
+/// several, on the calling thread when there is one. `work` is a trait
+/// object so the pool code is compiled once per task type, not once
+/// per (norm, kernel) pass.
+fn run_parts<T: Send>(tasks: Vec<T>, work: &(dyn Fn(T) + Sync)) {
+    use rayon::prelude::*;
+    if tasks.len() > 1 {
+        tasks.into_par_iter().for_each(work);
+    } else {
+        tasks.into_iter().for_each(work);
+    }
+}
+
+/// Pass 1 of [`SparseCsr::fill_cells`]: every row's degree.
+struct CountPass<'f, 'a, const D: usize> {
+    fill: &'f CellFill<'a, D>,
+    /// Each part's slice of the degree array.
+    degrees: Vec<&'f mut [u32]>,
+}
+
+impl<const D: usize> PairPass<D> for CountPass<'_, '_, D> {
+    type Output = ();
+    fn run(self, pair: impl Fn(&Point<D>, &Point<D>) -> f64 + Copy + Send + Sync) {
+        let fill = self.fill;
+        let (grid, r) = (fill.grid, fill.inst.radius());
+        let tasks: Vec<_> = fill.parts.iter().cloned().zip(self.degrees).collect();
+        run_parts(tasks, &|(cells, degrees)| {
+            let base = fill.slots(&cells).start;
+            fill.sweep(cells, &mut |members, union, cands| {
+                for slot in members {
+                    let x = &grid.slot_points()[slot];
+                    let deg = scan_row(grid, r, x, union, cands, pair, |_, _, _| {});
+                    degrees[slot - base] = deg as u32;
+                }
+            });
+        });
+    }
+}
+
+/// Pass 2 of [`SparseCsr::fill_cells`]: writes every row, padding
+/// included, at its offset, into each part's slices of the
+/// not-yet-initialized entry buffers.
+struct WritePass<'f, 'a, const D: usize, S> {
+    fill: &'f CellFill<'a, D>,
+    offsets: &'f [u32],
+    degrees: &'f [u32],
+    neighbors: Vec<&'f mut [MaybeUninit<u32>]>,
+    frac: Vec<&'f mut [MaybeUninit<S>]>,
+    weight: Vec<&'f mut [MaybeUninit<S>]>,
+}
+
+impl<const D: usize, S: LaneScalar> PairPass<D> for WritePass<'_, '_, D, S> {
+    type Output = ();
+    fn run(self, pair: impl Fn(&Point<D>, &Point<D>) -> f64 + Copy + Send + Sync) {
+        let (fill, offsets, degrees) = (self.fill, self.offsets, self.degrees);
+        let (grid, r) = (fill.grid, fill.inst.radius());
+        let tasks: Vec<_> = fill
+            .parts
+            .iter()
+            .cloned()
+            .zip(self.neighbors)
+            .zip(self.frac)
+            .zip(self.weight)
+            .collect();
+        run_parts(tasks, &|(((cells, nb), fr), wt)| {
+            let base = offsets[fill.slots(&cells).start] as usize;
+            let mut kept = Vec::new();
+            fill.sweep(cells, &mut |members, union, cands| {
+                kept.resize(kept.len().max(cands.len()), (0, 0.0));
+                for slot in members {
+                    let x = &grid.slot_points()[slot];
+                    let deg = scan_row(grid, r, x, union, cands, pair, |m, p, f| {
+                        kept[m] = (p as u32, f);
+                    });
+                    assert_eq!(
+                        deg, degrees[slot] as usize,
+                        "CSR write pass disagrees with its count"
+                    );
+                    let start = offsets[slot] as usize - base;
+                    for (k, &(p, f)) in (start..).zip(&kept[..deg]) {
+                        let c = &cands[p as usize];
+                        nb[k].write(c.index);
+                        fr[k].write(S::narrow(f));
+                        wt[k].write(S::narrow(c.weight));
+                    }
+                    if deg > 0 {
+                        // Padding repeats the last real neighbor with
+                        // zero frac and weight (see `append_row`).
+                        let pad = cands[kept[deg - 1].0 as usize].index;
+                        for k in start + deg..start + padded_len(deg) {
+                            nb[k].write(pad);
+                            fr[k].write(S::narrow(0.0));
+                            wt[k].write(S::narrow(0.0));
+                        }
+                    }
+                }
+            });
+        });
+    }
+}
+
 /// Reward evaluation engine: computes coverage rewards by dense linear
 /// scan, tree radius query, or precomputed sparse CSR adjacency, and
 /// counts evaluations (used by the CELF ablation to demonstrate the
@@ -1186,20 +1494,14 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     }
 
     /// Sparse engine whose CSR buffers are taken from (and on
-    /// [`Self::reclaim`] returned to) a [`CsrScratch`] arena, with an
-    /// optional rayon-parallel row fill. The produced adjacency is
-    /// byte-identical to [`Self::sparse`] in either mode; only the
-    /// allocation behaviour (and, with `parallel`, the build
-    /// parallelism) differs.
-    pub fn sparse_with_scratch(
-        inst: &'a Instance<D>,
-        scratch: &mut CsrScratch,
-        parallel: bool,
-    ) -> Self {
+    /// [`Self::reclaim`] returned to) a [`CsrScratch`] arena. The
+    /// produced adjacency is byte-identical to [`Self::sparse`]; only
+    /// the allocation behaviour differs.
+    pub fn sparse_with_scratch(inst: &'a Instance<D>, scratch: &mut CsrScratch) -> Self {
         let enumerator = Enumerator::build(inst.points(), inst.radius());
         Self::with_backend(
             inst,
-            Backend::Sparse(SparseCsr::build_with(inst, &enumerator, scratch, parallel)),
+            Backend::Sparse(SparseCsr::build_with(inst, &enumerator, scratch)),
         )
     }
 
@@ -1218,15 +1520,11 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
 
     /// [`Self::sparse_f32`] over scratch-borrowed buffers, mirroring
     /// [`Self::sparse_with_scratch`].
-    pub fn sparse_f32_with_scratch(
-        inst: &'a Instance<D>,
-        scratch: &mut CsrScratch,
-        parallel: bool,
-    ) -> Self {
+    pub fn sparse_f32_with_scratch(inst: &'a Instance<D>, scratch: &mut CsrScratch) -> Self {
         let enumerator = Enumerator::build(inst.points(), inst.radius());
         Self::with_backend(
             inst,
-            Backend::SparseF32(SparseCsr::build_with(inst, &enumerator, scratch, parallel)),
+            Backend::SparseF32(SparseCsr::build_with(inst, &enumerator, scratch)),
         )
     }
 
@@ -1245,8 +1543,7 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     /// Raw CSR arrays `(offsets, degrees, neighbors, frac, weight)` of
     /// the `f64` sparse backend (offsets are padded and indexed by
     /// storage slot; see [`Self::eval_order`] for the slot → candidate
-    /// map) — exposed so tests and benches can assert the parallel
-    /// build is byte-identical to the serial one.
+    /// map) — exposed so tests can compare builds byte for byte.
     #[doc(hidden)]
     #[allow(clippy::type_complexity)]
     pub fn csr_parts(&self) -> Option<(&[u32], &[u32], &[u32], &[f64], &[f64])> {
@@ -1592,6 +1889,7 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
 mod tests {
     use super::*;
     use crate::instance::InstanceBuilder;
+    use crate::kernel::Kernel;
     use mmph_geom::Point;
 
     fn line_instance(k: usize, r: f64) -> Instance<2> {
@@ -1801,42 +2099,170 @@ mod tests {
         Instance::new(pts, ws, 0.7, 4, Norm::L2).unwrap()
     }
 
-    #[test]
-    fn parallel_csr_is_byte_identical_to_serial() {
-        // Force a multi-threaded pool so the parallel path actually
-        // chunks (safe for concurrently-running tests: every parallel
-        // consumer in this workspace is order-preserving).
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build_global()
-            .unwrap();
-        for seed in [1u64, 2, 3] {
-            let inst = random_instance_for_csr(seed, 257); // not a multiple of 4
-            let serial = RewardEngine::sparse(&inst);
-            let mut scratch = CsrScratch::new();
-            let parallel = RewardEngine::sparse_with_scratch(&inst, &mut scratch, true);
-            let (so, sd, sn, sf, sw) = serial.csr_parts().unwrap();
-            let (po, pd, pn, pf, pw) = parallel.csr_parts().unwrap();
-            assert_eq!(so, po, "seed {seed}: offsets diverged");
-            assert_eq!(sd, pd, "seed {seed}: degrees diverged");
-            assert_eq!(sn, pn, "seed {seed}: neighbor indices diverged");
-            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(sf), bits(pf), "seed {seed}: frac bits diverged");
-            assert_eq!(bits(sw), bits(pw), "seed {seed}: weight bits diverged");
-            let (a, b) = (
-                serial.sparse_stats().unwrap(),
-                parallel.sparse_stats().unwrap(),
-            );
-            assert_eq!(a.entries, b.entries);
-            assert_eq!(a.max_degree, b.max_degree);
+    impl<S: LaneScalar> SparseCsr<S> {
+        /// The reference build: rows in [`spatial_order`], each one
+        /// enumerated, sorted and appended on its own — the per-row
+        /// fill, whatever the enumerator.
+        fn build_rowwise<const D: usize>(inst: &Instance<D>, enumerator: &Enumerator<D>) -> Self {
+            let started = std::time::Instant::now();
+            let mut csr = Self::from_scratch(&mut CsrScratch::default());
+            let max_degree = csr.fill_rows(inst, enumerator, &mut Vec::new());
+            csr.finish(inst, enumerator.used_grid(), max_degree, started);
+            csr
         }
+
+        /// Every stored array (floats as bits) and the entry statistics.
+        fn arrays(&self) -> [Vec<u64>; 9] {
+            let ints = |xs: &[u32]| xs.iter().map(|&x| u64::from(x)).collect();
+            let bits = |xs: &[S]| xs.iter().map(|x| x.widen().to_bits()).collect();
+            [
+                ints(&self.offsets),
+                ints(&self.degrees),
+                ints(&self.slot_of),
+                ints(&self.order),
+                ints(&self.by_coords),
+                ints(&self.neighbors),
+                bits(&self.frac),
+                bits(&self.weight),
+                vec![
+                    self.stats.entries as u64,
+                    self.stats.padded_entries as u64,
+                    self.stats.max_degree as u64,
+                    self.stats.bytes as u64,
+                ],
+            ]
+        }
+    }
+
+    /// Instances that stress the cell fill's exactness: rows at exact
+    /// multiples of `r` from the bounding-box corner (cell edges, and
+    /// `d = r` pairs that only `Step` keeps), duplicates, a bounding box
+    /// far from the origin, a single cell, and a spread that takes the
+    /// kd path. Returns `(label, instance, expect_grid)`.
+    fn fill_cases<const D: usize>(norm: Norm, kernel: Kernel) -> Vec<(String, Instance<D>, bool)> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(D as u64 * 31 + 7);
+        let side: usize = if D == 2 { 9 } else { 5 };
+        let mut lattice = |corner: f64, r: f64| {
+            let mut pts = Vec::new();
+            for i in 0..side.pow(D as u32) {
+                let coords: [f64; D] = std::array::from_fn(|d| {
+                    let step = (i / side.pow(d as u32)) % side;
+                    corner + step as f64 * r
+                });
+                pts.push(Point::new(coords));
+            }
+            // Random fill-ins over the same box.
+            for _ in 0..pts.len() / 2 {
+                pts.push(Point::new(std::array::from_fn(|_| {
+                    corner + rng.gen_range(0.0..(side - 1) as f64 * r)
+                })));
+            }
+            pts
+        };
+        let random = |rng: &mut StdRng, n: usize, lo: f64, hi: f64| -> Vec<Point<D>> {
+            (0..n)
+                .map(|_| Point::new(std::array::from_fn(|_| rng.gen_range(lo..hi))))
+                .collect()
+        };
+        let mut cases = vec![
+            ("lattice-0.1".to_string(), lattice(-1.7, 0.1), 0.1, true),
+            ("lattice-0.5".to_string(), lattice(0.0, 0.5), 0.5, true),
+        ];
+        let mut dup = random(&mut rng, 150, 0.0, 3.0);
+        for i in 0..50 {
+            dup.push(dup[i * 3]);
+            dup.push(dup[i * 3]);
+        }
+        cases.push(("duplicates".into(), dup, 0.6, true));
+        cases.push((
+            "offset-bbox".into(),
+            random(&mut rng, 300, 1000.0, 1003.0),
+            0.45,
+            true,
+        ));
+        cases.push((
+            "single-cell".into(),
+            random(&mut rng, 60, 5.0, 5.5),
+            1.0,
+            true,
+        ));
+        cases.push(("spread".into(), random(&mut rng, 40, 0.0, 1e6), 0.5, false));
+        // A rounding edge on the x-axis at r = 0.2: `b - a` rounds to
+        // exactly r although the real gap is wider, and `a`'s cell lies
+        // outside `b`'s query box but inside that of `b2`, a member of
+        // `b`'s cell. Only the per-candidate cell check keeps the
+        // `d = r` pair (which `Step` would count) out of `b`'s row.
+        let on_axis = |x: f64| Point::new(std::array::from_fn(|d| if d == 0 { x } else { 0.0 }));
+        let edge = [
+            -0.60019485078294,
+            -0.0001948507829399666,
+            0.19980514921706005,
+            0.19980514921706,
+        ];
+        cases.push((
+            "rounding-edge".into(),
+            edge.map(on_axis).to_vec(),
+            0.2,
+            true,
+        ));
+        cases
+            .into_iter()
+            .map(|(label, pts, r, grid)| {
+                let n = pts.len();
+                let ws = (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.375).collect();
+                let inst = Instance::new(pts, ws, r, 3, norm)
+                    .and_then(|inst| inst.with_kernel(kernel))
+                    .unwrap();
+                (label, inst, grid)
+            })
+            .collect()
+    }
+
+    fn check_cell_fill<const D: usize, S: LaneScalar>() {
+        let kernels = [
+            Kernel::Linear,
+            Kernel::Step,
+            Kernel::Quadratic,
+            Kernel::Exponential { lambda: 2.5 },
+        ];
+        for norm in [Norm::L1, Norm::L2, Norm::LInf] {
+            for kernel in kernels {
+                for (label, inst, grid) in fill_cases::<D>(norm, kernel) {
+                    let enumerator = Enumerator::build(inst.points(), inst.radius());
+                    assert_eq!(enumerator.used_grid(), grid, "{label}: enumerator");
+                    let want = SparseCsr::<S>::build_rowwise(&inst, &enumerator).arrays();
+                    let mut scratch = CsrScratch::new();
+                    for parts in [1, 2, 3, 7] {
+                        let got =
+                            SparseCsr::<S>::build_in_parts(&inst, &enumerator, &mut scratch, parts);
+                        assert_eq!(
+                            got.arrays(),
+                            want,
+                            "D={D} {norm} {} {label} parts={parts}: CSR differs from the \
+                             row-by-row reference",
+                            kernel.name()
+                        );
+                        got.recycle(&mut scratch);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cell_fill_is_byte_identical_to_the_row_reference() {
+        check_cell_fill::<2, f64>();
+        check_cell_fill::<3, f64>();
+        check_cell_fill::<2, f32>();
     }
 
     #[test]
     fn scratch_build_reuses_buffers_and_reclaims() {
         let inst = random_instance_for_csr(9, 120);
         let mut scratch = CsrScratch::new();
-        let engine = RewardEngine::sparse_with_scratch(&inst, &mut scratch, false);
+        let engine = RewardEngine::sparse_with_scratch(&inst, &mut scratch);
         let entries = engine.sparse_stats().unwrap().entries;
         // The CSR vectors were moved into the engine; only the
         // per-row sort buffer stays behind.
@@ -1844,7 +2270,7 @@ mod tests {
         engine.reclaim(&mut scratch);
         assert!(scratch.retained_bytes() >= entries * SparseCsr::<f64>::BYTES_PER_ENTRY);
         // A rebuild through the warm scratch matches a fresh build.
-        let warm = RewardEngine::sparse_with_scratch(&inst, &mut scratch, false);
+        let warm = RewardEngine::sparse_with_scratch(&inst, &mut scratch);
         let cold = RewardEngine::sparse(&inst);
         assert_eq!(warm.csr_parts().unwrap().0, cold.csr_parts().unwrap().0);
         assert_eq!(warm.csr_parts().unwrap().1, cold.csr_parts().unwrap().1);

@@ -130,24 +130,4 @@ proptest! {
     ) {
         check_fresh_vs_dirty(pts, dirty_pts, k, r, Norm::L1);
     }
-
-    #[test]
-    fn parallel_csr_scratch_solves_match_serial(
-        pts in weighted_points(50),
-        k in 1usize..6,
-        r in 0.3..2.0f64,
-    ) {
-        let (points, weights): (Vec<_>, Vec<_>) = pts.into_iter().unzip();
-        let inst = Instance::new(points, weights, r, k, Norm::L2).unwrap();
-        let serial = BatchRunner::new();
-        let parallel = BatchRunner::new().with_parallel_csr(true);
-        let mut s1 = SolveScratch::new();
-        let mut s2 = SolveScratch::new();
-        let o1 = serial.build_oracle(&inst, &mut s1);
-        let o2 = parallel.build_oracle(&inst, &mut s2);
-        let r1 = solve_rounds(&o1, &mut s1);
-        let r2 = solve_rounds(&o2, &mut s2);
-        prop_assert_eq!(s1.picks(), s2.picks());
-        prop_assert_eq!(r1.to_bits(), r2.to_bits());
-    }
 }

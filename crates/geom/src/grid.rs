@@ -7,21 +7,58 @@
 //! cells overlapping the query ball. Benchmarked against the kd-tree in
 //! `ablation_spatial_index`.
 
+use std::ops::Range;
+
 use crate::aabb::Aabb;
 use crate::norm::Norm;
 use crate::point::Point;
 use crate::{GeomError, Result};
 
+/// An inclusive box of grid cells: coordinates `lo[d]..=hi[d]` along
+/// each dimension.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CellBox<const D: usize> {
+    /// Lowest cell coordinate per dimension.
+    pub lo: [usize; D],
+    /// Highest cell coordinate per dimension (inclusive).
+    pub hi: [usize; D],
+}
+
+impl<const D: usize> CellBox<D> {
+    /// The smallest box holding both `self` and `other`.
+    pub fn union(&self, other: &Self) -> Self {
+        CellBox {
+            lo: std::array::from_fn(|d| self.lo[d].min(other.lo[d])),
+            hi: std::array::from_fn(|d| self.hi[d].max(other.hi[d])),
+        }
+    }
+
+    /// True iff the cell with coordinates `cell` lies in the box.
+    #[inline]
+    pub fn contains(&self, cell: &[usize; D]) -> bool {
+        (0..D).all(|d| self.lo[d] <= cell[d] && cell[d] <= self.hi[d])
+    }
+}
+
 /// Uniform grid over a bounding box, bucketing point indices.
+///
+/// Points are stored cell by cell: cells in row-major order (the last
+/// dimension varies fastest), each cell's points in ascending index.
+/// Position `s` in that order is a *slot*; cell `c` owns the slots
+/// `cell_starts()[c]..cell_starts()[c + 1]`.
 #[derive(Debug, Clone)]
 pub struct GridIndex<const D: usize> {
     bbox: Aabb<D>,
     cell: f64,
     /// Number of cells along each dimension.
     dims: [usize; D],
-    /// CSR-style storage: `cells[c]..cells[c+1]` indexes into `entries`.
+    /// CSR-style storage: `cell_starts[c]..cell_starts[c+1]` are cell
+    /// `c`'s slots.
     cell_starts: Vec<u32>,
+    /// Point index at each slot.
     entries: Vec<u32>,
+    /// Coordinates at each slot (`points[s]` is point `entries[s]`),
+    /// so a cell's points are contiguous in memory.
     points: Vec<Point<D>>,
 }
 
@@ -45,37 +82,31 @@ impl<const D: usize> GridIndex<D> {
             dims[d] = ((bbox.extent(d) / cell).floor() as usize + 1).max(1);
             total = total.saturating_mul(dims[d]);
         }
-        // Counting sort of points into cells.
-        let mut counts = vec![0u32; total + 1];
-        let cell_of = |p: &Point<D>| -> usize {
-            let mut idx = 0usize;
-            for d in 0..D {
-                let c = (((p[d] - bbox.lo[d]) / cell).floor() as usize).min(dims[d] - 1);
-                idx = idx * dims[d] + c;
-            }
-            idx
-        };
-        for p in points {
-            counts[cell_of(p) + 1] += 1;
-        }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let mut entries = vec![0u32; points.len()];
-        let mut cursor = counts.clone();
-        for (i, p) in points.iter().enumerate() {
-            let c = cell_of(p);
-            entries[cursor[c] as usize] = i as u32;
-            cursor[c] += 1;
-        }
-        Ok(GridIndex {
+        let mut grid = GridIndex {
             bbox,
             cell,
             dims,
-            cell_starts: counts,
-            entries,
-            points: points.to_vec(),
-        })
+            cell_starts: vec![0u32; total + 1],
+            entries: vec![0u32; points.len()],
+            points: Vec::new(),
+        };
+        // Counting sort of points into cells; the stable scatter keeps
+        // each cell in ascending index.
+        for p in points {
+            let c = grid.linear(&grid.cell_of(p));
+            grid.cell_starts[c + 1] += 1;
+        }
+        for i in 1..grid.cell_starts.len() {
+            grid.cell_starts[i] += grid.cell_starts[i - 1];
+        }
+        let mut cursor = grid.cell_starts.clone();
+        for (i, p) in points.iter().enumerate() {
+            let c = grid.linear(&grid.cell_of(p));
+            grid.entries[cursor[c] as usize] = i as u32;
+            cursor[c] += 1;
+        }
+        grid.points = grid.entries.iter().map(|&i| points[i as usize]).collect();
+        Ok(grid)
     }
 
     /// Builds with a cell size heuristically matched to the query radius
@@ -100,49 +131,73 @@ impl<const D: usize> GridIndex<D> {
         self.cell
     }
 
-    /// Calls `f(index, distance)` for every point within `radius` of
-    /// `center` under `norm` (boundary inclusive).
-    pub fn for_each_within(
-        &self,
-        center: &Point<D>,
-        radius: f64,
-        norm: Norm,
-        mut f: impl FnMut(usize, f64),
-    ) {
-        if radius < 0.0 {
-            return;
+    /// Slot boundaries of the cells (one more entry than there are
+    /// cells): cell `c` owns slots `cell_starts()[c]..cell_starts()[c + 1]`.
+    pub fn cell_starts(&self) -> &[u32] {
+        &self.cell_starts
+    }
+
+    /// Point index at each slot: the points sorted by (cell
+    /// coordinates, index).
+    pub fn entries(&self) -> &[u32] {
+        &self.entries
+    }
+
+    /// Coordinates at each slot, parallel to [`Self::entries`].
+    pub fn slot_points(&self) -> &[Point<D>] {
+        &self.points
+    }
+
+    /// Coordinates of the cell that `build` put `p` in (clamped into
+    /// the grid for points outside the bounding box).
+    #[inline]
+    pub fn cell_of(&self, p: &Point<D>) -> [usize; D] {
+        std::array::from_fn(|d| {
+            (((p[d] - self.bbox.lo[d]) / self.cell).floor() as usize).min(self.dims[d] - 1)
+        })
+    }
+
+    #[inline]
+    fn linear(&self, cell: &[usize; D]) -> usize {
+        let mut idx = 0usize;
+        for d in 0..D {
+            idx = idx * self.dims[d] + cell[d];
         }
-        // Cell ranges overlapped by the enclosing axis box of the ball.
-        // Every norm ball of radius r is inside the L∞ box of radius r.
-        let mut lo = [0usize; D];
-        let mut hi = [0usize; D];
+        idx
+    }
+
+    /// The cells a radius query scans: those overlapped by the L∞ box
+    /// of radius `radius` around `center`, which encloses the ball of
+    /// every norm. `None` when the box misses the grid or the radius
+    /// is negative.
+    #[inline]
+    pub fn query_box(&self, center: &Point<D>, radius: f64) -> Option<CellBox<D>> {
+        if radius < 0.0 {
+            return None;
+        }
+        let mut cells = CellBox {
+            lo: [0; D],
+            hi: [0; D],
+        };
         for d in 0..D {
             let a = ((center[d] - radius - self.bbox.lo[d]) / self.cell).floor();
             let b = ((center[d] + radius - self.bbox.lo[d]) / self.cell).floor();
-            lo[d] = (a.max(0.0)) as usize;
-            hi[d] = (b.max(0.0) as usize).min(self.dims[d] - 1);
-            if lo[d] > hi[d] {
-                return; // query box entirely outside the grid
+            cells.lo[d] = (a.max(0.0)) as usize;
+            cells.hi[d] = (b.max(0.0) as usize).min(self.dims[d] - 1);
+            if cells.lo[d] > cells.hi[d] {
+                return None; // query box entirely outside the grid
             }
         }
-        // Iterate the cell hyper-rectangle with an odometer.
-        let mut cur = lo;
+        Some(cells)
+    }
+
+    /// Calls `f` with the slot range of every cell in `cells`, in
+    /// row-major order.
+    pub fn for_each_cell_in(&self, cells: &CellBox<D>, mut f: impl FnMut(Range<usize>)) {
+        let mut cur = cells.lo;
         loop {
-            let mut idx = 0usize;
-            for d in 0..D {
-                idx = idx * self.dims[d] + cur[d];
-            }
-            let (s, e) = (
-                self.cell_starts[idx] as usize,
-                self.cell_starts[idx + 1] as usize,
-            );
-            for &pi in &self.entries[s..e] {
-                let p = &self.points[pi as usize];
-                let dist = norm.dist(center, p);
-                if dist <= radius {
-                    f(pi as usize, dist);
-                }
-            }
+            let c = self.linear(&cur);
+            f(self.cell_starts[c] as usize..self.cell_starts[c + 1] as usize);
             // Odometer increment.
             let mut d = D;
             loop {
@@ -150,13 +205,36 @@ impl<const D: usize> GridIndex<D> {
                     return;
                 }
                 d -= 1;
-                if cur[d] < hi[d] {
+                if cur[d] < cells.hi[d] {
                     cur[d] += 1;
-                    cur[(d + 1)..D].copy_from_slice(&lo[(d + 1)..D]);
+                    cur[(d + 1)..D].copy_from_slice(&cells.lo[(d + 1)..D]);
                     break;
                 }
             }
         }
+    }
+
+    /// Calls `f(index, distance)` for every point within `radius` of
+    /// `center` under `norm` (boundary inclusive), scanning the cells
+    /// of [`Self::query_box`].
+    pub fn for_each_within(
+        &self,
+        center: &Point<D>,
+        radius: f64,
+        norm: Norm,
+        mut f: impl FnMut(usize, f64),
+    ) {
+        let Some(cells) = self.query_box(center, radius) else {
+            return;
+        };
+        self.for_each_cell_in(&cells, |slots| {
+            for s in slots {
+                let dist = norm.dist(center, &self.points[s]);
+                if dist <= radius {
+                    f(self.entries[s] as usize, dist);
+                }
+            }
+        });
     }
 
     /// Collects `(index, distance)` pairs within `radius` of `center`.
@@ -287,6 +365,33 @@ mod tests {
                 .map(|(i, _)| i)
                 .collect();
             assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn slots_are_cell_major_and_ascending_within_a_cell() {
+        let pts = random_points(300, 5);
+        let g = GridIndex::build(&pts, 0.7).unwrap();
+        let mut seen = g.entries().to_vec();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..300).collect::<Vec<u32>>());
+        for (s, &i) in g.entries().iter().enumerate() {
+            assert_eq!(g.slot_points()[s], pts[i as usize]);
+        }
+        let key = |i: u32| (g.cell_of(&pts[i as usize]), i);
+        assert!(g.entries().windows(2).all(|w| key(w[0]) < key(w[1])));
+        // Each cell's slot range holds exactly the points of that cell.
+        let all = CellBox {
+            lo: [0, 0],
+            hi: g.cell_of(&Point::new([4.0, 4.0])),
+        };
+        let mut cells = Vec::new();
+        g.for_each_cell_in(&all, |slots| cells.push(slots));
+        assert_eq!(cells.len(), g.cell_starts().len() - 1);
+        for slots in cells {
+            for s in slots.clone() {
+                assert_eq!(key(g.entries()[s]).0, key(g.entries()[slots.start]).0);
+            }
         }
     }
 

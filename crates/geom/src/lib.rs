@@ -39,7 +39,7 @@ pub mod point;
 pub mod welzl;
 
 pub use aabb::Aabb;
-pub use grid::GridIndex;
+pub use grid::{CellBox, GridIndex};
 pub use kdtree::KdTree;
 pub use norm::Norm;
 pub use point::{Point, Point2, Point3};

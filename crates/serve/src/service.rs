@@ -52,8 +52,6 @@ pub struct ServiceConfig {
     pub strategy: OracleStrategy,
     /// Default reward engine when a request has no `engine` override.
     pub engine: EngineKind,
-    /// Build CSR adjacencies with the rayon-parallel path.
-    pub parallel_csr: bool,
     /// Scratch/engine reuse (the warm batch pipeline). `false` is the
     /// cold per-request baseline.
     pub warm: bool,
@@ -93,7 +91,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             strategy: OracleStrategy::Lazy,
             engine: EngineKind::Sparse,
-            parallel_csr: false,
             warm: true,
             default_budget: SolveBudget::unlimited(),
             max_batch: 64,
@@ -741,7 +738,6 @@ impl Service {
             let runner = BatchRunner::new()
                 .with_strategy(strategy)
                 .with_engine(engine)
-                .with_parallel_csr(self.config.parallel_csr)
                 .with_warm(self.config.warm);
             let report = runner.run_budgeted(&instances, &budgets);
             out.extend(report.results);

@@ -512,25 +512,39 @@ mod tests {
         assert_eq!(stats.responded, 2);
     }
 
+    /// A script that trips `flag` when the reader thread reaches EOF.
+    /// `BufReader` reads again only once its buffer is drained, so by
+    /// then the thread has queued every line of the script.
+    struct TripAtEof {
+        script: Cursor<Vec<u8>>,
+        flag: ShutdownFlag,
+    }
+
+    impl Read for TripAtEof {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.script.read(buf)?;
+            if n == 0 {
+                self.flag.trip();
+            }
+            Ok(n)
+        }
+    }
+
     #[test]
     fn stdio_tripped_flag_still_drains_queued_lines() {
         let reqs = vec![Request::control(1, "ping"), Request::control(2, "ping")];
         let flag = ShutdownFlag::new();
-        flag.trip(); // tripped before the loop ever runs
+        // The flag trips with both lines queued, whether or not the
+        // dispatch loop has picked either up yet.
+        let reader = TripAtEof {
+            script: script(&reqs),
+            flag: flag.clone(),
+        };
+        let mut svc = Service::new(ServiceConfig::default());
         let mut out = Vec::new();
-        // Give the reader thread a moment to enqueue by retrying: the
-        // final-drain pass runs after the main loop exits immediately.
-        let mut responses = Vec::new();
-        for _ in 0..50 {
-            out.clear();
-            let mut fresh = Service::new(ServiceConfig::default());
-            serve_stdio(&mut fresh, script(&reqs), &mut out, &flag).unwrap();
-            responses = parse_out(&out);
-            if responses.len() == 2 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        serve_stdio(&mut svc, reader, &mut out, &flag).unwrap();
+        let responses = parse_out(&out);
+        assert!(flag.is_tripped());
         assert_eq!(responses.len(), 2, "queued pings answered before exit");
     }
 
