@@ -22,5 +22,4 @@
 //! path are caught.
 
 pub mod experiments;
-pub mod perfrows;
 pub mod render;

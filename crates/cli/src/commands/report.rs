@@ -21,7 +21,9 @@ OPTIONS:
   --oracle S     candidate-scoring strategy: seq | par | lazy (default seq)
   --engine E     reward-evaluation engine: auto | scan | kd | sparse
                  (default auto); all engines are bit-identical
-  --threads N    rayon worker threads for --oracle par";
+  --threads N    size of the rayon pool behind all parallel work: --oracle
+                 par and the sparse CSR build from 10,000 points up
+                 (default: all cores)";
 
 /// Renders a 10-bin satisfaction histogram as ASCII bars.
 fn histogram_lines(hist: &[usize; 10]) -> Vec<String> {

@@ -34,7 +34,9 @@ OPTIONS:
   --oracle S     seq | par | lazy candidate scoring for greedy2 (default seq)
   --engine E     auto | scan | kd | sparse reward engine for greedy2
                  (default auto); all engines are bit-identical
-  --threads N    rayon worker threads for --oracle par
+  --threads N    size of the rayon pool behind all parallel work: --oracle
+                 par and the sparse CSR build from 10,000 points up
+                 (default: all cores)
   --seed S       RNG seed (default 0)
 
 FAULT INJECTION:

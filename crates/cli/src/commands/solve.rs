@@ -39,7 +39,9 @@ OPTIONS:
                  | sparse-f32 (default auto = sparse with a memory-cap
                  fallback to kd); all engines except the opt-in
                  mixed-precision sparse-f32 produce bit-identical solutions
-  --threads N    rayon worker threads for --oracle par (default: all cores)
+  --threads N    size of the rayon pool behind all parallel work: --oracle
+                 par, the sparse CSR build from 10,000 points up, the
+                 --shards sweep and the coreset pass (default: all cores)
   --svg FILE     write a coverage map of the (first) solution
   --dim D        2 or 3 when using --input (default 2)
   --deadline-ms MS  wall-clock budget per solve; past it the solver

@@ -184,11 +184,6 @@ impl BatchReport {
         self.results.iter().filter(|r| r.engine_reused).count()
     }
 
-    /// Sum of per-request solve times (excludes batch overhead).
-    pub fn total_solve_nanos(&self) -> u64 {
-        self.results.iter().map(|r| r.solve_nanos).sum()
-    }
-
     /// Sum of per-request rewards.
     pub fn total_reward(&self) -> f64 {
         self.results.iter().map(|r| r.reward).sum()
@@ -307,8 +302,8 @@ impl BatchRunner {
     }
 
     /// `false` disables all reuse: every request allocates fresh state
-    /// and builds its own engine — the cold per-instance baseline the
-    /// `throughput` bench compares against.
+    /// and builds its own engine — the cold per-instance baseline that
+    /// `mmph batch --verify` and the batch tests compare against.
     pub fn with_warm(mut self, yes: bool) -> Self {
         self.warm = yes;
         self

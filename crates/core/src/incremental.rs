@@ -37,8 +37,8 @@
 //! the argmax tie-break makes selection order-independent). The
 //! `proptest_churn` suite pins this across insert/remove/move
 //! sequences, both norms, and both scalar types;
-//! [`IncrementalInstance::verify_against_rebuild`] is the in-binary
-//! checker the `churnbench` CI gate reuses.
+//! [`IncrementalInstance::verify_against_rebuild`] is the checker
+//! that suite and the `churn_floor` rounds share.
 
 use std::collections::HashMap;
 
@@ -707,7 +707,7 @@ impl<const D: usize> IncrementalInstance<D> {
     /// `order`/`slot_of` a consistent permutation, and `by_coords` a
     /// complete coordinate-sorted permutation once no repairs are
     /// pending (between repairs only the surviving subsequence must
-    /// stay sorted). Used by the proptests and the `churnbench` gate.
+    /// stay sorted). Used by the proptests and the `churn_floor` rounds.
     pub fn verify_against_rebuild(&self) -> std::result::Result<(), String> {
         match &self.state {
             CsrState::F64(csr) => verify_csr(csr, &self.inst, &self.coords_pending),

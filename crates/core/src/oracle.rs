@@ -169,8 +169,8 @@ pub struct GainOracle<'a, const D: usize> {
     engine: RewardEngine<'a, D>,
     strategy: OracleStrategy,
     /// Dirty-region revalidation of stale CELF entries (sparse engine
-    /// only). On by default; `perfsuite` ablates it off to isolate the
-    /// effect.
+    /// only). On by default; `proptest_sparse` turns it off to pin that
+    /// it only ever saves evaluations.
     dirty_region: bool,
     /// Stale heap entries revalidated without charging an evaluation.
     dirty_skips: std::sync::atomic::AtomicU64,

@@ -348,7 +348,7 @@ impl std::fmt::Display for EngineKind {
 pub const DEFAULT_SPARSE_CAP_BYTES: usize = 512 << 20;
 
 /// Build/footprint statistics of a sparse CSR adjacency, surfaced by
-/// `perfsuite` and the reports.
+/// the reports and by perfbench's `reward.*` layer metrics.
 #[derive(Debug, Clone, Copy)]
 pub struct SparseStats {
     /// Wall time of the CSR build (including the enumeration index).
@@ -1046,7 +1046,7 @@ impl<S: LaneScalar> SparseCsr<S> {
 
     /// The pre-blocking scalar reference: walk the real row with
     /// per-entry `y`/`frac` guards. Kept as the bit-identity witness
-    /// for the blocked kernel (tests, `perfsuite --kernels`).
+    /// for the blocked kernel (`kernel_layout`, `kernel_floor`).
     #[inline]
     fn gain_unblocked(&self, i: usize, y: &[f64]) -> f64 {
         let mut total = 0.0;
@@ -1823,9 +1823,9 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     /// The scalar (unblocked) reference walk of candidate `i`'s CSR
     /// row: per-entry branches, padding excluded. `None` on non-sparse
     /// backends. Exposed as the bit-identity witness for
-    /// [`Self::candidate_gain`]'s blocked kernel (the `kernel_layout`
-    /// test and `perfsuite --kernels` compare the two); charges one
-    /// evaluation so throughput comparisons stay symmetric.
+    /// [`Self::candidate_gain`]'s blocked kernel: `kernel_layout`
+    /// checks the two agree to the bit, and `kernel_floor` times them.
+    /// Charges one evaluation so throughput comparisons stay symmetric.
     #[doc(hidden)]
     pub fn candidate_gain_unblocked(&self, i: usize, residuals: &Residuals) -> Option<f64> {
         match &self.backend {

@@ -134,7 +134,7 @@ proptest! {
     /// The warm-start guarantee: greedy refill and strictly-improving
     /// swaps never push the objective *below* the carried-over seed's
     /// value on the mutated instance. (The stronger warm ≥ cold gate
-    /// is empirical and enforced in-binary by churnbench at scale.)
+    /// is empirical; `churn_floor` holds it at n=10⁴ to 10⁶.)
     #[test]
     fn warm_resolve_never_below_seed_objective(
         points in prop::collection::vec((point2(), weight()), 4..24),

@@ -6,13 +6,16 @@
 //! gets its own cell; (2) shard-then-merge is deterministic — the
 //! parallel sweep is bit-identical to the serial sweep for every shard
 //! count; (3) weighted aggregation is exactly multiplicity — a point
-//! with weight `m` contributes what `m` unit-weight copies do.
+//! with weight `m` contributes what `m` unit-weight copies do. Fixed
+//! instances that bust the engine cap pin escalation and the realized
+//! gap.
 
 use mmph_core::{
-    build_coreset, solve_coreset, solve_sharded, streaming_objective, CoresetConfig, Instance,
-    ShardConfig,
+    build_coreset, plan_scale, solve_coreset, solve_sharded, streaming_objective, CoresetConfig,
+    EngineKind, Instance, ScalePlan, ShardConfig, DEFAULT_SPARSE_CAP_BYTES,
 };
 use mmph_geom::Point;
+use mmph_sim::{uniform_degree_instance_2d, SpaceSpec};
 use proptest::prelude::*;
 
 fn coord() -> impl Strategy<Value = f64> {
@@ -138,4 +141,37 @@ proptest! {
             "weight-as-multiplicity broke: {fa} vs {fb}"
         );
     }
+}
+
+/// A uniform instance at expected degree 48 whose estimated CSR busts
+/// `cap_bytes` must make `plan_scale` escalate. Solved at 3 cells per
+/// radius with no budget, the coreset run must complete and its
+/// realized gap must stay within 5%.
+fn check_capped_escalation(n: usize, cap_bytes: usize) {
+    let inst = uniform_degree_instance_2d(n, 16, 48.0, SpaceSpec::PAPER, 0x5EED_BA5E).unwrap();
+    assert_eq!(
+        plan_scale(&inst, EngineKind::Auto, cap_bytes),
+        ScalePlan::Coreset
+    );
+    let cfg = CoresetConfig {
+        cells_per_radius: 3.0,
+        cap_bytes,
+        ..CoresetConfig::default()
+    };
+    let report = solve_coreset(&inst, &cfg).unwrap();
+    assert!(report.degraded.is_none(), "{:?}", report.degraded);
+    assert!(report.gap <= 0.05, "realized gap {}", report.gap);
+}
+
+/// n=200,000 estimates a ~206 MiB CSR against an 8 MiB cap.
+#[test]
+fn capped_instance_escalates_and_keeps_the_gap_within_five_percent() {
+    check_capped_escalation(200_000, 8 << 20);
+}
+
+/// n=10⁷ against the default 512 MiB cap; run by hand with `--ignored`.
+#[test]
+#[ignore = "full size: n=10⁷, tens of seconds and several GiB"]
+fn capped_instance_escalates_and_keeps_the_gap_within_five_percent_at_1e7() {
+    check_capped_escalation(10_000_000, DEFAULT_SPARSE_CAP_BYTES);
 }

@@ -4,13 +4,16 @@
 //! the precomputed CSR rows are **bit-identical** (`to_bits`) to the
 //! dense reference scan — across all four kernels, both norms, and
 //! arbitrary mid-solve residual states — and the dirty-region CELF
-//! upgrade changes evaluation counts only, never selections.
+//! upgrade changes evaluation counts only, never selections. Neither
+//! the sparse engine nor the dirty region may charge more evaluations
+//! than the engine it replaces.
 
 use mmph_core::solvers::LocalGreedy;
 use mmph_core::{
     EngineKind, GainOracle, Instance, Kernel, OracleStrategy, Residuals, RewardEngine, Solver,
 };
 use mmph_geom::{Norm, Point};
+use mmph_sim::{uniform_degree_instance_2d, SpaceSpec};
 use proptest::prelude::*;
 
 fn coord() -> impl Strategy<Value = f64> {
@@ -111,6 +114,13 @@ proptest! {
                 "{} total diverges",
                 engine
             );
+            prop_assert!(
+                other.evals <= scan.evals,
+                "{} charged {} evals, scan {}",
+                engine,
+                other.evals,
+                scan.evals
+            );
         }
     }
 
@@ -123,12 +133,21 @@ proptest! {
         let (points, weights): (Vec<_>, Vec<_>) = pts.into_iter().unzip();
         let inst = Instance::new(points, weights, r, k, Norm::L2).unwrap();
         let seq = GainOracle::with_engine(&inst, EngineKind::Scan, OracleStrategy::Seq);
+        let plain = GainOracle::with_engine(&inst, EngineKind::Sparse, OracleStrategy::Lazy)
+            .with_dirty_region(false);
         let dirty = GainOracle::with_engine(&inst, EngineKind::Sparse, OracleStrategy::Lazy)
             .with_dirty_region(true);
         let (ps, ts) = greedy_rounds(&seq);
         let (pd, td) = greedy_rounds(&dirty);
         prop_assert_eq!(ps, pd, "dirty-region lazy diverged from seq");
         prop_assert_eq!(ts.to_bits(), td.to_bits());
+        greedy_rounds(&plain);
+        prop_assert!(
+            dirty.evals() <= plain.evals(),
+            "dirty {} vs plain {}",
+            dirty.evals(),
+            plain.evals()
+        );
     }
 }
 
@@ -230,5 +249,80 @@ fn forced_sparse_handles_high_spread_inputs() {
             scan.candidate_gain(i, &residuals).to_bits(),
             sparse.candidate_gain(i, &residuals).to_bits()
         );
+    }
+}
+
+/// Forced engine plus dirty-region CELF on top: the four columns of
+/// the degree-pinned sweep.
+const SWEEP_COLUMNS: [(&str, EngineKind, bool); 4] = [
+    ("scan", EngineKind::Scan, false),
+    ("kd", EngineKind::Kd, false),
+    ("sparse", EngineKind::Sparse, false),
+    ("sparse+dirty", EngineKind::Sparse, true),
+];
+
+/// Runs every column under `seq` and `lazy` on the uniform instance
+/// whose radius holds the expected neighbor count at 48, and checks
+/// per strategy that all columns select the same centers, that sparse
+/// charges no more evaluations than scan, and dirty no more than plain
+/// sparse. Dense scan is skipped above 10⁴ points; from 10⁶ up only
+/// the lazy sparse columns run.
+fn check_degree_pinned_sweep(n: usize, k: usize) {
+    let inst = uniform_degree_instance_2d(n, k, 48.0, SpaceSpec::PAPER, 0x5EED_BA5E).unwrap();
+    for strategy in [OracleStrategy::Seq, OracleStrategy::Lazy] {
+        let mut runs = Vec::new();
+        for (name, kind, dirty) in SWEEP_COLUMNS {
+            let lazy_sparse = strategy == OracleStrategy::Lazy && kind == EngineKind::Sparse;
+            if (kind == EngineKind::Scan && n > 10_000) || (n >= 1_000_000 && !lazy_sparse) {
+                continue;
+            }
+            let oracle = GainOracle::with_engine(&inst, kind, strategy).with_dirty_region(dirty);
+            let (picks, _) = greedy_rounds(&oracle);
+            runs.push((name, picks, oracle.evals()));
+        }
+        for (name, picks, _) in &runs {
+            assert_eq!(
+                picks, &runs[0].1,
+                "n={n} k={k} {strategy:?}: {name} diverged from {}",
+                runs[0].0
+            );
+        }
+        let evals = |column: &str| runs.iter().find(|r| r.0 == column).map(|r| r.2);
+        if let (Some(scan), Some(sparse)) = (evals("scan"), evals("sparse")) {
+            assert!(
+                sparse <= scan,
+                "n={n} k={k} {strategy:?}: sparse {sparse} > scan {scan}"
+            );
+        }
+        if let (Some(sparse), Some(dirty)) = (evals("sparse"), evals("sparse+dirty")) {
+            assert!(
+                dirty <= sparse,
+                "n={n} k={k} {strategy:?}: dirty {dirty} > sparse {sparse}"
+            );
+        }
+    }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release only: seq scan at n=10⁴ is too slow unoptimized"
+)]
+fn degree_pinned_sweep_agrees_across_engines() {
+    for n in [1_000, 10_000] {
+        for k in [4, 16] {
+            check_degree_pinned_sweep(n, k);
+        }
+    }
+}
+
+/// The same sweep at n=10⁵ and n=10⁶; run by hand with `--ignored`.
+#[test]
+#[ignore = "full size: minutes and a 1 GiB CSR"]
+fn degree_pinned_sweep_agrees_across_engines_at_full_size() {
+    for n in [100_000, 1_000_000] {
+        for k in [4, 16] {
+            check_degree_pinned_sweep(n, k);
+        }
     }
 }

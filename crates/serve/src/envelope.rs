@@ -394,7 +394,7 @@ impl Response {
         serde_json::to_string(self).expect("response serialization is infallible")
     }
 
-    /// Parses one response line (client side: loadgen, tests).
+    /// Parses one response line (client side: perfbench, tests).
     pub fn parse(line: &str) -> Result<Self> {
         serde_json::from_str(line.trim())
             .map_err(|e| ServeError::Protocol(format!("response JSON: {e}")))
@@ -442,7 +442,7 @@ impl Response {
 }
 
 /// Reassembles a chunked response from its frames (client side:
-/// loadgen, tests). Frames may arrive in any order; they are sorted
+/// tests). Frames may arrive in any order; they are sorted
 /// by `chunk` index and their `selection`/`centers` slices
 /// concatenated onto the frame carrying the scalar fields (chunk 0).
 /// A single un-chunked response passes through untouched. Returns

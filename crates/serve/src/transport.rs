@@ -640,6 +640,32 @@ mod tests {
         assert_eq!(stats.shed, shed.len() as u64);
         assert_eq!(stats.received, 11);
         assert_eq!(stats.responded, 11);
+
+        // A client that resends what was shed gets through: resend the
+        // shed ids, then whatever is shed again, for up to 16 rounds.
+        let mut pending: Vec<u64> = shed.iter().map(|r| r.in_reply_to.unwrap()).collect();
+        for _ in 0..16 {
+            if pending.is_empty() {
+                break;
+            }
+            let resend: Vec<Request> = pending
+                .iter()
+                .map(|&id| reqs[id as usize].clone())
+                .collect();
+            let mut out = Vec::new();
+            serve_stdio(&mut svc, script(&resend), &mut out, &ShutdownFlag::new()).unwrap();
+            let answers = parse_out(&out);
+            assert_eq!(answers.len(), resend.len(), "one answer per resent id");
+            pending = answers
+                .iter()
+                .filter(|r| r.op == "overloaded")
+                .map(|r| r.in_reply_to.unwrap())
+                .collect();
+        }
+        assert!(
+            pending.is_empty(),
+            "still shed after 16 resends: {pending:?}"
+        );
     }
 
     #[test]

@@ -1,17 +1,22 @@
 //! The churn analogue of `serve_equals_batch`: a mutate → resolve
-//! conversation through the service — including the stdio transport's
-//! actual wire bytes — is bit-identical to driving
+//! conversation through the service — over the actual wire bytes of
+//! both the stdio and the TCP transport — is bit-identical to driving
 //! [`IncrementalInstance`] directly, and PR 7's shed/cancel semantics
 //! hold for the incremental ops too.
 
-use std::io::Cursor;
+use std::io::{BufRead, BufReader, Cursor, Write};
+use std::net::{TcpListener, TcpStream};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use mmph_core::{
     CancelToken, Delta, EngineKind, IncrementalInstance, Instance, ResolveConfig, SolveScratch,
 };
 use mmph_geom::Point;
-use mmph_serve::{serve_stdio, Incoming, Request, Response, Service, ServiceConfig, ShutdownFlag};
+use mmph_serve::{
+    serve_stdio, serve_tcp, Incoming, Request, Response, Service, ServiceConfig, ServiceStats,
+    ShutdownFlag,
+};
 use mmph_sim::{ChurnPlan, Scenario, WeightScheme};
 
 fn scenario(n: usize, k: usize, seed: u64) -> Scenario {
@@ -44,7 +49,8 @@ fn reference(inst: Instance<2>, batches: &[Vec<Delta<2>>]) -> Vec<(Vec<usize>, f
     out
 }
 
-/// Seeded delta batches, generated the same way the loadgen mix does.
+/// Seeded delta batches, each drawn against the instance the previous
+/// batches produced.
 fn batches(inst: &Instance<2>, steps: u64) -> Vec<Vec<Delta<2>>> {
     // Mirror the instance's evolution while generating: each batch is
     // drawn against the instance state the previous batches produced.
@@ -59,49 +65,32 @@ fn batches(inst: &Instance<2>, steps: u64) -> Vec<Vec<Delta<2>>> {
     out
 }
 
-#[test]
-fn stdio_wire_bytes_mutate_resolve_match_direct_library() {
+/// Per resolve: selection, reward, warm flag and churn version.
+type Expected = Vec<(Vec<usize>, f64, bool, u64)>;
+
+/// The request script (init + resolve, then mutate deltas + resolve
+/// per batch) and the library-side reference it must reproduce.
+fn churn_script() -> (Vec<Request>, Expected) {
     let sc = scenario(80, 4, 17);
     let inst = sc.generate_2d().unwrap();
     let batches = batches(&inst, 3);
     let expect = reference(inst, &batches);
-
-    // Script: init + resolve, then (mutate deltas + resolve) per batch.
-    let mut input = String::new();
-    let mut id = 0u64;
-    let push = |req: Request, input: &mut String| {
-        input.push_str(&req.to_line());
-        input.push('\n');
-    };
-    push(Request::mutate(id, Some(sc.clone()), None), &mut input);
-    id += 1;
-    push(Request::resolve(id), &mut input);
-    for deltas in &batches {
-        id += 1;
-        push(Request::mutate(id, None, Some(deltas.clone())), &mut input);
-        id += 1;
-        push(Request::resolve(id), &mut input);
+    let mut reqs = vec![Request::mutate(0, Some(sc), None), Request::resolve(1)];
+    for deltas in batches {
+        let id = reqs.len() as u64;
+        reqs.push(Request::mutate(id, None, Some(deltas)));
+        reqs.push(Request::resolve(id + 1));
     }
+    (reqs, expect)
+}
 
-    let mut svc = Service::new(ServiceConfig::default());
-    let mut out = Vec::new();
-    serve_stdio(
-        &mut svc,
-        Cursor::new(input.into_bytes()),
-        &mut out,
-        &ShutdownFlag::new(),
-    )
-    .unwrap();
-    let responses: Vec<Response> = String::from_utf8(out)
-        .unwrap()
-        .lines()
-        .map(|l| Response::parse(l).unwrap())
-        .collect();
-    assert_eq!(responses.len(), 2 + 2 * batches.len());
-
+/// Checks one answer per request, in request order, against the
+/// reference.
+fn check_churn_answers(responses: Vec<Response>, stats: &ServiceStats, expect: &Expected) {
+    assert_eq!(responses.len(), 2 * expect.len());
     let resolves: Vec<&Response> = responses.iter().filter(|r| r.op == "resolve_ok").collect();
     assert_eq!(resolves.len(), expect.len());
-    for (resp, (selection, reward, warm, version)) in resolves.iter().zip(&expect) {
+    for (resp, (selection, reward, warm, version)) in resolves.iter().zip(expect) {
         assert_eq!(resp.status.as_deref(), Some("completed"));
         assert_eq!(resp.selection.as_ref().unwrap(), selection);
         assert_eq!(
@@ -122,8 +111,53 @@ fn stdio_wire_bytes_mutate_resolve_match_direct_library() {
     let mutates: Vec<&Response> = responses.iter().filter(|r| r.op == "mutate_ok").collect();
     assert_eq!(mutates[0].churn_version, Some(0));
     assert!(mutates[1].churn_version.unwrap() > 0);
-    assert_eq!(svc.stats().mutations as usize, mutates.len());
-    assert_eq!(svc.stats().warm_resolves as usize, resolves.len() - 1);
+    assert_eq!(stats.mutations as usize, mutates.len());
+    assert_eq!(stats.warm_resolves as usize, resolves.len() - 1);
+}
+
+fn lines(reqs: &[Request]) -> String {
+    reqs.iter().map(|r| r.to_line() + "\n").collect()
+}
+
+#[test]
+fn stdio_wire_bytes_mutate_resolve_match_direct_library() {
+    let (reqs, expect) = churn_script();
+    let mut svc = Service::new(ServiceConfig::default());
+    let mut out = Vec::new();
+    let input = Cursor::new(lines(&reqs).into_bytes());
+    serve_stdio(&mut svc, input, &mut out, &ShutdownFlag::new()).unwrap();
+    let responses = String::from_utf8(out)
+        .unwrap()
+        .lines()
+        .map(|l| Response::parse(l).unwrap())
+        .collect();
+    check_churn_answers(responses, svc.stats(), &expect);
+}
+
+#[test]
+fn tcp_wire_bytes_mutate_resolve_match_direct_library() {
+    let (reqs, expect) = churn_script();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = thread::spawn(move || {
+        let mut svc = Service::new(ServiceConfig::default());
+        serve_tcp(&mut svc, listener, &ShutdownFlag::new()).unwrap()
+    });
+    // One ordered connection: the tracked instance is per-service state.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(lines(&reqs).as_bytes()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut read = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        Response::parse(&line).unwrap()
+    };
+    let responses = (0..reqs.len()).map(|_| read()).collect();
+    stream
+        .write_all(lines(&[Request::control(99, "shutdown")]).as_bytes())
+        .unwrap();
+    assert_eq!(read().op, "bye");
+    check_churn_answers(responses, &server.join().unwrap(), &expect);
 }
 
 #[test]

@@ -4,9 +4,9 @@
 //! sequence of [`Delta`] batches — arrivals (inserts), departures
 //! (removes) and interest drift (moves) — sized as a fraction of the
 //! instance's *current* population. Every consumer of churn in the
-//! workspace (`mmph solve --churn`, `churnbench`, the serve loadgen
-//! mutate mix) derives its deltas here so that a `(seed, step)` pair
-//! names the same workload everywhere.
+//! workspace (`mmph solve --churn`, the `churn_floor` rounds, the
+//! serve churn tests, perfbench's churn-1e6) derives its deltas here
+//! so that a `(seed, step)` pair names the same workload everywhere.
 //!
 //! Determinism contract: each step draws from
 //! `SeedSeq::new(seed).child(step).stream("churn")`, so step `s` is

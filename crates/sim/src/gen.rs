@@ -335,9 +335,10 @@ pub fn radius_for_degree_2d(n: usize, degree: f64, space: SpaceSpec) -> Result<f
 /// Degree-pinned uniform 2-D instance at any scale: `n` uniform
 /// points in `space` with paper weights and the radius from
 /// [`radius_for_degree_2d`], deterministically derived from `seed`.
-/// This is the generator behind the `megabench` n=10⁷ arms, where
-/// scenario documents (which pin `r` literally) are too rigid to hold
-/// the degree constant across sizes.
+/// This is the generator behind the degree-pinned sweeps, the
+/// escalation test and the timing floors, where scenario documents
+/// (which pin `r` literally) are too rigid to hold the degree constant
+/// across sizes.
 pub fn uniform_degree_instance_2d(
     n: usize,
     k: usize,

@@ -11,8 +11,8 @@
 //!   weights, plus Gaussian clusters, grids, rings and Zipf weights as
 //!   extensions.
 //! * [`churn`] — seeded churn plans: reproducible insert/remove/move
-//!   delta batches for incremental re-solving (`--churn`, churnbench,
-//!   the serve mutate mix).
+//!   delta batches for incremental re-solving (`--churn`, the
+//!   `churn_floor` rounds, the serve churn tests).
 //! * [`scenario`] — serializable experiment configurations, including
 //!   the paper's full parameter sweep.
 //! * [`stream`] — request streams for batched solving: turns a

@@ -1,8 +1,8 @@
 //! Request streams for batched solving.
 //!
-//! The `mmph batch` command and the `throughput` bench consume a
-//! stream of instances. This module turns a `--scenarios` argument
-//! into that stream. Three argument shapes are accepted:
+//! The `mmph batch` command consumes a stream of instances. This
+//! module turns a `--scenarios` argument into that stream. Three
+//! argument shapes are accepted:
 //!
 //! - a **directory**: every `*.json` file (sorted by name) holding a
 //!   [`Scenario`] or an array of them;
