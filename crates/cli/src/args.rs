@@ -93,7 +93,7 @@ pub fn parse_oracle(raw: &str) -> Result<mmph_core::OracleStrategy> {
 }
 
 /// Parses a reward-engine name ("auto", "scan", "kd", "sparse",
-/// "sparse-f32").
+/// "sparse-f32", "grid").
 pub fn parse_engine(raw: &str) -> Result<mmph_core::EngineKind> {
     raw.parse().map_err(CliError::Usage)
 }

@@ -36,7 +36,7 @@ OPTIONS:
   --tcp ADDR       listen on ADDR instead of stdin/stdout
   --solver NAME    default solver for requests without one [lazy]
   --oracle NAME    seq|par|lazy — overrides the solver's strategy
-  --engine NAME    default engine: auto|scan|kd|sparse|sparse-f32 [sparse]
+  --engine NAME    default engine: auto|scan|kd|sparse|sparse-f32|grid [sparse]
   --threads N      worker threads (default: all cores)
   --cold           disable scratch/engine reuse across requests
   --max-batch N    max requests folded into one dispatch round [64]

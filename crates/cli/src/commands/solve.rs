@@ -36,9 +36,12 @@ OPTIONS:
   --oracle S     candidate-scoring strategy: seq | par | lazy (default seq);
                  all three produce identical solutions
   --engine E     reward-evaluation engine: auto | scan | kd | sparse
-                 | sparse-f32 (default auto = sparse with a memory-cap
-                 fallback to kd); all engines except the opt-in
-                 mixed-precision sparse-f32 produce bit-identical solutions
+                 | sparse-f32 | grid (default auto = sparse while its CSR
+                 fits the 512 MiB cap; past it, auto escalates to the
+                 coreset path, whose reduced solve runs on grid). grid
+                 holds no CSR, O(n) memory. scan, sparse and grid are
+                 bit-identical, kd matches them to 1e-9, and the opt-in
+                 mixed-precision sparse-f32 to a documented bound
   --threads N    size of the rayon pool behind all parallel work: --oracle
                  par, the sparse CSR build from 10,000 points up, the
                  --shards sweep and the coreset pass (default: all cores)
@@ -510,7 +513,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<()> {
                 writeln!(
                     out,
                     "n = {} busts the {} MiB sparse cap: escalating to the coreset path \
-                     (pass --engine kd to force a direct solve, or --coreset-cells to tune)",
+                     (pass --engine grid to force an exact direct solve, or --coreset-cells to tune)",
                     inst.n(),
                     DEFAULT_SPARSE_CAP_BYTES >> 20,
                 )?;

@@ -35,8 +35,9 @@ use crate::scratch::SolveScratch;
 /// One greedy solve through a prepared oracle, using only the buffers
 /// in `scratch`. After a warmup solve of the same shape this performs
 /// zero heap allocations for the [`OracleStrategy::Seq`] and
-/// [`OracleStrategy::Lazy`] strategies ([`OracleStrategy::Par`]
-/// allocates inside the thread-pool shim).
+/// [`OracleStrategy::Lazy`] strategies on the scan and sparse engines
+/// ([`OracleStrategy::Par`] allocates inside the thread-pool shim, and
+/// the grid engine in its cell sweep and box gathers).
 ///
 /// The selection is left in `scratch.picks()` / `scratch.round_gains()`
 /// and the total reward is returned. Results are bit-identical to a
@@ -94,18 +95,18 @@ pub fn solve_rounds_within<const D: usize>(
 }
 
 /// Commits candidate `i` against `residuals` and returns the round gain.
-/// On the `f64` sparse engine this walks the candidate's CSR row,
-/// O(degree) and bit-identical to the dense apply
-/// ([`RewardEngine::apply_candidate`]); every other engine uses the
-/// dense O(n) [`Residuals::apply`], since the `f32` row walk is not
-/// bit-identical to it.
+/// On the `f64` sparse engine this walks the candidate's CSR row and on
+/// the grid engine its query box, O(degree) and bit-identical to the
+/// dense apply ([`RewardEngine::apply_candidate`]); every other engine
+/// uses the dense O(n) [`Residuals::apply`], since the `f32` row walk is
+/// not bit-identical to it.
 fn commit<const D: usize>(oracle: &GainOracle<'_, D>, residuals: &mut Residuals, i: usize) -> f64 {
     let engine = oracle.engine();
-    let sparse = match engine.kind() {
-        EngineKind::Sparse => engine.apply_candidate(i, residuals),
+    let local = match engine.kind() {
+        EngineKind::Sparse | EngineKind::Grid => engine.apply_candidate(i, residuals),
         _ => None,
     };
-    sparse.unwrap_or_else(|| {
+    local.unwrap_or_else(|| {
         let inst = oracle.instance();
         residuals.apply(inst, inst.point(i))
     })
@@ -630,16 +631,21 @@ mod tests {
         }
     }
 
-    /// The `f64` sparse engine commits each pick by its CSR row and the
-    /// other engines by the dense apply; both must leave exactly the
-    /// gains, total and residual state of committing the same picks
-    /// with the dense apply.
+    /// The `f64` sparse engine commits each pick by its CSR row, the
+    /// grid engine by its query box and the other engines by the dense
+    /// apply; all must leave exactly the gains, total and residual
+    /// state of committing the same picks with the dense apply.
     #[test]
     fn sparse_commit_matches_the_dense_apply() {
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for norm in [Norm::L1, Norm::L2] {
             let inst = random_instance(83, 150, 8, norm);
-            for engine in [EngineKind::Sparse, EngineKind::SparseF32, EngineKind::Scan] {
+            for engine in [
+                EngineKind::Sparse,
+                EngineKind::SparseF32,
+                EngineKind::Scan,
+                EngineKind::Grid,
+            ] {
                 let mut scratch = SolveScratch::new();
                 let oracle = BatchRunner::new()
                     .with_engine(engine)

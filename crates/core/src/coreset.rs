@@ -7,8 +7,16 @@
 //! grid of cell side `r / c`, keep one representative per occupied
 //! cell — the weighted centroid, carrying the cell's summed weight —
 //! and solve on the representatives. Weights are first-class in
-//! [`Instance`], so the blocked kernel, oracle, and every solver are
-//! reused unchanged on the reduced instance.
+//! [`Instance`], so the engines, oracle, and every solver are reused
+//! unchanged on the reduced instance.
+//!
+//! At paper density the reduction is modest (10⁷ points to ~6.4M
+//! representatives at 4 cells per radius), so the reduced CSR busts the
+//! cap too. The reduced solve then runs on the CSR-free grid engine
+//! ([`EngineKind::Grid`]): O(n) memory, one parallel cell sweep for the
+//! root gains, and every gain and commit bit-identical to the dense
+//! scan. Bucketing is one sort of `(cell key, point index)` and a
+//! run-length pass, so each cell sums its points in input order.
 //!
 //! Why this is sound: moving a point by `disp ≤ cell·√D/2` changes its
 //! kernel fraction against any center by at most `disp / r`, so for a
@@ -22,7 +30,6 @@
 //! full-resolution point set in a streaming pass and reports the
 //! realized gap.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use mmph_geom::Point;
@@ -32,7 +39,7 @@ use crate::batch::{recycle, solve_rounds_within};
 use crate::budget::{DegradeReason, SolveBudget};
 use crate::instance::Instance;
 use crate::oracle::{GainOracle, OracleStrategy};
-use crate::reward::{EngineKind, RewardEngine, DEFAULT_SPARSE_CAP_BYTES};
+use crate::reward::{min_sparse_bytes, EngineKind, RewardEngine, DEFAULT_SPARSE_CAP_BYTES};
 use crate::scratch::SolveScratch;
 use crate::{CoreError, Result};
 
@@ -55,7 +62,7 @@ pub struct CoresetConfig {
     /// smaller gaps.
     pub cells_per_radius: f64,
     /// Engine kind for the coreset solve. `Auto` (default) picks the
-    /// capped sparse engine.
+    /// capped sparse engine, or the grid engine past the cap.
     pub engine: EngineKind,
     /// Oracle strategy for the coreset solve.
     pub strategy: OracleStrategy,
@@ -114,35 +121,38 @@ pub fn build_coreset<const D: usize>(
     let points = inst.points();
     let weights = inst.weights();
 
-    struct CellAgg<const D: usize> {
-        weight: f64,
-        sum: [f64; D],
-        rep: u32,
-    }
-    let mut cells: HashMap<[i64; D], CellAgg<D>> = HashMap::new();
-    for (p, &w) in points.iter().zip(weights) {
-        let key: [i64; D] = std::array::from_fn(|d| (p[d] / cell).floor() as i64);
-        let agg = cells.entry(key).or_insert(CellAgg {
-            weight: 0.0,
-            sum: [0.0; D],
-            rep: 0,
-        });
-        agg.weight += w;
-        for d in 0..D {
-            agg.sum[d] += w * p[d];
+    // Bucket with one sort of (cell key, point index): each occupied
+    // cell becomes a run in ascending key order, its points in
+    // ascending index, so every cell sums its points in input order.
+    let mut keyed: Vec<([i64; D], u32)> = points
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            let key = std::array::from_fn(|d| (p[d] / cell).floor() as i64);
+            (
+                key,
+                u32::try_from(i).expect("coreset input beyond u32 indices"),
+            )
+        })
+        .collect();
+    sort_in_parts(&mut keyed);
+    let mut reps = Vec::new();
+    let mut rep_weights = Vec::new();
+    let mut rep_of = vec![0u32; points.len()];
+    for run in keyed.chunk_by(|a, b| a.0 == b.0) {
+        let (mut weight, mut sum) = (0.0, [0.0; D]);
+        for &(_, i) in run {
+            let (p, w) = (&points[i as usize], weights[i as usize]);
+            weight += w;
+            for d in 0..D {
+                sum[d] += w * p[d];
+            }
+            rep_of[i as usize] = reps.len() as u32;
         }
+        reps.push(Point(std::array::from_fn(|d| sum[d] / weight)));
+        rep_weights.push(weight);
     }
-
-    let mut keys: Vec<[i64; D]> = cells.keys().copied().collect();
-    keys.sort_unstable();
-    let mut reps = Vec::with_capacity(keys.len());
-    let mut rep_weights = Vec::with_capacity(keys.len());
-    for (slot, key) in keys.iter().enumerate() {
-        let agg = cells.get_mut(key).expect("key collected from map");
-        agg.rep = slot as u32;
-        reps.push(Point(std::array::from_fn(|d| agg.sum[d] / agg.weight)));
-        rep_weights.push(agg.weight);
-    }
+    drop(keyed);
 
     // Second pass: realized displacement of every point to its cell's
     // representative, which the a-priori gap bound is built from.
@@ -151,10 +161,8 @@ pub fn build_coreset<const D: usize>(
     let kf = inst.k() as f64;
     let mut weighted_displacement = 0.0;
     let mut error_bound = 0.0;
-    for (p, &w) in points.iter().zip(weights) {
-        let key: [i64; D] = std::array::from_fn(|d| (p[d] / cell).floor() as i64);
-        let rep = &reps[cells[&key].rep as usize];
-        let disp = norm.dist(p, rep);
+    for ((p, &w), &rep) in points.iter().zip(weights).zip(&rep_of) {
+        let disp = norm.dist(p, &reps[rep as usize]);
         weighted_displacement += w * disp;
         error_bound += w * (kf * disp / r).min(1.0);
     }
@@ -197,7 +205,8 @@ pub struct CoresetReport<const D: usize> {
     /// `Some` when the budget tripped mid-solve; the selection is the
     /// committed prefix.
     pub degraded: Option<DegradeReason>,
-    /// Engine backend the coreset solve actually used.
+    /// Engine backend the coreset solve actually used (`Grid` when the
+    /// reduction's CSR busts the cap).
     pub engine: EngineKind,
     /// Oracle evaluations spent by the coreset solve.
     pub evals: u64,
@@ -210,8 +219,10 @@ pub struct CoresetReport<const D: usize> {
 }
 
 /// Solves `inst` through the coreset path: reduce, greedy-solve the
-/// reduction with the existing sparse engine, then re-score the chosen
-/// centers against the full point set and report the realized gap.
+/// reduction (with `auto`, on the sparse engine while its CSR fits
+/// `cfg.cap_bytes`, else on the CSR-free grid engine), then re-score
+/// the chosen centers against the full point set and report the
+/// realized gap.
 pub fn solve_coreset<const D: usize>(
     inst: &Instance<D>,
     cfg: &CoresetConfig,
@@ -269,6 +280,22 @@ pub fn solve_coreset<const D: usize>(
     })
 }
 
+/// Sorts `items`, whose elements are all distinct, on the rayon pool:
+/// each thread sorts a contiguous part, then one stable sort merges the
+/// sorted parts, which it finds as runs. With no equal elements there
+/// is nothing to arbitrate, so the result is the one sorted order.
+fn sort_in_parts<T: Ord + Send>(items: &mut [T]) {
+    let parts = rayon::current_num_threads();
+    // Below ~65k elements the split does not pay for its threads.
+    if parts == 1 || items.len() < 1 << 16 {
+        items.sort_unstable();
+        return;
+    }
+    let chunks: Vec<&mut [T]> = items.chunks_mut(items.len().div_ceil(parts)).collect();
+    chunks.into_par_iter().for_each(|c| c.sort_unstable());
+    items.sort();
+}
+
 /// Full-resolution objective `f(C) = Σᵢ wᵢ·min(1, Σ_c frac(d(c, xᵢ)))`
 /// of an arbitrary center set, evaluated in a streaming pass over the
 /// point set without building any index. Work is split into fixed
@@ -314,8 +341,9 @@ pub enum ScalePlan {
     /// The instance fits the engine cap: solve directly.
     Direct,
     /// The estimated CSR footprint busts the cap (or the `u32` entry
-    /// budget): escalate to the coreset path instead of silently
-    /// falling back to the kd-tree.
+    /// budget): escalate to the coreset path, whose reduced solve runs
+    /// on the CSR-free grid engine when its own CSR would bust the cap
+    /// too, instead of solving all `n` points without a CSR.
     Coreset,
 }
 
@@ -323,8 +351,8 @@ pub enum ScalePlan {
 /// coreset path. Mirrors [`RewardEngine::auto_with_cap_kind`]'s
 /// fallback condition exactly: `Direct` means auto selection will use
 /// the in-cap sparse engine, `Coreset` means it would have fallen back
-/// to the kd-tree. Explicit engine kinds never escalate — the caller
-/// asked for that backend by name.
+/// to a CSR-free backend. Explicit engine kinds never escalate — the
+/// caller asked for that backend by name.
 pub fn plan_scale<const D: usize>(
     inst: &Instance<D>,
     kind: EngineKind,
@@ -333,17 +361,17 @@ pub fn plan_scale<const D: usize>(
     if !matches!(kind, EngineKind::Auto) {
         return ScalePlan::Direct;
     }
+    // 20 bytes per f64 CSR entry: u32 neighbor + f64 frac + f64 weight.
+    const PER_ENTRY: usize = 4 + 2 * 8;
+    let busts = |est: usize| est > cap_bytes || est / PER_ENTRY >= u32::MAX as usize;
+    // No estimate reads below the degree-1 floor, so when even that
+    // busts the cap the answer needs no grid build (1.1 s at n = 10⁷).
+    if busts(min_sparse_bytes(inst.n())) {
+        return ScalePlan::Coreset;
+    }
     match RewardEngine::estimated_sparse_bytes(inst, EngineKind::Sparse) {
-        Some(est) => {
-            // 20 bytes per f64 CSR entry: u32 neighbor + f64 frac + f64 weight.
-            const PER_ENTRY: usize = 4 + 2 * 8;
-            if est > cap_bytes || est / PER_ENTRY >= u32::MAX as usize {
-                ScalePlan::Coreset
-            } else {
-                ScalePlan::Direct
-            }
-        }
-        None => ScalePlan::Direct,
+        Some(est) if busts(est) => ScalePlan::Coreset,
+        _ => ScalePlan::Direct,
     }
 }
 
@@ -550,6 +578,101 @@ mod tests {
         assert_eq!(
             Pipeline::Direct.for_instance(&inst, EngineKind::Auto, usize::MAX),
             Pipeline::Direct
+        );
+    }
+
+    /// The construction before bucketing by sort: one `HashMap` entry
+    /// per cell, summed in input order, representatives emitted in
+    /// sorted key order. Returns every output as bits.
+    fn hashmap_coreset<const D: usize>(inst: &Instance<D>, cells_per_radius: f64) -> Vec<Vec<u64>> {
+        use std::collections::HashMap;
+        let cell = inst.radius() / cells_per_radius;
+        let key =
+            |p: &Point<D>| -> [i64; D] { std::array::from_fn(|d| (p[d] / cell).floor() as i64) };
+        let mut cells: HashMap<[i64; D], (f64, [f64; D], u32)> = HashMap::new();
+        for (p, &w) in inst.points().iter().zip(inst.weights()) {
+            let agg = cells.entry(key(p)).or_insert((0.0, [0.0; D], 0));
+            agg.0 += w;
+            for d in 0..D {
+                agg.1[d] += w * p[d];
+            }
+        }
+        let mut keys: Vec<[i64; D]> = cells.keys().copied().collect();
+        keys.sort_unstable();
+        let (mut reps, mut weights) = (Vec::new(), Vec::new());
+        for (slot, k) in keys.iter().enumerate() {
+            let agg = cells.get_mut(k).unwrap();
+            agg.2 = slot as u32;
+            reps.push(Point::<D>(std::array::from_fn(|d| agg.1[d] / agg.0)));
+            weights.push(agg.0);
+        }
+        let (r, kf) = (inst.radius(), inst.k() as f64);
+        let (mut displacement, mut bound) = (0.0, 0.0);
+        for (p, &w) in inst.points().iter().zip(inst.weights()) {
+            let disp = inst.norm().dist(p, &reps[cells[&key(p)].2 as usize]);
+            displacement += w * disp;
+            bound += w * (kf * disp / r).min(1.0);
+        }
+        vec![
+            reps.iter().flat_map(|p| p.0.map(f64::to_bits)).collect(),
+            weights.iter().map(|w| w.to_bits()).collect(),
+            vec![displacement.to_bits(), bound.to_bits()],
+        ]
+    }
+
+    fn outputs<const D: usize>(cs: &Coreset<D>) -> Vec<Vec<u64>> {
+        vec![
+            cs.instance
+                .points()
+                .iter()
+                .flat_map(|p| p.0.map(f64::to_bits))
+                .collect(),
+            cs.instance.weights().iter().map(|w| w.to_bits()).collect(),
+            vec![cs.weighted_displacement.to_bits(), cs.error_bound.to_bits()],
+        ]
+    }
+
+    fn random_points<const D: usize>(seed: u64, n: usize, lo: f64, hi: f64) -> Vec<Point<D>> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| Point(std::array::from_fn(|_| rng.gen_range(lo..hi))))
+            .collect()
+    }
+
+    fn check_against_hashmap<const D: usize>(points: Vec<Point<D>>, r: f64, label: &str) {
+        let weights = (0..points.len())
+            .map(|i| 1.0 + (i % 5) as f64 * 0.75)
+            .collect();
+        let inst = Instance::new(points, weights, r, 3, Norm::L1).unwrap();
+        for cells in [0.5, 1.0, 3.0, 4.0, 8.0] {
+            let cs = build_coreset(&inst, cells).unwrap();
+            assert_eq!(
+                outputs(&cs),
+                hashmap_coreset(&inst, cells),
+                "{label} D={D} cells={cells}"
+            );
+        }
+    }
+
+    /// Bucketing by sort reproduces the `HashMap` build bit for bit:
+    /// representatives, weights, emission order, displacement and
+    /// bound. Negative coordinates, duplicates, 3-D, and an input large
+    /// enough that the sort splits across the pool.
+    #[test]
+    fn sort_bucketing_matches_the_hashmap_build() {
+        check_against_hashmap(random_points::<2>(1, 500, -5.0, 5.0), 0.9, "negative");
+        let mut dup = random_points::<2>(2, 200, -1.0, 3.0);
+        for i in 0..100 {
+            dup.push(dup[i]);
+        }
+        check_against_hashmap(dup, 0.6, "duplicates");
+        check_against_hashmap(random_points::<3>(3, 600, -2.0, 2.0), 0.8, "3-D");
+        check_against_hashmap(
+            random_points::<2>(4, 70_000, -50.0, 50.0),
+            1.0,
+            "split sort",
         );
     }
 

@@ -480,25 +480,29 @@ impl<'a, const D: usize> GainOracle<'a, D> {
             // The heap's storage is detached, cleared (discarding any
             // partial prime left by a poisoned holder — and, through a
             // reused scratch, any previous solve's entries), refilled
-            // — in the engine's cache-friendly eval order on sparse
-            // engines, index order otherwise — and heapified in place:
+            // — in the engine's cache-friendly eval order on the sparse
+            // and grid engines, index order otherwise; from one bulk
+            // pass on the grid engine at fresh residuals — and
+            // heapified in place:
             // no allocation once the capacity has reached n. Entry
             // ordering is total (distinct indices break every gain
             // tie), so the pop sequence is independent of how the heap
             // was built, including the fill order.
             let mut entries = std::mem::take(&mut state.heap).into_vec();
             entries.clear();
-            let mut push = |i: usize| {
-                let gain = self.candidate_gain(i, residuals);
-                entries.push(Entry {
-                    gain,
-                    idx: i,
-                    version,
-                });
-            };
-            match self.engine.eval_order() {
-                Some(order) => order.iter().for_each(|&i| push(i as usize)),
-                None => (0..self.instance().n()).for_each(push),
+            if version > 0 || !self.prime_fresh(&mut entries) {
+                let mut push = |i: usize| {
+                    let gain = self.candidate_gain(i, residuals);
+                    entries.push(Entry {
+                        gain,
+                        idx: i,
+                        version,
+                    });
+                };
+                match self.engine.eval_order() {
+                    Some(order) => order.iter().for_each(|&i| push(i as usize)),
+                    None => (0..self.instance().n()).for_each(push),
+                }
             }
             state.heap = BinaryHeap::from(entries);
             state.primed = true;
@@ -542,6 +546,46 @@ impl<'a, const D: usize> GainOracle<'a, D> {
                 version,
             });
         }
+    }
+
+    /// Fills the empty `entries` from the engine's bulk root pass
+    /// ([`RewardEngine::root_gains_by_slot`]), in eval order, against
+    /// fresh residuals (version 0 means `y = 1` everywhere). Returns
+    /// `false`, leaving `entries` empty, when the engine has no such
+    /// pass: only the grid backend does.
+    ///
+    /// The outcome is the per-candidate prime's: the sweep polls the
+    /// cancel token uncounted and stops early once it reads tripped,
+    /// then one counted check per entry, in the same order, zeroes every
+    /// gain from the trip on and charges an evaluation for each one
+    /// before it. A `tripping_after` cut therefore lands on the same
+    /// candidate, with the same eval count.
+    fn prime_fresh(&self, entries: &mut Vec<Entry>) -> bool {
+        let order = match self.engine.eval_order() {
+            Some(order) if self.engine.kind() == EngineKind::Grid => order,
+            _ => return false,
+        };
+        entries.extend(order.iter().map(|&i| Entry {
+            gain: 0.0,
+            idx: i as usize,
+            version: 0,
+        }));
+        let stop = || self.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
+        self.engine
+            .root_gains_by_slot(entries, |e, gain| e.gain = gain, &stop);
+        let mut charged = entries.len() as u64;
+        if self.cancel.is_some() {
+            charged = 0;
+            for e in entries.iter_mut() {
+                if self.cancel_tripped() {
+                    e.gain = 0.0;
+                } else {
+                    charged += 1;
+                }
+            }
+        }
+        self.engine.note_evals(charged);
+        true
     }
 
     /// Best candidate among an explicit index subset (strict-`>` over

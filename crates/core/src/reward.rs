@@ -15,12 +15,16 @@
 //!   reported total equals the closed-form objective.
 
 use std::mem::MaybeUninit;
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 
 use mmph_geom::{CellBox, GridIndex, KdTree, Norm, Point};
 
 use crate::instance::Instance;
 use crate::kernel::{FracPass, PreparedKernel};
+
+mod grid;
+
+pub(crate) use grid::GridCells;
 
 /// Coverage fraction `[1 − d(c, x)/r]_+` of a point at distance `d`
 /// (Eq. 1 without the weight).
@@ -280,12 +284,15 @@ impl Residuals {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
     /// Pick automatically: the sparse CSR engine when its estimated
-    /// footprint fits [`DEFAULT_SPARSE_CAP_BYTES`], else the kd-tree.
+    /// footprint fits [`DEFAULT_SPARSE_CAP_BYTES`], else the CSR-free
+    /// [`EngineKind::Grid`] backend (the kd-tree only for input spread
+    /// so wide that the uniform grid would outnumber its points).
     #[default]
     Auto,
     /// Dense linear scan over all points (the reference semantics).
     Scan,
-    /// Kd-tree radius queries.
+    /// Kd-tree radius queries. Sums in tree order, so it matches
+    /// [`EngineKind::Scan`] to ~1e-9 relative, not bitwise.
     Kd,
     /// Precomputed CSR neighbor lists (forced, ignoring the memory cap).
     Sparse,
@@ -296,11 +303,18 @@ pub enum EngineKind {
     /// DESIGN.md "Kernel layout & precision"). Opt-in only — never
     /// selected by [`EngineKind::Auto`].
     SparseF32,
+    /// CSR-free cell sweep over the cell-ordered grid: O(n) memory and
+    /// no precomputed rows. Every gain and commit sums its query box in
+    /// ascending index, as a CSR row does, so it is bit-identical to
+    /// [`EngineKind::Scan`] and [`EngineKind::Sparse`]. What
+    /// [`EngineKind::Auto`] runs past the cap.
+    Grid,
 }
 
 impl EngineKind {
     /// All parseable names, for CLI help strings.
-    pub const NAMES: &'static [&'static str] = &["auto", "scan", "kd", "sparse", "sparse-f32"];
+    pub const NAMES: &'static [&'static str] =
+        &["auto", "scan", "kd", "sparse", "sparse-f32", "grid"];
 
     /// Parses a CLI name.
     pub fn parse(s: &str) -> Result<Self, String> {
@@ -310,6 +324,7 @@ impl EngineKind {
             "kd" => Ok(EngineKind::Kd),
             "sparse" => Ok(EngineKind::Sparse),
             "sparse-f32" => Ok(EngineKind::SparseF32),
+            "grid" => Ok(EngineKind::Grid),
             other => Err(format!(
                 "unknown engine '{other}' (expected {})",
                 Self::NAMES.join("|")
@@ -325,6 +340,7 @@ impl EngineKind {
             EngineKind::Kd => "kd",
             EngineKind::Sparse => "sparse",
             EngineKind::SparseF32 => "sparse-f32",
+            EngineKind::Grid => "grid",
         }
     }
 }
@@ -344,7 +360,8 @@ impl std::fmt::Display for EngineKind {
 }
 
 /// Default memory cap for the [`EngineKind::Auto`] sparse estimate:
-/// beyond this the CSR build is skipped in favor of the kd-tree.
+/// beyond this the CSR build is skipped in favor of the CSR-free
+/// [`EngineKind::Grid`] backend.
 pub const DEFAULT_SPARSE_CAP_BYTES: usize = 512 << 20;
 
 /// Build/footprint statistics of a sparse CSR adjacency, surfaced by
@@ -536,21 +553,33 @@ pub(crate) enum Enumerator<const D: usize> {
     Kd(KdTree<D>),
 }
 
+/// The bounding-box extent of `points` along each dimension.
+fn extents<const D: usize>(points: &[Point<D>]) -> [f64; D] {
+    std::array::from_fn(|d| {
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for p in points {
+            lo = lo.min(p[d]);
+            hi = hi.max(p[d]);
+        }
+        hi - lo
+    })
+}
+
+/// Whether a uniform grid of cell side `cell` over a bounding box of
+/// these extents would hold more than ~4 cells per point: the
+/// high-spread case, where the cell array would outgrow the points.
+fn too_many_cells<const D: usize>(extent: &[f64; D], cell: f64, n: usize) -> bool {
+    let cells = extent.iter().fold(1usize, |cells, &e| {
+        cells.saturating_mul(((e / cell).floor() as usize).saturating_add(1))
+    });
+    cells > 4 * n + 1024
+}
+
 impl<const D: usize> Enumerator<D> {
     /// Grid unless the cell count at cell side `r` would exceed
     /// ~4n (high-spread input), in which case the kd-tree enumerates.
     pub(crate) fn build(points: &[Point<D>], radius: f64) -> Self {
-        let mut cells = 1usize;
-        for d in 0..D {
-            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for p in points {
-                lo = lo.min(p[d]);
-                hi = hi.max(p[d]);
-            }
-            let side = ((hi - lo) / radius.max(1e-9)).floor() as usize + 1;
-            cells = cells.saturating_mul(side.max(1));
-        }
-        if cells > 4 * points.len() + 1024 {
+        if too_many_cells(&extents(points), radius.max(1e-9), points.len()) {
             return Enumerator::Kd(KdTree::build(points));
         }
         match GridIndex::build_for_radius(points, radius) {
@@ -576,11 +605,12 @@ impl<const D: usize> Enumerator<D> {
         matches!(self, Enumerator::Grid(_))
     }
 
-    /// Recovers the kd-tree when the memory-cap fallback can reuse it.
-    fn into_kdtree(self, points: &[Point<D>]) -> KdTree<D> {
+    /// The CSR-free backend over this index: the grid backend on the
+    /// grid, the kd backend on the high-spread kd-tree.
+    fn into_csr_free(self, inst: &Instance<D>) -> Backend<D> {
         match self {
-            Enumerator::Kd(t) => t,
-            Enumerator::Grid(_) => KdTree::build(points),
+            Enumerator::Grid(g) => Backend::Grid(GridCells::new(inst, g)),
+            Enumerator::Kd(t) => Backend::Kd(t),
         }
     }
 }
@@ -681,12 +711,7 @@ impl<S: LaneScalar> SparseCsr<S> {
         enumerator: &Enumerator<D>,
         scratch: &mut CsrScratch,
     ) -> Self {
-        let parts = if inst.n() >= PARALLEL_BUILD_MIN_POINTS {
-            rayon::current_num_threads()
-        } else {
-            1
-        };
-        Self::build_in_parts(inst, enumerator, scratch, parts)
+        Self::build_in_parts(inst, enumerator, scratch, sweep_parts(inst.n()))
     }
 
     /// [`Self::build_with`] with an explicit part count for the grid
@@ -879,7 +904,8 @@ impl<S: LaneScalar> SparseCsr<S> {
     ) -> usize {
         let n = inst.n();
         self.order.extend_from_slice(grid.entries());
-        let fill = CellFill::new(inst, grid, parts);
+        let weights = slot_weights(inst, grid);
+        let fill = CellFill::new(inst, grid, &weights, parts);
 
         self.degrees.resize(n, 0);
         let degree_parts = split_by_lens(
@@ -1111,10 +1137,24 @@ impl<S: LaneScalar> SparseCsr<S> {
             sampled += 1;
             i += stride;
         }
-        let est_entries =
-            entries as f64 / sampled as f64 * n as f64 + (n * SPARSE_LANES / 2) as f64;
+        Self::footprint(n, entries as f64 / sampled as f64)
+    }
+
+    /// The footprint [`Self::estimate_bytes`] reports for `n` rows of
+    /// mean degree `degree`.
+    fn footprint(n: usize, degree: f64) -> usize {
+        let est_entries = degree * n as f64 + (n * SPARSE_LANES / 2) as f64;
         (n + 1) * 4 + n * 4 * 4 + (est_entries * Self::BYTES_PER_ENTRY as f64) as usize
     }
+}
+
+/// The least [`RewardEngine::estimated_sparse_bytes`] can report for an
+/// `f64` CSR over `n` points: every row holds at least its own point, so
+/// the estimate is never below the degree-1 footprint, `120·n + 4`
+/// bytes. Checking it first decides a cap that even it busts without
+/// building the grid the estimate samples.
+pub(crate) fn min_sparse_bytes(n: usize) -> usize {
+    SparseCsr::<f64>::footprint(n, 1.0)
 }
 
 /// Smallest instance whose grid-path CSR build is split across the
@@ -1124,6 +1164,16 @@ impl<S: LaneScalar> SparseCsr<S> {
 /// n = 2,000, and 13 ms against 22 ms at n = 10,000: from here on the
 /// saving dwarfs the cost of spawning the workers.
 const PARALLEL_BUILD_MIN_POINTS: usize = 10_000;
+
+/// Parts a cell sweep over `n` points splits into: one per pool thread
+/// from [`PARALLEL_BUILD_MIN_POINTS`] up, else one.
+fn sweep_parts(n: usize) -> usize {
+    if n >= PARALLEL_BUILD_MIN_POINTS {
+        rayon::current_num_threads()
+    } else {
+        1
+    }
+}
 
 /// A CSR pass generic over the pair fraction: [`with_pair_frac`]
 /// resolves the norm and the kernel once and runs the pass with
@@ -1170,21 +1220,37 @@ struct Cand<const D: usize> {
     weight: f64,
 }
 
-/// The per-cell callback of [`CellFill::sweep`].
-type CellBlock<'b, const D: usize> = dyn FnMut(Range<usize>, &CellBox<D>, &[Cand<D>]) + 'b;
+/// The per-cell callback of [`CellFill::sweep`]; `Break` ends the
+/// sweep early.
+type CellBlock<'b, const D: usize> =
+    dyn FnMut(Range<usize>, &CellBox<D>, &[Cand<D>]) -> ControlFlow<()> + 'b;
 
-/// The grid-path fill's shared inputs: the instance, its grid, the
-/// weights in slot order and the contiguous cell ranges, one per part,
-/// balanced by point count.
+/// `inst`'s weights in `grid`'s slot order.
+fn slot_weights<const D: usize>(inst: &Instance<D>, grid: &GridIndex<D>) -> Vec<f64> {
+    grid.entries()
+        .iter()
+        .map(|&i| inst.weight(i as usize))
+        .collect()
+}
+
+/// A cell sweep's shared inputs: the instance, its grid, the weights
+/// in slot order and the contiguous cell ranges, one per part,
+/// balanced by point count. The CSR fill and the grid backend's root
+/// pass both run on it.
 struct CellFill<'a, const D: usize> {
     inst: &'a Instance<D>,
     grid: &'a GridIndex<D>,
-    weights: Vec<f64>,
+    weights: &'a [f64],
     parts: Vec<Range<usize>>,
 }
 
 impl<'a, const D: usize> CellFill<'a, D> {
-    fn new(inst: &'a Instance<D>, grid: &'a GridIndex<D>, parts: usize) -> Self {
+    fn new(
+        inst: &'a Instance<D>,
+        grid: &'a GridIndex<D>,
+        weights: &'a [f64],
+        parts: usize,
+    ) -> Self {
         let starts = grid.cell_starts();
         let (n, cells, parts) = (grid.len(), starts.len() - 1, parts.max(1));
         // Part p starts at the first cell boundary with at least
@@ -1199,11 +1265,7 @@ impl<'a, const D: usize> CellFill<'a, D> {
         CellFill {
             inst,
             grid,
-            weights: grid
-                .entries()
-                .iter()
-                .map(|&i| inst.weight(i as usize))
-                .collect(),
+            weights,
             parts: (0..parts).map(|p| bound(p)..bound(p + 1)).collect(),
         }
     }
@@ -1216,8 +1278,9 @@ impl<'a, const D: usize> CellFill<'a, D> {
 
     /// Calls `block(members, union, candidates)` for every occupied cell
     /// in `cells`: its member slots, the union of their query boxes and
-    /// every point in that union, in ascending index. `block` is a
-    /// trait object so the sweep is compiled once, not once per pass.
+    /// every point in that union, in ascending index, until `block`
+    /// breaks. `block` is a trait object so the sweep is compiled once,
+    /// not once per pass.
     fn sweep(&self, cells: Range<usize>, block: &mut CellBlock<'_, D>) {
         let (grid, r) = (self.grid, self.inst.radius());
         let (entries, points) = (grid.entries(), grid.slot_points());
@@ -1247,7 +1310,9 @@ impl<'a, const D: usize> CellFill<'a, D> {
                     weight: self.weights[s],
                 }
             }));
-            block(members, &union, &cands);
+            if block(members, &union, &cands).is_break() {
+                return;
+            }
         }
     }
 }
@@ -1341,6 +1406,7 @@ impl<const D: usize> PairPass<D> for CountPass<'_, '_, D> {
                     let deg = scan_row(grid, r, x, union, cands, pair, |_, _, _| {});
                     degrees[slot - base] = deg as u32;
                 }
+                ControlFlow::Continue(())
             });
         });
     }
@@ -1403,15 +1469,16 @@ impl<const D: usize, S: LaneScalar> PairPass<D> for WritePass<'_, '_, D, S> {
                         }
                     }
                 }
+                ControlFlow::Continue(())
             });
         });
     }
 }
 
 /// Reward evaluation engine: computes coverage rewards by dense linear
-/// scan, tree radius query, or precomputed sparse CSR adjacency, and
-/// counts evaluations (used by the CELF ablation to demonstrate the
-/// saved work).
+/// scan, tree radius query, precomputed sparse CSR adjacency or a
+/// CSR-free grid query, and counts evaluations (used by the CELF
+/// ablation to demonstrate the saved work).
 #[derive(Debug)]
 pub struct RewardEngine<'a, const D: usize> {
     inst: &'a Instance<D>,
@@ -1431,6 +1498,7 @@ pub(crate) enum Backend<const D: usize> {
     Kd(KdTree<D>),
     Sparse(SparseCsr<f64>),
     SparseF32(SparseCsr<f32>),
+    Grid(GridCells<D>),
 }
 
 impl<'a, const D: usize> RewardEngine<'a, D> {
@@ -1482,6 +1550,15 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     /// `ablation_spatial_index` bench for the crossover).
     pub fn indexed(inst: &'a Instance<D>) -> Self {
         Self::with_backend(inst, Backend::Kd(KdTree::build(inst.points())))
+    }
+
+    /// The CSR-free grid engine ([`EngineKind::Grid`]): the cell-ordered
+    /// grid at cell side `r` and the weights in its slot order, O(n)
+    /// memory. On input spread so wide that cells of side `r` would
+    /// outnumber the points ~4 to 1, the cell side doubles until they
+    /// do not, so the index stays O(n); every result stays exact.
+    pub fn grid(inst: &'a Instance<D>) -> Self {
+        Self::with_backend(inst, Backend::Grid(GridCells::build(inst)))
     }
 
     /// Engine backed by a precomputed CSR neighbor adjacency: candidate
@@ -1563,20 +1640,43 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     /// backend: `order[slot]` is the candidate whose CSR row is stored
     /// at `slot`, so scanning candidates in this order reads the CSR
     /// streams strictly sequentially and keeps spatially-adjacent
-    /// residual lines hot. `None` for non-sparse backends. The order is
-    /// a permutation of `0..n`; an argmax over it with the explicit
-    /// max-gain/min-index tie-break selects exactly the candidate the
-    /// index-order first-max scan does.
+    /// residual lines hot. The grid backend's order is its slot order,
+    /// the same cell-major permutation. `None` for the other backends.
+    /// The order is a permutation of `0..n`; an argmax over it with the
+    /// explicit max-gain/min-index tie-break selects exactly the
+    /// candidate the index-order first-max scan does.
     pub fn eval_order(&self) -> Option<&[u32]> {
         match &self.backend {
             Backend::Sparse(csr) => Some(&csr.order),
             Backend::SparseF32(csr) => Some(&csr.order),
+            Backend::Grid(g) => Some(g.order()),
             _ => None,
         }
     }
 
+    /// The grid backend's bulk root pass: for every `slot`, calls
+    /// `set(&mut out[slot], gain)` with the fresh-residual gain
+    /// (`y = 1` everywhere) of candidate [`Self::eval_order`]`[slot]`,
+    /// bit-identical to [`Self::candidate_gain`] on reset residuals. One
+    /// cell sweep split across the rayon pool from 10,000 points up.
+    /// Between cells it polls `stop` and returns early when it reads
+    /// true, leaving the rest of `out` as it was. Charges no
+    /// evaluations (the caller does). Touches nothing on the other
+    /// backends, which have no bulk pass.
+    pub(crate) fn root_gains_by_slot<T: Send>(
+        &self,
+        out: &mut [T],
+        set: impl Fn(&mut T, f64) + Sync,
+        stop: &(dyn Fn() -> bool + Sync),
+    ) {
+        if let Backend::Grid(g) = &self.backend {
+            g.root_gains(self.inst, out, set, stop, sweep_parts(self.inst.n()));
+        }
+    }
+
     /// Sparse when the estimated CSR footprint fits under
-    /// [`DEFAULT_SPARSE_CAP_BYTES`], else kd-tree.
+    /// [`DEFAULT_SPARSE_CAP_BYTES`], else the CSR-free grid engine (kd
+    /// only for high-spread input; see [`EngineKind::Auto`]).
     pub fn auto(inst: &'a Instance<D>) -> Self {
         Self::auto_with_cap(inst, DEFAULT_SPARSE_CAP_BYTES)
     }
@@ -1592,7 +1692,9 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     /// kind's *real* per-entry cost — 20 B for the `f64` streams,
     /// 12 B for `f32` — so under the same cap the mixed-precision
     /// engine stays sparse to roughly 1.67× more entries instead of
-    /// falling back to the kd-tree at the `f64` threshold.
+    /// falling back at the `f64` threshold. Past the cap the engine is
+    /// the grid backend over the grid the estimate already built, or
+    /// kd when the input is spread too wide for a grid.
     pub fn auto_with_cap_kind(inst: &'a Instance<D>, cap_bytes: usize, kind: EngineKind) -> Self {
         let enumerator = Enumerator::build(inst.points(), inst.radius());
         let f32_kind = matches!(kind, EngineKind::SparseF32);
@@ -1608,8 +1710,7 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
             )
         };
         if est > cap_bytes || est / per_entry >= u32::MAX as usize {
-            let tree = enumerator.into_kdtree(inst.points());
-            return Self::with_backend(inst, Backend::Kd(tree));
+            return Self::with_backend(inst, enumerator.into_csr_free(inst));
         }
         if f32_kind {
             Self::with_backend(
@@ -1648,6 +1749,7 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
             EngineKind::Kd => Self::indexed(inst),
             EngineKind::Sparse => Self::sparse(inst),
             EngineKind::SparseF32 => Self::sparse_f32(inst),
+            EngineKind::Grid => Self::grid(inst),
         }
     }
 
@@ -1658,6 +1760,7 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
             Backend::Kd(_) => EngineKind::Kd,
             Backend::Sparse(_) => EngineKind::Sparse,
             Backend::SparseF32(_) => EngineKind::SparseF32,
+            Backend::Grid(_) => EngineKind::Grid,
         }
     }
 
@@ -1684,8 +1787,13 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     /// by the oracle layer to charge whole-objective evaluations (swap
     /// moves, beam rescoring) to the same counter as candidate gains.
     pub(crate) fn note_eval(&self) {
+        self.note_evals(1);
+    }
+
+    /// Records `count` evaluations at once (a bulk root pass).
+    pub(crate) fn note_evals(&self, count: u64) {
         self.evals
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            .fetch_add(count, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Resolves an arbitrary query point back to its candidate index
@@ -1731,7 +1839,8 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     /// instance's points routes through [`Self::candidate_gain`]'s
     /// O(degree) row walk — non-greedy callers like the local-search
     /// polish get the sparse path too. Genuinely arbitrary points have
-    /// no CSR row and fall back to the dense reference scan.
+    /// no CSR row and fall back to the dense reference scan. The grid
+    /// backend gathers any point's query box in ascending index.
     pub fn gain(&self, c: &Point<D>, residuals: &Residuals) -> f64 {
         let by_coords = match &self.backend {
             Backend::Sparse(csr) => Some(&csr.by_coords),
@@ -1757,6 +1866,7 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
             Backend::Scan | Backend::Sparse(_) | Backend::SparseF32(_) => {
                 return coverage_reward_with(self.inst, c, residuals, kernel);
             }
+            Backend::Grid(g) => return g.gain(self.inst, kernel, c, residuals.as_slice()),
             Backend::Kd(tree) => tree.for_each_within(c, r, self.inst.norm(), &mut add),
         }
         total
@@ -1767,7 +1877,8 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     /// blocked O(degree) lane kernel over the precomputed row, with the
     /// same `f64` accumulation order as the dense scan (hence
     /// bit-identical on the `f64` backend); other backends delegate to
-    /// [`Self::gain`]. Charges one evaluation.
+    /// [`Self::gain`], which on the grid backend is the same sum over
+    /// the candidate's query box. Charges one evaluation.
     pub fn candidate_gain(&self, i: usize, residuals: &Residuals) -> f64 {
         match &self.backend {
             Backend::Sparse(csr) => {
@@ -1843,7 +1954,10 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
 
     /// Commits candidate `i` as a center by walking its *real* CSR row:
     /// the sparse counterpart of [`Residuals::apply`], O(degree)
-    /// instead of O(n). `None` on non-sparse backends.
+    /// instead of O(n). The grid backend walks the candidate's query
+    /// box in ascending index, the same visit set and order, so its
+    /// commit is bit-identical to the dense apply too. `None` on the
+    /// other backends.
     ///
     /// Bit-identity with the dense apply on the `f64` backend: the real
     /// row is exactly the set of points with positive kernel fraction,
@@ -1859,6 +1973,9 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
         match &self.backend {
             Backend::Sparse(csr) => Some(csr.apply_row(i, residuals)),
             Backend::SparseF32(csr) => Some(csr.apply_row(i, residuals)),
+            Backend::Grid(g) => {
+                Some(g.apply(self.inst, &self.kernel, self.inst.point(i), residuals))
+            }
             _ => None,
         }
     }
@@ -2258,6 +2375,149 @@ mod tests {
         check_cell_fill::<2, f32>();
     }
 
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The grid engine's bulk root pass, on every fill case (the spread
+    /// one on a coarsened grid) in 1, 2, 3 and 7 parts, against its own
+    /// per-candidate `candidate_gain` and the sparse engine's on fresh
+    /// residuals, and against the dense scan away from the cell-edge
+    /// rounding case (where the sparse rows drop a `d = r` pair the
+    /// scan keeps).
+    fn check_root_pass<const D: usize>() {
+        let kernels = [
+            Kernel::Linear,
+            Kernel::Step,
+            Kernel::Quadratic,
+            Kernel::Exponential { lambda: 2.5 },
+        ];
+        for norm in [Norm::L1, Norm::L2, Norm::LInf, Norm::Lp(3.0)] {
+            for kernel in kernels {
+                for (label, inst, _) in fill_cases::<D>(norm, kernel) {
+                    let what = format!("D={D} {norm} {} {label}", kernel.name());
+                    let engine = RewardEngine::grid(&inst);
+                    let Backend::Grid(cells) = &engine.backend else {
+                        unreachable!("grid engine");
+                    };
+                    let fresh = Residuals::new(inst.n());
+                    let order = engine.eval_order().unwrap();
+                    let per_candidate = |e: &RewardEngine<'_, D>| {
+                        let gains: Vec<f64> = order
+                            .iter()
+                            .map(|&i| e.candidate_gain(i as usize, &fresh))
+                            .collect();
+                        bits(&gains)
+                    };
+                    let want = per_candidate(&engine);
+                    assert_eq!(per_candidate(&RewardEngine::sparse(&inst)), want, "{what}");
+                    if label != "rounding-edge" {
+                        assert_eq!(per_candidate(&RewardEngine::scan(&inst)), want, "{what}");
+                    }
+                    for parts in [1, 2, 3, 7] {
+                        let mut got = vec![f64::NAN; inst.n()];
+                        cells.root_gains(&inst, &mut got, |o, g| *o = g, &|| false, parts);
+                        assert_eq!(bits(&got), want, "{what} parts={parts}: root pass");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn grid_root_pass_matches_per_candidate_gains() {
+        check_root_pass::<2>();
+        check_root_pass::<3>();
+    }
+
+    /// A stop that reads true before the first cell leaves every output
+    /// untouched.
+    #[test]
+    fn grid_root_pass_stops_when_told() {
+        let inst = random_instance_for_csr(5, 200);
+        let engine = RewardEngine::grid(&inst);
+        let mut out = vec![-1.0; inst.n()];
+        engine.root_gains_by_slot(&mut out, |o, g| *o = g, &|| true);
+        assert!(out.iter().all(|&g| g == -1.0));
+        engine.root_gains_by_slot(&mut out, |o, g| *o = g, &|| false);
+        assert!(out.iter().all(|&g| g > 0.0));
+    }
+
+    /// Grid gains of candidates and of arbitrary points match the dense
+    /// scan bit for bit at every mid-solve state, and each grid commit
+    /// leaves exactly the gain, residuals, touched versions and version
+    /// of the dense apply.
+    #[test]
+    fn grid_gains_and_commits_match_the_dense_scan() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(19);
+        for norm in [Norm::L1, Norm::L2, Norm::LInf] {
+            for kernel in [Kernel::Linear, Kernel::Step, Kernel::Quadratic] {
+                let inst = random_instance_for_csr(23, 300)
+                    .with_norm(norm)
+                    .and_then(|i| i.with_kernel(kernel))
+                    .unwrap();
+                let (scan, grid) = (RewardEngine::scan(&inst), RewardEngine::grid(&inst));
+                let mut dense = Residuals::new(inst.n());
+                let mut local = Residuals::new(inst.n());
+                for round in 0..8 {
+                    let what = format!("{norm} {} round {round}", kernel.name());
+                    for i in 0..inst.n() {
+                        let (a, b) = (
+                            scan.candidate_gain(i, &dense),
+                            grid.candidate_gain(i, &local),
+                        );
+                        assert_eq!(a.to_bits(), b.to_bits(), "{what}: candidate {i}");
+                    }
+                    for _ in 0..20 {
+                        let c = Point::new([rng.gen_range(-1.0..5.0), rng.gen_range(-1.0..5.0)]);
+                        let (a, b) = (scan.gain(&c, &dense), grid.gain(&c, &local));
+                        assert_eq!(a.to_bits(), b.to_bits(), "{what}: point {c}");
+                    }
+                    let pick = rng.gen_range(0..inst.n());
+                    let want = dense.apply(&inst, inst.point(pick));
+                    let got = grid.apply_candidate(pick, &mut local).unwrap();
+                    assert_eq!(got.to_bits(), want.to_bits(), "{what}: commit gain");
+                    assert_eq!(bits(local.as_slice()), bits(dense.as_slice()), "{what}: y");
+                    assert_eq!(local.version(), dense.version(), "{what}: version");
+                    assert!(
+                        (0..inst.n()).all(|i| local.touched(i) == dense.touched(i)),
+                        "{what}: touched"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Named on high-spread input, the grid engine coarsens its cells
+    /// instead of allocating one per `r`-square, and stays bit-identical
+    /// to the dense scan.
+    #[test]
+    fn grid_engine_coarsens_on_high_spread_input() {
+        let points: Vec<Point<2>> = (0..40)
+            .map(|i| {
+                let t = i as f64;
+                Point::new([t * t * 37.0, (t * 13.0) % 1000.0 * t])
+            })
+            .collect();
+        let inst = Instance::new(points, vec![1.0; 40], 0.5, 3, Norm::L2).unwrap();
+        let grid = RewardEngine::grid(&inst);
+        let Backend::Grid(cells) = &grid.backend else {
+            unreachable!("grid engine");
+        };
+        assert!(cells.grid.cell_size() > inst.radius());
+        assert!(cells.grid.cell_starts().len() <= 4 * inst.n() + 1026);
+        let scan = RewardEngine::scan(&inst);
+        let fresh = Residuals::new(inst.n());
+        for i in 0..inst.n() {
+            assert_eq!(
+                scan.candidate_gain(i, &fresh).to_bits(),
+                grid.candidate_gain(i, &fresh).to_bits()
+            );
+        }
+    }
+
     #[test]
     fn scratch_build_reuses_buffers_and_reclaims() {
         let inst = random_instance_for_csr(9, 120);
@@ -2296,7 +2556,7 @@ mod tests {
     /// The auto-cap estimate uses each kind's *real* per-entry cost:
     /// a cap wedged between the f32 (12 B/entry) and f64 (20 B/entry)
     /// footprints keeps `SparseF32` sparse while `Sparse` falls back
-    /// to the kd-tree.
+    /// to the grid engine.
     #[test]
     fn auto_cap_uses_f32_footprint_for_sparse_f32() {
         let mut b = InstanceBuilder::new();
@@ -2316,7 +2576,11 @@ mod tests {
         let cap = (est32 + est64) / 2;
         let e64 = RewardEngine::auto_with_cap_kind(&inst, cap, EngineKind::Sparse);
         let e32 = RewardEngine::auto_with_cap_kind(&inst, cap, EngineKind::SparseF32);
-        assert_eq!(e64.kind(), EngineKind::Kd, "f64 over cap must fall to kd");
+        assert_eq!(
+            e64.kind(),
+            EngineKind::Grid,
+            "f64 over cap must fall to grid"
+        );
         assert_eq!(
             e32.kind(),
             EngineKind::SparseF32,
@@ -2325,5 +2589,24 @@ mod tests {
         // Same cap, generous: both stay sparse in their own scalar.
         let e64 = RewardEngine::auto_with_cap_kind(&inst, est64 + 1, EngineKind::Sparse);
         assert_eq!(e64.kind(), EngineKind::Sparse);
+        // No estimate reads below the degree-1 floor.
+        assert!(min_sparse_bytes(inst.n()) <= est64);
+        assert_eq!(min_sparse_bytes(inst.n()), 120 * inst.n() + 4);
+    }
+
+    #[test]
+    fn auto_with_a_zero_cap_runs_on_the_grid() {
+        let inst = random_instance_for_csr(3, 150);
+        assert_eq!(
+            RewardEngine::auto_with_cap(&inst, 0).kind(),
+            EngineKind::Grid
+        );
+    }
+
+    #[test]
+    fn grid_name_round_trips() {
+        assert_eq!(EngineKind::parse("grid").unwrap(), EngineKind::Grid);
+        assert_eq!(EngineKind::Grid.name(), "grid");
+        assert!(EngineKind::NAMES.contains(&"grid"));
     }
 }

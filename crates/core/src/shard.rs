@@ -189,14 +189,16 @@ pub fn solve_sharded<const D: usize>(
     }
 
     // Merge greedy: score the union candidates against full-resolution
-    // residuals. The kd engine needs no CSR, so the merge never busts
-    // the cap regardless of n.
+    // residuals. `auto` merges on the CSR-free backend it falls back to
+    // past the cap (a zero cap: the grid engine, bit-identical to scan,
+    // or kd on high-spread input), so the merge never builds a CSR,
+    // whatever n.
     let t1 = Instant::now();
-    let merge_kind = match cfg.engine {
-        EngineKind::Auto => EngineKind::Kd,
-        kind => kind,
+    let engine = match cfg.engine {
+        EngineKind::Auto => RewardEngine::auto_with_cap(inst, 0),
+        kind => RewardEngine::with_kind(inst, kind),
     };
-    let mut oracle = GainOracle::with_engine(inst, merge_kind, OracleStrategy::Seq);
+    let mut oracle = GainOracle::from_engine(engine, OracleStrategy::Seq);
     if let Some(token) = merge_budget.cancel_token() {
         oracle.set_cancel(Some(token.clone()));
     }

@@ -63,7 +63,8 @@ impl LocalGreedy {
     /// Selects the reward-evaluation engine. The default
     /// [`EngineKind::Auto`] builds the sparse CSR engine when its
     /// estimated footprint fits the memory cap and falls back to the
-    /// kd-tree otherwise; every choice is bit-identical.
+    /// CSR-free grid engine otherwise; every choice selects the same
+    /// centers.
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
         self

@@ -14,7 +14,8 @@ use mmph_core::solvers::{
     LocalSearch, RoundBased, SeededGreedy, SimpleGreedy, StochasticGreedy,
 };
 use mmph_core::{
-    CancelToken, DegradeReason, Instance, OracleStrategy, SolveBudget, SolveStatus, Solver,
+    CancelToken, DegradeReason, EngineKind, Instance, OracleStrategy, SolveBudget, SolveStatus,
+    Solver,
 };
 use mmph_geom::{Norm, Point};
 use proptest::prelude::*;
@@ -44,6 +45,7 @@ fn all_solvers(norm: Norm) -> Vec<(&'static str, Box<dyn Solver<2>>)> {
             "lazy",
             Box::new(LocalGreedy::new().with_oracle(OracleStrategy::Lazy)),
         ),
+        ("lazy-grid", Box::new(lazy_grid())),
         ("stochastic", Box::new(StochasticGreedy::new())),
         ("seeded", Box::new(SeededGreedy::new())),
         ("beam", Box::new(BeamSearch::new())),
@@ -75,8 +77,17 @@ fn prefix_solvers() -> Vec<(&'static str, Box<dyn Solver<2>>)> {
             "lazy",
             Box::new(LocalGreedy::new().with_oracle(OracleStrategy::Lazy)),
         ),
+        ("lazy-grid", Box::new(lazy_grid())),
         ("stochastic", Box::new(StochasticGreedy::new())),
     ]
+}
+
+/// The CELF greedy on the grid engine, which primes its heap from one
+/// bulk root pass instead of a query per candidate.
+fn lazy_grid() -> LocalGreedy {
+    LocalGreedy::new()
+        .with_oracle(OracleStrategy::Lazy)
+        .with_engine(EngineKind::Grid)
 }
 
 fn instance(pts: Vec<(Point<2>, f64)>, k: usize, r: f64, norm: Norm) -> Instance<2> {
@@ -203,6 +214,52 @@ proptest! {
                 full.total_reward
             );
         }
+    }
+
+    /// The grid engine's bulk prime cuts where a per-candidate prime
+    /// does: with the trip inside the prime (`j ≤ n`) or after it, the
+    /// lazy greedy on the grid engine returns what it returns on the
+    /// scan engine — same status, centers, gains and eval count — after
+    /// the same number of counted checks. (The sparse engine's
+    /// dirty-region skips save re-scores, and with them checks, so its
+    /// post-prime cuts land elsewhere.)
+    #[test]
+    fn grid_prime_cuts_where_the_per_candidate_prime_does(
+        pts in weighted_points(30),
+        k in 1usize..5,
+        r in 0.3..2.0f64,
+        at in 0u64..80,
+    ) {
+        let inst = instance(pts, k, r, Norm::L2);
+        let n = inst.n() as u64;
+        // Half the cases trip inside the prime's n checks, half after.
+        let inside = at < 40;
+        let j = if inside { 1 + at % n } else { n + at - 39 };
+        let run = |engine: EngineKind| {
+            let token = CancelToken::tripping_after(j);
+            let budget = SolveBudget::unlimited().with_cancel(token.clone());
+            let out = LocalGreedy::new()
+                .with_oracle(OracleStrategy::Lazy)
+                .with_engine(engine)
+                .solve_within(&inst, &budget)
+                .unwrap();
+            (out, token.checks())
+        };
+        let (grid, grid_checks) = run(EngineKind::Grid);
+        if inside {
+            prop_assert_eq!(
+                &grid.status,
+                &SolveStatus::Degraded { reason: DegradeReason::Cancelled }
+            );
+            prop_assert!(grid.centers().is_empty(), "a cut in the prime commits nothing");
+            prop_assert_eq!(grid.solution.evals, j - 1);
+        }
+        let (scan, scan_checks) = run(EngineKind::Scan);
+        prop_assert_eq!(&grid.status, &scan.status);
+        prop_assert_eq!(grid.centers(), scan.centers());
+        prop_assert_eq!(&grid.solution.round_gains, &scan.solution.round_gains);
+        prop_assert_eq!(grid.solution.evals, scan.solution.evals);
+        prop_assert_eq!(grid_checks, scan_checks);
     }
 
     /// A token tripped before the solve starts yields an empty prefix

@@ -161,6 +161,9 @@ fn check_capped_escalation(n: usize, cap_bytes: usize) {
     let report = solve_coreset(&inst, &cfg).unwrap();
     assert!(report.degraded.is_none(), "{:?}", report.degraded);
     assert!(report.gap <= 0.05, "realized gap {}", report.gap);
+    // The reduction busts the cap too, so it runs on the CSR-free grid
+    // engine, and says so.
+    assert_eq!(report.engine, EngineKind::Grid);
 }
 
 /// n=200,000 estimates a ~206 MiB CSR against an 8 MiB cap.

@@ -6,11 +6,13 @@
 //! arbitrary mid-solve residual states — and the dirty-region CELF
 //! upgrade changes evaluation counts only, never selections. Neither
 //! the sparse engine nor the dirty region may charge more evaluations
-//! than the engine it replaces.
+//! than the engine it replaces. The CSR-free grid engine rides the
+//! degree-pinned sweep as one more column held to the same bits.
 
 use mmph_core::solvers::LocalGreedy;
 use mmph_core::{
-    EngineKind, GainOracle, Instance, Kernel, OracleStrategy, Residuals, RewardEngine, Solver,
+    solve_rounds, EngineKind, GainOracle, Instance, Kernel, OracleStrategy, Residuals,
+    RewardEngine, SolveScratch, Solver,
 };
 use mmph_geom::{Norm, Point};
 use mmph_sim::{uniform_degree_instance_2d, SpaceSpec};
@@ -231,7 +233,8 @@ fn dirty_region_charges_strictly_fewer_evals_on_clusters() {
 fn forced_sparse_handles_high_spread_inputs() {
     // Points so spread out that the uniform grid would allocate more
     // cells than points: the build must fall back to kd enumeration and
-    // stay bit-identical.
+    // stay bit-identical, and past the cap `auto` keeps the kd engine
+    // rather than a grid that would outnumber the points.
     let points: Vec<Point<2>> = (0..40)
         .map(|i| {
             let t = i as f64;
@@ -243,6 +246,7 @@ fn forced_sparse_handles_high_spread_inputs() {
     let sparse = RewardEngine::sparse(&inst);
     let stats = sparse.sparse_stats().unwrap();
     assert!(!stats.used_grid, "expected the kd-tree fallback");
+    assert_eq!(RewardEngine::auto_with_cap(&inst, 0).kind(), EngineKind::Kd);
     let residuals = Residuals::new(inst.n());
     for i in 0..inst.n() {
         assert_eq!(
@@ -252,38 +256,49 @@ fn forced_sparse_handles_high_spread_inputs() {
     }
 }
 
-/// Forced engine plus dirty-region CELF on top: the four columns of
+/// Forced engine plus dirty-region CELF on top: the five columns of
 /// the degree-pinned sweep.
-const SWEEP_COLUMNS: [(&str, EngineKind, bool); 4] = [
+const SWEEP_COLUMNS: [(&str, EngineKind, bool); 5] = [
     ("scan", EngineKind::Scan, false),
     ("kd", EngineKind::Kd, false),
     ("sparse", EngineKind::Sparse, false),
     ("sparse+dirty", EngineKind::Sparse, true),
+    ("grid", EngineKind::Grid, false),
 ];
 
 /// Runs every column under `seq` and `lazy` on the uniform instance
 /// whose radius holds the expected neighbor count at 48, and checks
-/// per strategy that all columns select the same centers, that sparse
-/// charges no more evaluations than scan, and dirty no more than plain
-/// sparse. Dense scan is skipped above 10⁴ points; from 10⁶ up only
-/// the lazy sparse columns run.
+/// per strategy that all columns select the same centers with the same
+/// reward bits, that sparse charges no more evaluations than scan, and
+/// dirty no more than plain sparse. Dense scan is skipped above 10⁴ points;
+/// from 10⁶ up only the lazy sparse and lazy grid columns run.
 fn check_degree_pinned_sweep(n: usize, k: usize) {
     let inst = uniform_degree_instance_2d(n, k, 48.0, SpaceSpec::PAPER, 0x5EED_BA5E).unwrap();
     for strategy in [OracleStrategy::Seq, OracleStrategy::Lazy] {
         let mut runs = Vec::new();
         for (name, kind, dirty) in SWEEP_COLUMNS {
-            let lazy_sparse = strategy == OracleStrategy::Lazy && kind == EngineKind::Sparse;
-            if (kind == EngineKind::Scan && n > 10_000) || (n >= 1_000_000 && !lazy_sparse) {
+            let lazy_exact = strategy == OracleStrategy::Lazy
+                && matches!(kind, EngineKind::Sparse | EngineKind::Grid);
+            if (kind == EngineKind::Scan && n > 10_000) || (n >= 1_000_000 && !lazy_exact) {
                 continue;
             }
             let oracle = GainOracle::with_engine(&inst, kind, strategy).with_dirty_region(dirty);
-            let (picks, _) = greedy_rounds(&oracle);
-            runs.push((name, picks, oracle.evals()));
+            // Commits through the engine: the CSR row, the grid's query
+            // box, or the dense apply.
+            let mut scratch = SolveScratch::new();
+            let total = solve_rounds(&oracle, &mut scratch);
+            runs.push((name, scratch.picks().to_vec(), oracle.evals(), total));
         }
-        for (name, picks, _) in &runs {
+        for (name, picks, _, total) in &runs {
             assert_eq!(
                 picks, &runs[0].1,
                 "n={n} k={k} {strategy:?}: {name} diverged from {}",
+                runs[0].0
+            );
+            assert_eq!(
+                total.to_bits(),
+                runs[0].3.to_bits(),
+                "n={n} k={k} {strategy:?}: {name} reward differs from {}",
                 runs[0].0
             );
         }

@@ -82,7 +82,7 @@ pub struct Request {
     /// Solver override: `greedy2` (eager) or `lazy` (CELF).
     #[serde(default)]
     pub solver: Option<String>,
-    /// Engine override: `auto|scan|kd|sparse|sparse-f32`.
+    /// Engine override: `auto|scan|kd|sparse|sparse-f32|grid`.
     #[serde(default)]
     pub engine: Option<String>,
     /// Per-request wall-clock deadline in milliseconds.

@@ -79,7 +79,7 @@ pub struct ServiceConfig {
     /// Sparse-engine memory cap handed to the large-n pipelines: a
     /// `solve` whose engine resolves to `auto` and whose CSR estimate
     /// busts this cap escalates to the coreset pipeline instead of
-    /// silently degrading to the kd engine.
+    /// silently solving every point on a CSR-free engine.
     pub sparse_cap_bytes: usize,
     /// Selections longer than this stream back as multiple chunked
     /// frames (see [`Response::into_chunks`]); `0` disables chunking.
@@ -1107,7 +1107,7 @@ mod tests {
     fn auto_engine_past_cap_escalates_to_coreset() {
         // A 1-byte cap makes every CSR estimate bust it: an `auto`
         // request must escalate to the coreset pipeline, not silently
-        // fall back to the kd engine.
+        // fall back to a CSR-free engine.
         let mut svc = Service::new(ServiceConfig {
             sparse_cap_bytes: 1,
             ..ServiceConfig::default()

@@ -788,56 +788,72 @@ mod tests {
 
     #[test]
     fn tcp_per_conn_inflight_cap_sheds_at_the_reader() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = thread::spawn(move || {
-            let mut svc = Service::new(ServiceConfig {
-                per_conn_inflight: 1,
-                retry_after_ms: 13,
-                ..ServiceConfig::default()
-            });
-            serve_tcp(&mut svc, listener, &ShutdownFlag::new()).unwrap()
+        // The test is the dispatcher: it owns the event channel the
+        // reader thread feeds, so the admitted solve holds the
+        // connection's one in-flight slot until the test answers it,
+        // which it does only after the reader has shed all five pings.
+        let mut svc = Service::new(ServiceConfig {
+            per_conn_inflight: 1,
+            retry_after_ms: 13,
+            ..ServiceConfig::default()
         });
+        let (tx, rx) = mpsc::channel();
+        let ctx = ConnCtx {
+            tx,
+            per_conn_inflight: svc.config().per_conn_inflight,
+            retry_after_ms: svc.config().retry_after_ms,
+            write_timeout: None,
+            reader_sheds: Arc::new(AtomicU64::new(0)),
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        let mut conns = HashMap::new();
+        spawn_conn(server_side, 0, &mut conns, &ctx).unwrap();
+        let dispatch = |svc: &mut Service, conns: &mut HashMap<u64, ConnState>| {
+            let Ok(ConnEvent::Line { conn: 0, inc }) = rx.recv() else {
+                panic!("expected an admitted line from connection 0");
+            };
+            svc.record_transport_sheds(ctx.reader_sheds.swap(0, Ordering::Relaxed));
+            let resp = svc.handle_lines(&[inc]).remove(0);
+            route_response(conns, 0, &resp, 0);
+        };
 
-        let stream = TcpStream::connect(addr).unwrap();
         let mut writer = stream.try_clone().unwrap();
-        // One slow solve holds the single in-flight slot; the pings
-        // behind it are shed by the reader without queueing.
-        writer
-            .write_all((Request::solve(0, slow_scenario(7)).to_line() + "\n").as_bytes())
-            .unwrap();
-        for id in 1..=5u64 {
-            writer
-                .write_all((Request::control(id, "ping").to_line() + "\n").as_bytes())
-                .unwrap();
-        }
+        let mut send = |req: &Request| {
+            writer.write_all((req.to_line() + "\n").as_bytes()).unwrap();
+        };
         let mut reader = BufReader::new(stream);
-        let mut shed = 0;
-        let mut solved = 0;
-        for _ in 0..6 {
+        let mut read_resp = || {
             let mut line = String::new();
             reader.read_line(&mut line).unwrap();
-            let resp = Response::parse(&line).unwrap();
-            match resp.op.as_str() {
-                "overloaded" => {
-                    assert_eq!(resp.retry_after_ms, Some(13));
-                    shed += 1;
-                }
-                "solve_ok" => solved += 1,
-                other => panic!("unexpected op {other}"),
-            }
+            Response::parse(&line).unwrap()
+        };
+        send(&Request::solve(0, scenario(7)));
+        for id in 1..=5u64 {
+            send(&Request::control(id, "ping"));
         }
-        assert_eq!(solved, 1);
-        assert_eq!(shed, 5, "every ping behind the cap shed at the reader");
+        for id in 1..=5u64 {
+            let resp = read_resp();
+            assert_eq!(resp.op, "overloaded", "ping {id} was not shed");
+            assert_eq!(resp.in_reply_to, Some(id));
+            assert_eq!(resp.retry_after_ms, Some(13));
+        }
+        dispatch(&mut svc, &mut conns);
+        let solved = read_resp();
+        assert!(solved.is_completed_solve(), "{:?}", solved.error);
+        assert_eq!(solved.in_reply_to, Some(0));
 
-        writer
-            .write_all((Request::control(9, "shutdown").to_line() + "\n").as_bytes())
-            .unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(Response::parse(&line).unwrap().op, "bye");
-        let stats = server.join().unwrap();
-        assert_eq!(stats.shed, 5);
+        send(&Request::control(9, "shutdown"));
+        dispatch(&mut svc, &mut conns);
+        assert_eq!(read_resp().op, "bye");
+        assert!(svc.shutdown_requested());
+        let stats = svc.stats();
+        assert_eq!(
+            stats.shed, 5,
+            "every ping behind the cap shed at the reader"
+        );
+        assert_eq!(stats.solved, 1);
         assert_eq!(stats.received, 7, "reader sheds count as received");
     }
 }
