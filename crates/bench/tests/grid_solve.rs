@@ -5,20 +5,26 @@
 //! `--engine grid`, and prints the engine build, the solve and the
 //! process's peak resident set (`VmHWM`). The reward must equal
 //! `streaming_objective` of the chosen centers within 1e-9 relative.
-//! Nothing here is a floor: the numbers are recorded, not gated.
+//! A high-spread arm solves clustered input on both `grid` and `kd`,
+//! which must agree on the reward within 1e-9 relative, and prints both
+//! times. Nothing here is a floor: the numbers are recorded, not gated.
 //!
-//! Both tests are `#[ignore]`d, and each must run in a process of its
+//! Every test is `#[ignore]`d, and each must run in a process of its
 //! own, since `VmHWM` only ever grows:
 //! `cargo test --release -p mmph-bench --test grid_solve -- --ignored --exact full_grid_exact_solve_at_1e6`
-//! and the same with `full_grid_exact_solve_at_1e7`.
+//! and the same with `full_grid_exact_solve_at_2e6`,
+//! `full_grid_exact_solve_at_1e7` or `full_high_spread_kd_against_grid`.
 
 use std::time::Instant;
 
 use mmph_core::{
-    solve_rounds, streaming_objective, EngineKind, GainOracle, OracleStrategy, RewardEngine,
-    SolveScratch,
+    solve_rounds, streaming_objective, EngineKind, GainOracle, Instance, OracleStrategy,
+    RewardEngine, SolveScratch,
 };
+use mmph_geom::{Norm, Point};
 use mmph_sim::{uniform_degree_instance_2d, SpaceSpec};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// The process's peak resident set in MiB, from `/proc/self/status`.
 fn vm_hwm_mib() -> Option<f64> {
@@ -28,31 +34,53 @@ fn vm_hwm_mib() -> Option<f64> {
     Some(kib / 1024.0)
 }
 
-fn record_grid_solve(n: usize) {
-    let inst = uniform_degree_instance_2d(n, 16, 48.0, SpaceSpec::PAPER, 0x5EED_BA5E).unwrap();
+/// One lazy greedy solve on an explicit engine kind, timed from the
+/// engine build to the picks.
+struct LazyRun {
+    build_ms: f64,
+    solve_ms: f64,
+    evals: u64,
+    reward: f64,
+    centers: Vec<Point<2>>,
+}
+
+fn lazy_solve(inst: &Instance<2>, kind: EngineKind) -> LazyRun {
     let t0 = Instant::now();
-    let engine = RewardEngine::with_kind(&inst, EngineKind::Grid);
-    let build_s = t0.elapsed().as_secs_f64();
+    let engine = RewardEngine::with_kind(inst, kind);
+    let build_ms = t0.elapsed().as_secs_f64() * 1e3;
     let oracle = GainOracle::from_engine(engine, OracleStrategy::Lazy);
     let mut scratch = SolveScratch::new();
     let t1 = Instant::now();
     let reward = solve_rounds(&oracle, &mut scratch);
-    let solve_s = t1.elapsed().as_secs_f64();
-    let centers: Vec<_> = scratch.picks().iter().map(|&i| *inst.point(i)).collect();
-    let exact = streaming_objective(&inst, &centers);
+    let solve_ms = t1.elapsed().as_secs_f64() * 1e3;
+    LazyRun {
+        build_ms,
+        solve_ms,
+        evals: oracle.evals(),
+        reward,
+        centers: scratch.picks().iter().map(|&i| *inst.point(i)).collect(),
+    }
+}
+
+fn record_grid_solve(n: usize) {
+    let inst = uniform_degree_instance_2d(n, 16, 48.0, SpaceSpec::PAPER, 0x5EED_BA5E).unwrap();
+    let run = lazy_solve(&inst, EngineKind::Grid);
+    let exact = streaming_objective(&inst, &run.centers);
     println!(
-        "n={n}: grid build {:.0} ms, lazy solve {:.0} ms, {} evals, reward {reward}, \
+        "n={n}: grid build {:.0} ms, lazy solve {:.0} ms, {} evals, reward {}, \
          VmHWM {:.0} MiB, {} threads",
-        build_s * 1e3,
-        solve_s * 1e3,
-        oracle.evals(),
+        run.build_ms,
+        run.solve_ms,
+        run.evals,
+        run.reward,
         vm_hwm_mib().unwrap_or(f64::NAN),
         rayon::current_num_threads()
     );
-    assert_eq!(centers.len(), 16);
+    assert_eq!(run.centers.len(), 16);
     assert!(
-        (reward - exact).abs() <= 1e-9 * exact,
-        "reward {reward} vs streaming objective {exact}"
+        (run.reward - exact).abs() <= 1e-9 * exact,
+        "reward {} vs streaming objective {exact}",
+        run.reward
     );
 }
 
@@ -63,7 +91,67 @@ fn full_grid_exact_solve_at_1e6() {
 }
 
 #[test]
+#[ignore = "full size: run by hand, one test per process"]
+fn full_grid_exact_solve_at_2e6() {
+    record_grid_solve(2_000_000);
+}
+
+#[test]
 #[ignore = "full size: n=10⁷, tens of seconds and several GiB"]
 fn full_grid_exact_solve_at_1e7() {
     record_grid_solve(10_000_000);
+}
+
+/// n = 10⁶ in 100 clusters: 10⁴ uniform points in a 20r square each,
+/// on a 10×10 lattice with spacing 10⁴·r (r = 1, L2, unit weights,
+/// k = 16). Cells of side r would outnumber the points ~8,000 to 1, so
+/// `auto` enumerates with the kd-tree and the grid engine coarsens its
+/// cells until they fit.
+fn high_spread_instance() -> Instance<2> {
+    const CLUSTER: usize = 10_000;
+    let mut rng = StdRng::seed_from_u64(0x5EED_BA5E);
+    let mut points = Vec::with_capacity(100 * CLUSTER);
+    for cx in 0..10 {
+        for cy in 0..10 {
+            let (x0, y0) = (f64::from(cx) * 1e4, f64::from(cy) * 1e4);
+            for _ in 0..CLUSTER {
+                points.push(Point::new([
+                    x0 + rng.gen_range(0.0..20.0),
+                    y0 + rng.gen_range(0.0..20.0),
+                ]));
+            }
+        }
+    }
+    let weights = vec![1.0; points.len()];
+    Instance::new(points, weights, 1.0, 16, Norm::L2).unwrap()
+}
+
+#[test]
+#[ignore = "full size: n=10⁶ high-spread, over a minute on the grid engine"]
+fn full_high_spread_kd_against_grid() {
+    let inst = high_spread_instance();
+    let kd = lazy_solve(&inst, EngineKind::Kd);
+    let grid = lazy_solve(&inst, EngineKind::Grid);
+    for (name, run) in [("kd", &kd), ("grid", &grid)] {
+        println!(
+            "high spread n={}: {name} build {:.0} ms, lazy solve {:.0} ms, {} evals, reward {}",
+            inst.n(),
+            run.build_ms,
+            run.solve_ms,
+            run.evals,
+            run.reward
+        );
+    }
+    println!(
+        "VmHWM {:.0} MiB, {} threads",
+        vm_hwm_mib().unwrap_or(f64::NAN),
+        rayon::current_num_threads()
+    );
+    assert_eq!(grid.centers.len(), 16);
+    assert!(
+        (kd.reward - grid.reward).abs() <= 1e-9 * grid.reward,
+        "kd {} vs grid {}",
+        kd.reward,
+        grid.reward
+    );
 }

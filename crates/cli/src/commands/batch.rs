@@ -36,8 +36,6 @@ OPTIONS:
   --max-evals N     per-request objective-evaluation budget
   --coreset-cells C solve every request through the coreset pipeline
                     (grid cells per radius; see `mmph solve`)
-  --shards S        solve every request through the shard-then-merge
-                    pipeline with S spatial shards
   --verify          also run the opposite mode and require bit-identical
                     selections and rewards (rejected with --deadline-ms:
                     wall-clock budgets are nondeterministic)
@@ -84,33 +82,12 @@ pub fn service_config_from_flags(flags: &Flags) -> Result<ServiceConfig> {
     })
 }
 
-/// Per-request large-n pipeline selection shared by every request in
-/// the stream: `--coreset-cells` or `--shards`.
-#[derive(Clone, Copy, Default)]
-struct PipelineFlags {
-    coreset_cells: Option<f64>,
-    shards: Option<usize>,
-}
-
-impl PipelineFlags {
-    fn from_flags(flags: &Flags) -> Result<Self> {
-        let coreset_cells = flags.get_opt("coreset-cells")?;
-        let shards = flags.get_opt("shards")?;
-        Pipeline::requested(coreset_cells, shards)
-            .map_err(|e| CliError::Usage(format!("--coreset-cells/--shards: {e}")))?;
-        Ok(PipelineFlags {
-            coreset_cells,
-            shards,
-        })
-    }
-}
-
 /// Runs one scenario stream through a fresh [`Service`] and folds the
 /// responses back into a [`BatchReport`].
 fn run_stream(
     config: ServiceConfig,
     scenarios: &[mmph_sim::Scenario],
-    pipeline: PipelineFlags,
+    coreset_cells: Option<f64>,
 ) -> Result<BatchReport> {
     let warm = config.warm;
     let mut service = Service::new(config);
@@ -119,8 +96,7 @@ fn run_stream(
         .enumerate()
         .map(|(i, sc)| {
             let mut req = Request::solve(i as u64, sc.clone());
-            req.coreset_cells = pipeline.coreset_cells;
-            req.shards = pipeline.shards;
+            req.coreset_cells = coreset_cells;
             req
         })
         .collect();
@@ -153,7 +129,6 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<()> {
             "deadline-ms",
             "max-evals",
             "coreset-cells",
-            "shards",
         ],
         &["cold", "verify", "quiet"],
     )?;
@@ -169,10 +144,14 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<()> {
     }
     let config = service_config_from_flags(&flags)?;
     let warm = config.warm;
-    let pipeline = PipelineFlags::from_flags(&flags)?;
+    // Every request carries the same pipeline knob; check it before
+    // any scenario is generated.
+    let coreset_cells = flags.get_opt("coreset-cells")?;
+    Pipeline::requested(coreset_cells)
+        .map_err(|e| CliError::Usage(format!("--coreset-cells: {e}")))?;
 
     let scenarios = mmph_sim::scenarios_from_arg(&scenarios_arg)?;
-    let report = run_stream(config.clone(), &scenarios, pipeline)?;
+    let report = run_stream(config.clone(), &scenarios, coreset_cells)?;
 
     let verified = if flags.has("verify") {
         let reference = run_stream(
@@ -181,7 +160,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<()> {
                 ..config.clone()
             },
             &scenarios,
-            pipeline,
+            coreset_cells,
         )?;
         verify_reports(&report, &reference).map_err(CliError::Usage)?;
         Some(true)
@@ -324,6 +303,15 @@ mod tests {
     }
 
     #[test]
+    fn shards_flag_is_gone() {
+        let (r, _) = run_capture(&["--scenarios", "n=40", "--shards", "2"]);
+        let Err(CliError::Usage(msg)) = r else {
+            panic!("--shards must be a usage error: {r:?}");
+        };
+        assert!(msg.contains("unknown flag --shards"), "{msg}");
+    }
+
+    #[test]
     fn json_report_is_written() {
         let path = std::env::temp_dir().join(format!("mmph-batch-{}.json", std::process::id()));
         // --threads 1 keeps both repeats on one worker regardless of
@@ -357,22 +345,11 @@ mod tests {
         assert!(r.is_ok(), "{r:?}");
         assert!(out.contains("2 requests"), "{out}");
 
-        let (r, out) = run_capture(&["--scenarios", "n=40,k=3", "--shards", "2", "--quiet"]);
-        assert!(r.is_ok(), "{r:?}");
-        assert!(out.contains("1 requests"), "{out}");
-
-        let (r, _) = run_capture(&[
-            "--scenarios",
-            "n=20",
-            "--coreset-cells",
-            "4",
-            "--shards",
-            "2",
-        ]);
+        let (r, _) = run_capture(&["--scenarios", "n=20", "--coreset-cells", "0"]);
         let Err(CliError::Usage(msg)) = r else {
-            panic!("both pipelines must be rejected: {r:?}");
+            panic!("a zero cell count must be rejected: {r:?}");
         };
-        assert!(msg.contains("mutually exclusive"), "{msg}");
+        assert!(msg.contains("finite and positive"), "{msg}");
     }
 
     #[test]

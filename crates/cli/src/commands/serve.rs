@@ -52,9 +52,11 @@ OPTIONS:
                        chunked frames (0 disables chunking) [4096]
   --help           show this message
 
-Solve requests may carry `coreset_cells` or `shards` to route through
-the large-n pipelines; an `auto`-engine request whose CSR estimate
-busts the sparse cap escalates to the coreset pipeline on its own.";
+Solve requests may carry `coreset_cells` to route through the coreset
+pipeline, and an `auto`-engine request whose CSR estimate busts the
+sparse cap escalates to it on its own. `engine: \"grid\"` solves exactly
+at any n with no CSR. A request carrying the removed `shards` field is
+answered with an error.";
 
 fn summarize(stats: &ServiceStats) -> String {
     format!(

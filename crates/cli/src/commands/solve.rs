@@ -9,9 +9,8 @@ use mmph_core::solvers::{
     LocalSearch, RoundBased, SeededGreedy, SimpleGreedy, StochasticGreedy,
 };
 use mmph_core::{
-    solve_coreset, solve_sharded, CoresetConfig, EngineKind, IncrementalInstance, Instance,
-    OracleStrategy, Pipeline, ResolveConfig, ShardConfig, Solution, SolveScratch, Solver,
-    DEFAULT_SPARSE_CAP_BYTES,
+    solve_coreset, CoresetConfig, EngineKind, IncrementalInstance, Instance, OracleStrategy,
+    Pipeline, ResolveConfig, Solution, SolveScratch, Solver, DEFAULT_SPARSE_CAP_BYTES,
 };
 use mmph_sim::churn::ChurnPlan;
 use mmph_sim::scenario::Scenario;
@@ -43,8 +42,9 @@ OPTIONS:
                  bit-identical, kd matches them to 1e-9, and the opt-in
                  mixed-precision sparse-f32 to a documented bound
   --threads N    size of the rayon pool behind all parallel work: --oracle
-                 par, the sparse CSR build from 10,000 points up, the
-                 --shards sweep and the coreset pass (default: all cores)
+                 par, the sparse CSR build from 10,000 points up, the grid
+                 engine's root sweep and the coreset pass (default: all
+                 cores)
   --svg FILE     write a coverage map of the (first) solution
   --dim D        2 or 3 when using --input (default 2)
   --deadline-ms MS  wall-clock budget per solve; past it the solver
@@ -54,17 +54,13 @@ OPTIONS:
                  a fraction F of the points (e.g. 20x0.01), re-solving
                  incrementally and printing warm-vs-cold timings;
                  requires a sparse engine (auto/sparse/sparse-f32) and
-                 excludes --coreset-cells and --shards
+                 excludes --coreset-cells
   --churn-seed N seed for the churn plan (default: --seed)
   --coreset-cells C  solve through the weighted coreset path: aggregate
                  points on a grid of C cells per radius, solve the
                  reduction, report the realized full-resolution gap.
                  With --engine auto, instances whose CSR would bust the
-                 512 MiB cap escalate to this path automatically
-  --shards S     solve through the shard-then-merge path: S spatial
-                 shards solved independently (in parallel under rayon),
-                 then a final greedy over the union of shard candidates.
-                 Excludes --coreset-cells";
+                 512 MiB cap escalate to this path automatically";
 
 /// The solver registry: names accepted by `--solver`.
 pub const SOLVER_NAMES: [&str; 14] = [
@@ -406,47 +402,6 @@ fn run_coreset(
     Ok(())
 }
 
-/// `--shards`: spatial partition, per-shard greedy, merge greedy.
-fn run_sharded(
-    out: &mut dyn Write,
-    inst: &Instance<2>,
-    shards: usize,
-    engine: EngineKind,
-    strategy: OracleStrategy,
-    budget: SolveBudget,
-) -> Result<()> {
-    let report = solve_sharded(
-        inst,
-        &ShardConfig {
-            shards,
-            engine,
-            strategy,
-            budget,
-            ..ShardConfig::default()
-        },
-    )?;
-    writeln!(
-        out,
-        "sharded solve: n {} over {} shards (sizes {:?}), {} merge candidates",
-        inst.n(),
-        report.shards,
-        report.shard_sizes,
-        report.candidates
-    )?;
-    writeln!(
-        out,
-        "  shard sweep {:.1} ms | merge {:.1} ms | objective {:.6}",
-        report.shard_ms, report.merge_ms, report.objective
-    )?;
-    if let Some(reason) = &report.degraded {
-        writeln!(out, "  DEGRADED: {reason}")?;
-    }
-    for (i, (&idx, c)) in report.selection.iter().zip(&report.centers).enumerate() {
-        writeln!(out, "  center {i}: point {idx} at {c}")?;
-    }
-    Ok(())
-}
-
 /// Runs the subcommand.
 pub fn run(argv: &[String], out: &mut dyn Write) -> Result<()> {
     if argv.iter().any(|a| a == "--help" || a == "-h") {
@@ -474,7 +429,6 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<()> {
             "churn",
             "churn-seed",
             "coreset-cells",
-            "shards",
         ],
         &["all"],
     )?;
@@ -488,13 +442,11 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<()> {
     let engine = parse_engine(flags.get("engine").unwrap_or("auto"))?;
     let budget = parse_budget(&flags)?;
     install_thread_pool(&flags)?;
-    let requested = Pipeline::requested(flags.get_opt("coreset-cells")?, flags.get_opt("shards")?)
-        .map_err(|e| CliError::Usage(format!("--coreset-cells/--shards: {e}")))?;
+    let requested = Pipeline::requested(flags.get_opt("coreset-cells")?)
+        .map_err(|e| CliError::Usage(format!("--coreset-cells: {e}")))?;
     if flags.get("churn").is_some() && requested != Pipeline::Direct {
         return Err(CliError::Usage(
-            "--churn re-solves the full instance; it cannot run through \
-             --coreset-cells or --shards"
-                .into(),
+            "--churn re-solves the full instance; it cannot run through --coreset-cells".into(),
         ));
     }
     let inst = load_or_generate_2d(&flags)?;
@@ -503,23 +455,18 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<()> {
         let spec = spec.to_owned();
         return run_churn(out, inst, engine, &spec, churn_seed);
     }
-    match requested.for_instance(&inst, engine, DEFAULT_SPARSE_CAP_BYTES) {
-        Pipeline::Direct => {}
-        Pipeline::Shard(shards) => {
-            return run_sharded(out, &inst, shards, engine, strategy, budget);
+    let pipeline = requested.for_instance(&inst, engine, DEFAULT_SPARSE_CAP_BYTES);
+    if let Pipeline::Coreset(cells) = pipeline {
+        if requested == Pipeline::Direct {
+            writeln!(
+                out,
+                "n = {} busts the {} MiB sparse cap: escalating to the coreset path \
+                 (pass --engine grid to force an exact direct solve, or --coreset-cells to tune)",
+                inst.n(),
+                DEFAULT_SPARSE_CAP_BYTES >> 20,
+            )?;
         }
-        Pipeline::Coreset(cells) => {
-            if requested == Pipeline::Direct {
-                writeln!(
-                    out,
-                    "n = {} busts the {} MiB sparse cap: escalating to the coreset path \
-                     (pass --engine grid to force an exact direct solve, or --coreset-cells to tune)",
-                    inst.n(),
-                    DEFAULT_SPARSE_CAP_BYTES >> 20,
-                )?;
-            }
-            return run_coreset(out, &inst, cells, engine, strategy, budget);
-        }
+        return run_coreset(out, &inst, cells, engine, strategy, budget);
     }
     let outcomes: Vec<SolveOutcome<2>> = if flags.has("all") {
         SOLVER_NAMES
@@ -569,18 +516,18 @@ mod tests {
     }
 
     #[test]
-    fn shards_flag_reports_merge() {
-        let (r, out) = run_capture(&["--n", "200", "--k", "3", "--shards", "4"]);
-        assert!(r.is_ok(), "{r:?}");
-        assert!(out.contains("sharded solve"), "{out}");
-        assert!(out.contains("merge"), "{out}");
+    fn shards_flag_is_gone() {
+        let (r, out) = run_capture(&["--n", "200", "--k", "3", "--shards", "2"]);
+        let Err(CliError::Usage(msg)) = r else {
+            panic!("--shards must be a usage error: {r:?}");
+        };
+        assert!(msg.contains("unknown flag --shards"), "{msg}");
+        assert!(out.is_empty(), "nothing solved: {out}");
     }
 
     #[test]
     fn bad_pipeline_flags_rejected() {
         let (r, _) = run_capture(&["--n", "50", "--k", "2", "--coreset-cells", "x"]);
-        assert!(r.is_err());
-        let (r, _) = run_capture(&["--n", "50", "--k", "2", "--shards", "0"]);
         assert!(r.is_err());
     }
 
@@ -591,22 +538,16 @@ mod tests {
             "50",
             "--k",
             "2",
-            "--shards",
-            "2",
+            "--churn",
+            "2x0.1",
             "--coreset-cells",
             "3",
         ]);
         let Err(CliError::Usage(msg)) = r else {
-            panic!("shards + coreset must be rejected: {r:?}");
+            panic!("churn + coreset must be rejected: {r:?}");
         };
-        assert!(msg.contains("pick one pipeline"), "{msg}");
+        assert!(msg.contains("--coreset-cells"), "{msg}");
         assert!(out.is_empty(), "nothing solved: {out}");
-        for pipeline in [["--shards", "2"], ["--coreset-cells", "3"]] {
-            let mut argv = vec!["--n", "50", "--k", "2", "--churn", "2x0.1"];
-            argv.extend(pipeline);
-            let (r, _) = run_capture(&argv);
-            assert!(matches!(r, Err(CliError::Usage(_))), "{pipeline:?}: {r:?}");
-        }
     }
 
     #[test]

@@ -39,7 +39,9 @@ use crate::batch::{recycle, solve_rounds_within};
 use crate::budget::{DegradeReason, SolveBudget};
 use crate::instance::Instance;
 use crate::oracle::{GainOracle, OracleStrategy};
-use crate::reward::{min_sparse_bytes, EngineKind, RewardEngine, DEFAULT_SPARSE_CAP_BYTES};
+use crate::reward::{
+    busts_cap, min_sparse_bytes, EngineKind, RewardEngine, DEFAULT_SPARSE_CAP_BYTES,
+};
 use crate::scratch::SolveScratch;
 use crate::{CoreError, Result};
 
@@ -107,7 +109,8 @@ pub struct Coreset<const D: usize> {
 /// # Errors
 ///
 /// [`CoreError::InvalidConfig`] when `cells_per_radius` is not finite
-/// and positive.
+/// and positive, or so fine that a point's cell key leaves the `i64`
+/// range.
 pub fn build_coreset<const D: usize>(
     inst: &Instance<D>,
     cells_per_radius: f64,
@@ -124,17 +127,26 @@ pub fn build_coreset<const D: usize>(
     // Bucket with one sort of (cell key, point index): each occupied
     // cell becomes a run in ascending key order, its points in
     // ascending index, so every cell sums its points in input order.
-    let mut keyed: Vec<([i64; D], u32)> = points
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let key = std::array::from_fn(|d| (p[d] / cell).floor() as i64);
-            (
-                key,
-                u32::try_from(i).expect("coreset input beyond u32 indices"),
-            )
-        })
-        .collect();
+    // A key outside the `i64` range would saturate in the cast and
+    // merge distant cells, so it is an error instead.
+    const KEY_LIMIT: f64 = 9_223_372_036_854_775_808.0; // 2⁶³
+    let mut keyed: Vec<([i64; D], u32)> = Vec::with_capacity(points.len());
+    for (i, p) in points.iter().enumerate() {
+        let mut key = [0i64; D];
+        for d in 0..D {
+            let k = (p[d] / cell).floor();
+            if !(-KEY_LIMIT..KEY_LIMIT).contains(&k) {
+                return Err(CoreError::InvalidConfig(format!(
+                    "coreset cells per radius {cells_per_radius} is too fine for this \
+                     instance: coordinate {} lands in cell {k}, outside the i64 cell keys",
+                    p[d]
+                )));
+            }
+            key[d] = k as i64;
+        }
+        let index = u32::try_from(i).expect("coreset input beyond u32 indices");
+        keyed.push((key, index));
+    }
     sort_in_parts(&mut keyed);
     let mut reps = Vec::new();
     let mut rep_weights = Vec::new();
@@ -335,49 +347,9 @@ pub fn streaming_objective<const D: usize>(inst: &Instance<D>, centers: &[Point<
     partials.iter().sum()
 }
 
-/// How the pipeline should run a solve of this instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScalePlan {
-    /// The instance fits the engine cap: solve directly.
-    Direct,
-    /// The estimated CSR footprint busts the cap (or the `u32` entry
-    /// budget): escalate to the coreset path, whose reduced solve runs
-    /// on the CSR-free grid engine when its own CSR would bust the cap
-    /// too, instead of solving all `n` points without a CSR.
-    Coreset,
-}
-
-/// Decides whether an `Auto`-engine solve should escalate to the
-/// coreset path. Mirrors [`RewardEngine::auto_with_cap_kind`]'s
-/// fallback condition exactly: `Direct` means auto selection will use
-/// the in-cap sparse engine, `Coreset` means it would have fallen back
-/// to a CSR-free backend. Explicit engine kinds never escalate — the
-/// caller asked for that backend by name.
-pub fn plan_scale<const D: usize>(
-    inst: &Instance<D>,
-    kind: EngineKind,
-    cap_bytes: usize,
-) -> ScalePlan {
-    if !matches!(kind, EngineKind::Auto) {
-        return ScalePlan::Direct;
-    }
-    // 20 bytes per f64 CSR entry: u32 neighbor + f64 frac + f64 weight.
-    const PER_ENTRY: usize = 4 + 2 * 8;
-    let busts = |est: usize| est > cap_bytes || est / PER_ENTRY >= u32::MAX as usize;
-    // No estimate reads below the degree-1 floor, so when even that
-    // busts the cap the answer needs no grid build (1.1 s at n = 10⁷).
-    if busts(min_sparse_bytes(inst.n())) {
-        return ScalePlan::Coreset;
-    }
-    match RewardEngine::estimated_sparse_bytes(inst, EngineKind::Sparse) {
-        Some(est) if busts(est) => ScalePlan::Coreset,
-        _ => ScalePlan::Direct,
-    }
-}
-
 /// The solve pipeline a request runs through. The CLI, `mmph batch`
 /// and the service all pick it the same way: [`Pipeline::requested`]
-/// checks the caller's knobs before any instance exists, then
+/// checks the caller's knob before any instance exists, then
 /// [`Pipeline::for_instance`] applies the auto-escalation past the cap.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Pipeline {
@@ -386,52 +358,46 @@ pub enum Pipeline {
     /// Weighted grid coreset at this many cells per radius
     /// ([`solve_coreset`]).
     Coreset(f64),
-    /// Shard-then-merge over this many spatial shards
-    /// ([`crate::solve_sharded`]).
-    Shard(usize),
 }
 
 impl Pipeline {
     /// The pipeline the caller named: `coreset_cells` picks the coreset
-    /// path, `shards` the shard path, neither the direct path. Naming
-    /// both, a non-positive or non-finite cell count, or zero shards is
-    /// an error.
-    pub fn requested(coreset_cells: Option<f64>, shards: Option<usize>) -> Result<Self> {
-        if let Some(c) = coreset_cells.filter(|c| !c.is_finite() || *c <= 0.0) {
-            return Err(CoreError::InvalidConfig(format!(
+    /// path, its absence the direct path. A non-positive or non-finite
+    /// cell count is an error.
+    pub fn requested(coreset_cells: Option<f64>) -> Result<Self> {
+        match coreset_cells {
+            None => Ok(Pipeline::Direct),
+            Some(c) if c.is_finite() && c > 0.0 => Ok(Pipeline::Coreset(c)),
+            Some(c) => Err(CoreError::InvalidConfig(format!(
                 "coreset cells per radius must be finite and positive, got {c}"
-            )));
-        }
-        if shards == Some(0) {
-            return Err(CoreError::InvalidConfig(
-                "a shard pipeline needs at least one shard".into(),
-            ));
-        }
-        match (coreset_cells, shards) {
-            (Some(_), Some(_)) => Err(CoreError::InvalidConfig(
-                "a coreset and a shard pipeline are mutually exclusive; pick one pipeline".into(),
-            )),
-            (Some(cells), None) => Ok(Pipeline::Coreset(cells)),
-            (None, Some(shards)) => Ok(Pipeline::Shard(shards)),
-            (None, None) => Ok(Pipeline::Direct),
+            ))),
         }
     }
 
-    /// The pipeline to run on `inst`. A named pipeline stands; a direct
-    /// solve whose engine resolves through [`plan_scale`] to
-    /// [`ScalePlan::Coreset`] escalates to the coreset path at
-    /// [`DEFAULT_CORESET_CELLS`].
+    /// The pipeline to run on `inst`. A named pipeline stands, and so
+    /// does any explicit engine kind: the caller asked for that backend
+    /// by name. A direct solve on the `auto` engine escalates to the
+    /// coreset path at [`DEFAULT_CORESET_CELLS`] exactly where
+    /// [`RewardEngine::auto_with_cap_kind`] would fall back to a
+    /// CSR-free backend: when the estimated `f64` CSR busts `cap_bytes`.
     pub fn for_instance<const D: usize>(
         self,
         inst: &Instance<D>,
         engine: EngineKind,
         cap_bytes: usize,
     ) -> Self {
-        match self {
-            Pipeline::Direct if plan_scale(inst, engine, cap_bytes) == ScalePlan::Coreset => {
-                Pipeline::Coreset(DEFAULT_CORESET_CELLS)
-            }
-            named => named,
+        if self != Pipeline::Direct || engine != EngineKind::Auto {
+            return self;
+        }
+        let busts = |est| busts_cap::<f64>(est, cap_bytes);
+        // No estimate reads below the degree-1 floor, so when even that
+        // busts the cap the answer needs no grid build (1.1 s at n = 10⁷).
+        if busts(min_sparse_bytes(inst.n()))
+            || RewardEngine::estimated_sparse_bytes(inst, EngineKind::Sparse).is_some_and(busts)
+        {
+            Pipeline::Coreset(DEFAULT_CORESET_CELLS)
+        } else {
+            Pipeline::Direct
         }
     }
 }
@@ -534,50 +500,40 @@ mod tests {
     }
 
     #[test]
-    fn plan_scale_escalates_past_cap() {
-        let inst = grid_instance(10, 3.0, 2);
-        assert_eq!(
-            plan_scale(&inst, EngineKind::Auto, usize::MAX),
-            ScalePlan::Direct
-        );
-        assert_eq!(plan_scale(&inst, EngineKind::Auto, 16), ScalePlan::Coreset);
-        // Explicit kinds never escalate.
-        assert_eq!(plan_scale(&inst, EngineKind::Kd, 16), ScalePlan::Direct);
-        assert_eq!(plan_scale(&inst, EngineKind::Sparse, 16), ScalePlan::Direct);
-    }
-
-    #[test]
     fn pipeline_choice() {
         let inst = grid_instance(10, 3.0, 2);
-        assert_eq!(Pipeline::requested(None, None).unwrap(), Pipeline::Direct);
+        assert_eq!(Pipeline::requested(None).unwrap(), Pipeline::Direct);
         assert_eq!(
-            Pipeline::requested(Some(3.0), None).unwrap(),
+            Pipeline::requested(Some(3.0)).unwrap(),
             Pipeline::Coreset(3.0)
         );
-        assert_eq!(
-            Pipeline::requested(None, Some(2)).unwrap(),
-            Pipeline::Shard(2)
-        );
-        let err = Pipeline::requested(Some(3.0), Some(2)).unwrap_err();
-        assert!(err.to_string().contains("pick one pipeline"), "{err}");
         for cells in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            assert!(Pipeline::requested(Some(cells), None).is_err(), "{cells}");
+            assert!(Pipeline::requested(Some(cells)).is_err(), "{cells}");
         }
-        assert!(Pipeline::requested(None, Some(0)).is_err());
-        // Only an unnamed pipeline on the auto engine escalates.
+        // Only an unnamed pipeline on the auto engine escalates, and
+        // only past the cap.
         let escalate = |p: Pipeline, kind| p.for_instance(&inst, kind, 16);
         assert_eq!(
             escalate(Pipeline::Direct, EngineKind::Auto),
             Pipeline::Coreset(DEFAULT_CORESET_CELLS)
         );
-        assert_eq!(escalate(Pipeline::Direct, EngineKind::Kd), Pipeline::Direct);
+        for kind in [EngineKind::Kd, EngineKind::Sparse, EngineKind::Grid] {
+            assert_eq!(escalate(Pipeline::Direct, kind), Pipeline::Direct, "{kind}");
+        }
         assert_eq!(
-            escalate(Pipeline::Shard(2), EngineKind::Auto),
-            Pipeline::Shard(2)
+            escalate(Pipeline::Coreset(3.0), EngineKind::Auto),
+            Pipeline::Coreset(3.0)
         );
         assert_eq!(
             Pipeline::Direct.for_instance(&inst, EngineKind::Auto, usize::MAX),
             Pipeline::Direct
+        );
+        // A cap the degree-1 floor fits leaves the sampled estimate to
+        // decide.
+        let floor = min_sparse_bytes(inst.n());
+        assert_eq!(
+            Pipeline::Direct.for_instance(&inst, EngineKind::Auto, floor),
+            Pipeline::Coreset(DEFAULT_CORESET_CELLS)
         );
     }
 
@@ -681,5 +637,8 @@ mod tests {
         let inst = grid_instance(4, 1.0, 1);
         assert!(build_coreset(&inst, 0.0).is_err());
         assert!(build_coreset(&inst, f64::NAN).is_err());
+        // Cell keys past 2⁶³ would saturate into one cell.
+        let err = build_coreset(&inst, 1e30).unwrap_err().to_string();
+        assert!(err.contains("1000000000000000000000000000000"), "{err}");
     }
 }

@@ -48,7 +48,6 @@ pub mod kernel;
 pub mod oracle;
 pub mod reward;
 pub mod scratch;
-pub mod shard;
 pub mod solver;
 pub mod solvers;
 pub mod submodular;
@@ -60,8 +59,8 @@ pub use batch::{
 pub use budget::{DegradeReason, SolveBudget, SolveOutcome, SolveStatus};
 pub use cancel::CancelToken;
 pub use coreset::{
-    build_coreset, plan_scale, solve_coreset, streaming_objective, Coreset, CoresetConfig,
-    CoresetReport, Pipeline, ScalePlan, DEFAULT_CORESET_CELLS,
+    build_coreset, solve_coreset, streaming_objective, Coreset, CoresetConfig, CoresetReport,
+    Pipeline, DEFAULT_CORESET_CELLS,
 };
 pub use incremental::{
     IncrementalInstance, ResolveConfig, ResolveOutcome, DEFAULT_CHURN_THRESHOLD,
@@ -74,7 +73,6 @@ pub use reward::{
     DEFAULT_SPARSE_CAP_BYTES, SPARSE_LANES,
 };
 pub use scratch::SolveScratch;
-pub use shard::{solve_sharded, ShardConfig, ShardReport, DEFAULT_SHARDS};
 pub use solver::{Solution, Solver};
 
 /// Runtime failures inside a solver: conditions a malformed-but-validated

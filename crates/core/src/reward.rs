@@ -1157,6 +1157,15 @@ pub(crate) fn min_sparse_bytes(n: usize) -> usize {
     SparseCsr::<f64>::footprint(n, 1.0)
 }
 
+/// Whether an `S`-valued CSR estimated at `est_bytes` busts `cap_bytes`,
+/// or would hold more entries than its `u32` offsets address. This one
+/// test decides both where [`RewardEngine::auto_with_cap_kind`] falls
+/// back to a CSR-free backend and where [`crate::Pipeline::for_instance`]
+/// escalates an `auto` solve to the coreset.
+pub(crate) fn busts_cap<S: LaneScalar>(est_bytes: usize, cap_bytes: usize) -> bool {
+    est_bytes > cap_bytes || est_bytes / SparseCsr::<S>::BYTES_PER_ENTRY >= u32::MAX as usize
+}
+
 /// Smallest instance whose grid-path CSR build is split across the
 /// rayon pool. Smaller builds run as one part on the calling thread, so
 /// small served solves spawn no threads. On a 2-vCPU Xeon a 2-part
@@ -1698,18 +1707,18 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     pub fn auto_with_cap_kind(inst: &'a Instance<D>, cap_bytes: usize, kind: EngineKind) -> Self {
         let enumerator = Enumerator::build(inst.points(), inst.radius());
         let f32_kind = matches!(kind, EngineKind::SparseF32);
-        let (est, per_entry) = if f32_kind {
-            (
+        let busts = if f32_kind {
+            busts_cap::<f32>(
                 SparseCsr::<f32>::estimate_bytes(inst, &enumerator),
-                SparseCsr::<f32>::BYTES_PER_ENTRY,
+                cap_bytes,
             )
         } else {
-            (
+            busts_cap::<f64>(
                 SparseCsr::<f64>::estimate_bytes(inst, &enumerator),
-                SparseCsr::<f64>::BYTES_PER_ENTRY,
+                cap_bytes,
             )
         };
-        if est > cap_bytes || est / per_entry >= u32::MAX as usize {
+        if busts {
             return Self::with_backend(inst, enumerator.into_csr_free(inst));
         }
         if f32_kind {

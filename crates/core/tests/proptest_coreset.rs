@@ -1,18 +1,16 @@
-//! Property-based pinning of the large-n pipelines.
+//! Property-based pinning of the coreset pipeline.
 //!
-//! Three contracts: (1) the weighted coreset's objective stays within
+//! Two contracts: (1) the weighted coreset's objective stays within
 //! its computed `error_bound` of the full-resolution objective for
 //! *any* center set, and collapses to the exact solve when every point
-//! gets its own cell; (2) shard-then-merge is deterministic — the
-//! parallel sweep is bit-identical to the serial sweep for every shard
-//! count; (3) weighted aggregation is exactly multiplicity — a point
-//! with weight `m` contributes what `m` unit-weight copies do. Fixed
-//! instances that bust the engine cap pin escalation and the realized
-//! gap.
+//! gets its own cell; (2) weighted aggregation is exactly multiplicity
+//! — a point with weight `m` contributes what `m` unit-weight copies
+//! do. Fixed instances that bust the engine cap pin escalation and the
+//! realized gap.
 
 use mmph_core::{
-    build_coreset, plan_scale, solve_coreset, solve_sharded, streaming_objective, CoresetConfig,
-    EngineKind, Instance, ScalePlan, ShardConfig, DEFAULT_SPARSE_CAP_BYTES,
+    build_coreset, solve_coreset, streaming_objective, CoresetConfig, EngineKind, Instance,
+    Pipeline, DEFAULT_CORESET_CELLS, DEFAULT_SPARSE_CAP_BYTES,
 };
 use mmph_geom::Point;
 use mmph_sim::{uniform_degree_instance_2d, SpaceSpec};
@@ -88,31 +86,6 @@ proptest! {
         );
     }
 
-    /// Shard-then-merge commits to shard order, not scheduling order:
-    /// the parallel sweep is bit-identical to the serial sweep for
-    /// every shard count.
-    #[test]
-    fn shard_merge_is_bit_identical_serial_vs_parallel(
-        pts in weighted_points(50),
-        k in 1usize..5,
-        shards in 1usize..7,
-    ) {
-        let inst = instance(pts, k, 1.0);
-        let serial = solve_sharded(
-            &inst,
-            &ShardConfig { shards, parallel: false, ..ShardConfig::default() },
-        )
-        .unwrap();
-        let parallel = solve_sharded(
-            &inst,
-            &ShardConfig { shards, parallel: true, ..ShardConfig::default() },
-        )
-        .unwrap();
-        prop_assert_eq!(serial.selection, parallel.selection);
-        prop_assert_eq!(serial.objective.to_bits(), parallel.objective.to_bits());
-        prop_assert_eq!(serial.candidates, parallel.candidates);
-    }
-
     /// Weighted aggregation is multiplicity: a point carrying weight
     /// `m` contributes exactly what `m` unit-weight copies of it do,
     /// for any center set. This is the identity the coreset's
@@ -144,14 +117,15 @@ proptest! {
 }
 
 /// A uniform instance at expected degree 48 whose estimated CSR busts
-/// `cap_bytes` must make `plan_scale` escalate. Solved at 3 cells per
-/// radius with no budget, the coreset run must complete and its
-/// realized gap must stay within 5%.
+/// `cap_bytes` must make an `auto` direct solve escalate through
+/// `Pipeline::for_instance`. Solved at 3 cells per radius with no
+/// budget, the coreset run must complete and its realized gap must
+/// stay within 5%.
 fn check_capped_escalation(n: usize, cap_bytes: usize) {
     let inst = uniform_degree_instance_2d(n, 16, 48.0, SpaceSpec::PAPER, 0x5EED_BA5E).unwrap();
     assert_eq!(
-        plan_scale(&inst, EngineKind::Auto, cap_bytes),
-        ScalePlan::Coreset
+        Pipeline::Direct.for_instance(&inst, EngineKind::Auto, cap_bytes),
+        Pipeline::Coreset(DEFAULT_CORESET_CELLS)
     );
     let cfg = CoresetConfig {
         cells_per_radius: 3.0,

@@ -95,12 +95,14 @@ pub struct Request {
     /// incremental instance.
     #[serde(default)]
     pub deltas: Option<Vec<mmph_core::Delta<2>>>,
-    /// Force the coreset pipeline with this grid resolution
-    /// (cells per radius). Mutually exclusive with `shards`.
+    /// Force the coreset pipeline with this grid resolution (cells per
+    /// radius): finite, positive, and coarse enough that every cell key
+    /// fits an `i64`.
     #[serde(default)]
     pub coreset_cells: Option<f64>,
-    /// Force the shard-then-merge pipeline with this many spatial
-    /// shards. Mutually exclusive with `coreset_cells`.
+    /// The field of the removed shard pipeline. It stays only so that a
+    /// `solve` carrying it is refused with an `error` before its
+    /// instance is generated, instead of being read as a direct solve.
     #[serde(default)]
     pub shards: Option<usize>,
 }
@@ -317,8 +319,8 @@ pub struct Response {
     /// (`mutate_ok` / `resolve_ok`): bumps once per applied delta.
     #[serde(default)]
     pub churn_version: Option<u64>,
-    /// Which large-n pipeline produced this solve: `coreset` or
-    /// `shard`; absent for direct solves.
+    /// Which large-n pipeline produced this solve: `coreset`, the only
+    /// one; absent for direct solves.
     #[serde(default)]
     pub pipeline: Option<String>,
     /// Number of coreset representatives the reduced solve ran on

@@ -30,9 +30,9 @@
 use std::time::{Duration, Instant};
 
 use mmph_core::{
-    solve_coreset, solve_sharded, BatchReport, BatchResult, BatchRunner, CancelToken,
-    CoresetConfig, EngineKind, IncrementalInstance, Instance, OracleStrategy, Pipeline,
-    ResolveConfig, ShardConfig, SolveBudget, SolveScratch, SolveStatus, DEFAULT_SPARSE_CAP_BYTES,
+    solve_coreset, BatchReport, BatchResult, BatchRunner, CancelToken, CoresetConfig, EngineKind,
+    IncrementalInstance, Instance, OracleStrategy, Pipeline, ResolveConfig, SolveBudget,
+    SolveScratch, SolveStatus, DEFAULT_SPARSE_CAP_BYTES,
 };
 use mmph_sim::{parse_spec, validate_scenario, Scenario};
 
@@ -403,7 +403,14 @@ impl Service {
             Some(name) => EngineKind::parse(name).map_err(ServeError::Protocol)?,
             None => self.config.engine,
         };
-        let requested = Pipeline::requested(req.coreset_cells, req.shards)?;
+        if req.shards.is_some() {
+            return Err(ServeError::Protocol(
+                "the shard pipeline is gone: drop `shards`, and send `engine: \"grid\"` for an \
+                 exact solve at any n or `coreset_cells` for the coreset pipeline"
+                    .into(),
+            ));
+        }
+        let requested = Pipeline::requested(req.coreset_cells)?;
         let instance = self.instance_for(&scenario)?;
         let queue_delay = received.elapsed();
         if cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
@@ -441,14 +448,14 @@ impl Service {
         if let Some(token) = cancel {
             budget = budget.with_cancel(token);
         }
-        // Explicit pipeline request, or an `auto` engine whose CSR
-        // estimate busts the sparse cap: answer through the large-n
+        // Explicit coreset request, or an `auto` engine whose CSR
+        // estimate busts the sparse cap: answer through the coreset
         // pipeline instead of the direct batch path.
         let pipeline = requested.for_instance(&instance, engine, self.config.sparse_cap_bytes);
-        if pipeline != Pipeline::Direct {
-            let resp = self.pipeline_response(
+        if let Pipeline::Coreset(cells_per_radius) = pipeline {
+            let resp = self.coreset_response(
                 req.id,
-                pipeline,
+                cells_per_radius,
                 &instance,
                 budget,
                 strategy,
@@ -468,17 +475,16 @@ impl Service {
         })))
     }
 
-    /// Runs one solve through a large-n pipeline — coreset reduction
-    /// or shard-then-merge — and maps the report onto the solve wire
-    /// shape with the pipeline extras (`pipeline`, `coreset_n`, `gap`, `centers`)
-    /// filled in. Pipelines run inline on the dispatch thread: they
-    /// parallelize internally, so fanning them out per-request would
-    /// only oversubscribe the pool.
+    /// Runs one solve through the coreset pipeline and maps the report
+    /// onto the solve wire shape with the pipeline extras (`pipeline`,
+    /// `coreset_n`, `gap`, `centers`) filled in. The pipeline runs
+    /// inline on the dispatch thread: it parallelizes internally, so
+    /// fanning it out per-request would only oversubscribe the pool.
     #[allow(clippy::too_many_arguments)]
-    fn pipeline_response(
+    fn coreset_response(
         &self,
         id: u64,
-        pipeline: Pipeline,
+        cells_per_radius: f64,
         instance: &Instance<2>,
         budget: SolveBudget,
         strategy: OracleStrategy,
@@ -491,43 +497,22 @@ impl Service {
         resp.n = Some(instance.n());
         resp.k = Some(instance.k());
         resp.engine_reused = Some(false);
-        let degraded = if let Pipeline::Shard(shards) = pipeline {
-            let cfg = ShardConfig {
-                shards,
-                engine,
-                strategy,
-                budget,
-                cap_bytes: self.config.sparse_cap_bytes,
-                parallel: true,
-            };
-            let report = solve_sharded(instance, &cfg)?;
-            resp.pipeline = Some("shard".into());
-            resp.reward = Some(report.objective);
-            resp.selection = Some(report.selection);
-            resp.centers = Some(report.centers.iter().map(|p| p.0).collect());
-            report.degraded
-        } else {
-            let Pipeline::Coreset(cells_per_radius) = pipeline else {
-                unreachable!("direct solves take the batch path")
-            };
-            let cfg = CoresetConfig {
-                cells_per_radius,
-                engine,
-                strategy,
-                budget,
-                cap_bytes: self.config.sparse_cap_bytes,
-            };
-            let report = solve_coreset(instance, &cfg)?;
-            resp.pipeline = Some("coreset".into());
-            resp.coreset_n = Some(report.coreset_n as u64);
-            resp.gap = Some(report.gap);
-            resp.evals = Some(report.evals);
-            resp.reward = Some(report.full_objective);
-            resp.selection = Some(report.selection);
-            resp.centers = Some(report.centers.iter().map(|p| p.0).collect());
-            report.degraded
+        let cfg = CoresetConfig {
+            cells_per_radius,
+            engine,
+            strategy,
+            budget,
+            cap_bytes: self.config.sparse_cap_bytes,
         };
-        match degraded {
+        let report = solve_coreset(instance, &cfg)?;
+        resp.pipeline = Some("coreset".into());
+        resp.coreset_n = Some(report.coreset_n as u64);
+        resp.gap = Some(report.gap);
+        resp.evals = Some(report.evals);
+        resp.reward = Some(report.full_objective);
+        resp.selection = Some(report.selection);
+        resp.centers = Some(report.centers.iter().map(|p| p.0).collect());
+        match report.degraded {
             Some(reason) => {
                 resp.status = Some("degraded".into());
                 resp.degrade_reason = Some(reason.to_string());
@@ -1075,32 +1060,46 @@ mod tests {
     }
 
     #[test]
-    fn shard_request_reports_pipeline_fields() {
+    fn shard_request_is_refused() {
         let mut svc = Service::new(ServiceConfig::default());
         let mut req = Request::solve(2, scenario(31));
         req.shards = Some(3);
         let out = svc.handle_lines(&lines(&[req]));
-        assert!(out[0].is_completed_solve(), "{:?}", out[0].error);
-        assert_eq!(out[0].pipeline.as_deref(), Some("shard"));
-        assert_eq!(out[0].selection.as_ref().unwrap().len(), 3);
-        assert_eq!(out[0].centers.as_ref().unwrap().len(), 3);
-        assert!(out[0].reward.unwrap() > 0.0);
+        assert_eq!(out[0].op, "error");
+        assert_eq!(out[0].in_reply_to, Some(2));
+        let msg = out[0].error.as_deref().unwrap();
+        assert!(
+            msg.contains("engine: \"grid\"") && msg.contains("coreset_cells"),
+            "{msg}"
+        );
+        assert!(svc.cache.is_empty(), "refused before generating points");
     }
 
     #[test]
-    fn both_pipeline_knobs_rejected() {
+    fn zero_coreset_cells_rejected() {
         let mut svc = Service::new(ServiceConfig::default());
         let mut req = Request::solve(3, scenario(32));
-        req.coreset_cells = Some(4.0);
-        req.shards = Some(2);
+        req.coreset_cells = Some(0.0);
         let out = svc.handle_lines(&lines(&[req]));
         assert_eq!(out[0].op, "error");
         assert!(out[0]
             .error
             .as_deref()
             .unwrap()
-            .contains("pick one pipeline"));
+            .contains("finite and positive"));
         assert!(svc.cache.is_empty(), "rejected before generating points");
+    }
+
+    #[test]
+    fn coreset_cells_too_fine_for_the_keys_is_an_error() {
+        // Finite and positive, but 1e30 cells per radius puts the cell
+        // keys past 2⁶³, where they used to saturate into one cell.
+        let mut svc = Service::new(ServiceConfig::default());
+        let mut req = Request::solve(6, scenario(34));
+        req.coreset_cells = Some(1e30);
+        let out = svc.handle_lines(&lines(&[req]));
+        assert_eq!(out[0].op, "error", "{:?}", out[0]);
+        assert!(out[0].error.as_deref().unwrap().contains("too fine"));
     }
 
     #[test]

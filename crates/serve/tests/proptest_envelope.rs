@@ -64,7 +64,7 @@ fn request() -> impl Strategy<Value = Request> {
         (opt(solver), opt(engine)),
         (opt(0u64..10_000), opt(0u64..1_000_000)),
         opt(prop::collection::vec(delta(), 0..6)),
-        (opt(0.5..64.0f64), opt(1usize..64)),
+        opt(0.5..64.0f64),
     )
         .prop_map(
             |(
@@ -73,7 +73,7 @@ fn request() -> impl Strategy<Value = Request> {
                 (solver, engine),
                 (deadline_ms, max_evals),
                 deltas,
-                (coreset_cells, shards),
+                coreset_cells,
             )| Request {
                 v: PROTOCOL_VERSION,
                 id,
@@ -86,7 +86,7 @@ fn request() -> impl Strategy<Value = Request> {
                 max_evals,
                 deltas,
                 coreset_cells,
-                shards,
+                shards: None,
             },
         )
 }
