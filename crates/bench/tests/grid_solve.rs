@@ -5,6 +5,10 @@
 //! `--engine grid`, and prints the engine build, the solve and the
 //! process's peak resident set (`VmHWM`). The reward must equal
 //! `streaming_objective` of the chosen centers within 1e-9 relative.
+//! The coreset arm runs `solve_coreset` at its defaults on the n=10⁷
+//! instance and prints its build, solve and full-resolution pass, the
+//! representative count, the gap and the full objective, so the exact
+//! and the coreset solve of one instance can be set side by side.
 //! A high-spread arm solves clustered input on both `grid` and `kd`,
 //! which must agree on the reward within 1e-9 relative, and prints both
 //! times. Nothing here is a floor: the numbers are recorded, not gated.
@@ -13,13 +17,14 @@
 //! own, since `VmHWM` only ever grows:
 //! `cargo test --release -p mmph-bench --test grid_solve -- --ignored --exact full_grid_exact_solve_at_1e6`
 //! and the same with `full_grid_exact_solve_at_2e6`,
-//! `full_grid_exact_solve_at_1e7` or `full_high_spread_kd_against_grid`.
+//! `full_grid_exact_solve_at_1e7`, `full_coreset_solve_at_1e7` or
+//! `full_high_spread_kd_against_grid`.
 
 use std::time::Instant;
 
 use mmph_core::{
-    solve_rounds, streaming_objective, EngineKind, GainOracle, Instance, OracleStrategy,
-    RewardEngine, SolveScratch,
+    solve_coreset, solve_rounds, streaming_objective, CoresetConfig, EngineKind, GainOracle,
+    Instance, OracleStrategy, RewardEngine, SolveScratch,
 };
 use mmph_geom::{Norm, Point};
 use mmph_sim::{uniform_degree_instance_2d, SpaceSpec};
@@ -62,8 +67,13 @@ fn lazy_solve(inst: &Instance<2>, kind: EngineKind) -> LazyRun {
     }
 }
 
+/// The uniform degree-48, k=16 instance every uniform arm solves.
+fn uniform_instance(n: usize) -> Instance<2> {
+    uniform_degree_instance_2d(n, 16, 48.0, SpaceSpec::PAPER, 0x5EED_BA5E).unwrap()
+}
+
 fn record_grid_solve(n: usize) {
-    let inst = uniform_degree_instance_2d(n, 16, 48.0, SpaceSpec::PAPER, 0x5EED_BA5E).unwrap();
+    let inst = uniform_instance(n);
     let run = lazy_solve(&inst, EngineKind::Grid);
     let exact = streaming_objective(&inst, &run.centers);
     println!(
@@ -100,6 +110,32 @@ fn full_grid_exact_solve_at_2e6() {
 #[ignore = "full size: n=10⁷, tens of seconds and several GiB"]
 fn full_grid_exact_solve_at_1e7() {
     record_grid_solve(10_000_000);
+}
+
+/// The coreset pipeline at its defaults (4 cells per radius, `auto`
+/// engine, lazy oracle) on the instance of `full_grid_exact_solve_at_1e7`.
+#[test]
+#[ignore = "full size: n=10⁷, several seconds and about a GiB"]
+fn full_coreset_solve_at_1e7() {
+    let inst = uniform_instance(10_000_000);
+    let report = solve_coreset(&inst, &CoresetConfig::default()).unwrap();
+    println!(
+        "n={}: coreset build {:.0} ms, solve {:.0} ms, eval {:.0} ms, coreset_n {}, \
+         gap {:.4}%, full objective {}, engine {}, VmHWM {:.0} MiB, {} threads",
+        inst.n(),
+        report.build_ms,
+        report.solve_ms,
+        report.eval_ms,
+        report.coreset_n,
+        report.gap * 100.0,
+        report.full_objective,
+        report.engine,
+        vm_hwm_mib().unwrap_or(f64::NAN),
+        rayon::current_num_threads()
+    );
+    assert_eq!(report.selection.len(), 16);
+    assert!(report.degraded.is_none());
+    assert!(report.gap <= 0.05, "gap {} past 5%", report.gap);
 }
 
 /// n = 10⁶ in 100 clusters: 10⁴ uniform points in a 20r square each,

@@ -29,7 +29,9 @@ OPTIONS:
                     n=10000,k=16,count=4,repeat=8,seed=0,norm=l2,weights=diff
   --solver NAME     greedy2 (sequential argmax) or lazy (CELF) [lazy]
   --oracle NAME     seq|par|lazy — overrides the solver's strategy
-  --engine NAME     auto|scan|kd|sparse|sparse-f32|grid [sparse]
+  --engine NAME     auto|scan|kd|sparse|sparse-f32|grid [sparse]; grid
+                    coarsens its cells on high-spread input and is far
+                    slower than kd there, where auto uses kd
   --threads N       worker threads (default: all cores)
   --cold            disable scratch/engine reuse (per-request baseline)
   --deadline-ms N   per-request wall-clock budget (degrades, never hangs)

@@ -55,8 +55,10 @@ OPTIONS:
 Solve requests may carry `coreset_cells` to route through the coreset
 pipeline, and an `auto`-engine request whose CSR estimate busts the
 sparse cap escalates to it on its own. `engine: \"grid\"` solves exactly
-at any n with no CSR. A request carrying the removed `shards` field is
-answered with an error.";
+at any n with no CSR, but on high-spread input it coarsens its cells and
+runs far slower than kd (77 s against 4.1 s at n=10^6 in 100 far-apart
+clusters, 2 vCPUs); `auto` enumerates with kd there. A request carrying
+the removed `shards` field is answered with an error.";
 
 fn summarize(stats: &ServiceStats) -> String {
     format!(

@@ -16,7 +16,13 @@
 //! ([`EngineKind::Grid`]): O(n) memory, one parallel cell sweep for the
 //! root gains, and every gain and commit bit-identical to the dense
 //! scan. Bucketing is one sort of `(cell key, point index)` and a
-//! run-length pass, so each cell sums its points in input order.
+//! run-length pass, so each cell sums its points in input order. Where
+//! the keys' offsets and the index fit 64 bits together (2×12 + 24 bits
+//! at n = 10⁷) they are packed into one `u64` and sorted as integers.
+//! The key pass, the sort and the run-length pass run in parallel
+//! parts; the run-length pass writes every point's displacement at its
+//! index, and the displacement sums then run serially in input order,
+//! so every output is bit-identical for any thread count.
 //!
 //! Why this is sound: moving a point by `disp ≤ cell·√D/2` changes its
 //! kernel fraction against any center by at most `disp / r`, so for a
@@ -30,6 +36,7 @@
 //! full-resolution point set in a streaming pass and reports the
 //! realized gap.
 
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
 use mmph_geom::Point;
@@ -40,7 +47,8 @@ use crate::budget::{DegradeReason, SolveBudget};
 use crate::instance::Instance;
 use crate::oracle::{GainOracle, OracleStrategy};
 use crate::reward::{
-    busts_cap, min_sparse_bytes, EngineKind, RewardEngine, DEFAULT_SPARSE_CAP_BYTES,
+    busts_cap, map_parts, min_sparse_bytes, split_by_lens, EngineKind, RewardEngine,
+    DEFAULT_SPARSE_CAP_BYTES,
 };
 use crate::scratch::SolveScratch;
 use crate::{CoreError, Result};
@@ -102,6 +110,12 @@ pub struct Coreset<const D: usize> {
     pub error_bound: f64,
 }
 
+/// Point count from which [`build_coreset`] splits its passes across the
+/// rayon pool; below it the build runs as one part on the calling
+/// thread. The value is the one the sort alone used before the other
+/// passes went parallel, carried over rather than measured for them.
+const PARALLEL_MIN_POINTS: usize = 1 << 16;
+
 /// Builds the grid-cell coreset of `inst` with cell side
 /// `r / cells_per_radius`. Representatives are emitted in sorted cell
 /// order, so the construction is deterministic.
@@ -115,6 +129,22 @@ pub fn build_coreset<const D: usize>(
     inst: &Instance<D>,
     cells_per_radius: f64,
 ) -> Result<Coreset<D>> {
+    let parts = if inst.n() >= PARALLEL_MIN_POINTS {
+        rayon::current_num_threads()
+    } else {
+        1
+    };
+    build_coreset_in_parts(inst, cells_per_radius, parts)
+}
+
+/// [`build_coreset`] with its key, sort and run-length passes split into
+/// `parts` pieces (on the rayon pool when `parts > 1`). Every output is
+/// bit-identical for any part count.
+fn build_coreset_in_parts<const D: usize>(
+    inst: &Instance<D>,
+    cells_per_radius: f64,
+    parts: usize,
+) -> Result<Coreset<D>> {
     if !cells_per_radius.is_finite() || cells_per_radius <= 0.0 {
         return Err(CoreError::InvalidConfig(format!(
             "coreset cells per radius must be finite and positive, got {cells_per_radius}"
@@ -122,71 +152,198 @@ pub fn build_coreset<const D: usize>(
     }
     let cell = inst.radius() / cells_per_radius;
     let points = inst.points();
-    let weights = inst.weights();
+    let n = points.len();
+    u32::try_from(n - 1).expect("coreset input beyond u32 indices");
+    let chunk = n.div_ceil(parts.max(1));
+    let key = |x: f64| (x / cell).floor();
+
+    // Key pass: each dimension's key range, or the first coordinate
+    // whose key leaves the `i64` range. A key out there would saturate
+    // in the cast and merge distant cells, so it is an error instead.
+    const KEY_LIMIT: f64 = 9_223_372_036_854_775_808.0; // 2⁶³
+    let ranges = map_parts(points.chunks(chunk).collect(), |pts| {
+        let (mut lo, mut hi) = ([i64::MAX; D], [i64::MIN; D]);
+        for p in pts {
+            for d in 0..D {
+                let k = key(p[d]);
+                if !(-KEY_LIMIT..KEY_LIMIT).contains(&k) {
+                    return Err((p[d], k));
+                }
+                lo[d] = lo[d].min(k as i64);
+                hi[d] = hi[d].max(k as i64);
+            }
+        }
+        Ok((lo, hi))
+    });
+    let (mut lo, mut hi) = ([i64::MAX; D], [i64::MIN; D]);
+    for range in ranges {
+        // Parts are in input order, so the first error is the lowest
+        // index's.
+        let (plo, phi) = range.map_err(|(x, k)| {
+            CoreError::InvalidConfig(format!(
+                "coreset cells per radius {cells_per_radius} is too fine for this \
+                 instance: coordinate {x} lands in cell {k}, outside the i64 cell keys"
+            ))
+        })?;
+        for d in 0..D {
+            lo[d] = lo[d].min(plo[d]);
+            hi[d] = hi[d].max(phi[d]);
+        }
+    }
 
     // Bucket with one sort of (cell key, point index): each occupied
     // cell becomes a run in ascending key order, its points in
     // ascending index, so every cell sums its points in input order.
-    // A key outside the `i64` range would saturate in the cast and
-    // merge distant cells, so it is an error instead.
-    const KEY_LIMIT: f64 = 9_223_372_036_854_775_808.0; // 2⁶³
-    let mut keyed: Vec<([i64; D], u32)> = Vec::with_capacity(points.len());
-    for (i, p) in points.iter().enumerate() {
-        let mut key = [0i64; D];
-        for d in 0..D {
-            let k = (p[d] / cell).floor();
-            if !(-KEY_LIMIT..KEY_LIMIT).contains(&k) {
-                return Err(CoreError::InvalidConfig(format!(
-                    "coreset cells per radius {cells_per_radius} is too fine for this \
-                     instance: coordinate {} lands in cell {k}, outside the i64 cell keys",
-                    p[d]
-                )));
+    // When every key's offset from its dimension's least key and the
+    // index fit one `u64` together (2×12 + 24 bits at n = 10⁷ and 4
+    // cells per radius), the pair is packed into it, high dimensions
+    // first, and the packed order is the pair's lexicographic order.
+    let (reps, rep_weights, disp) = if let Some((shifts, index_bits)) = packed_layout(&lo, &hi, n) {
+        let mut packed = vec![0u64; n];
+        let tasks = packed
+            .chunks_mut(chunk)
+            .zip(points.chunks(chunk))
+            .enumerate();
+        map_parts(tasks.collect(), |(c, (out, pts))| {
+            for ((slot, p), i) in out.iter_mut().zip(pts).zip(c * chunk..) {
+                // A dimension of zero bits has offset 0 at every point,
+                // so its shift (possibly 64, taken mod 64) adds nothing.
+                *slot = (0..D).fold(i as u64, |x, d| {
+                    x | ((key(p[d]) as i64).wrapping_sub(lo[d]) as u64).wrapping_shl(shifts[d])
+                });
             }
-            key[d] = k as i64;
-        }
-        let index = u32::try_from(i).expect("coreset input beyond u32 indices");
-        keyed.push((key, index));
-    }
-    sort_in_parts(&mut keyed);
-    let mut reps = Vec::new();
-    let mut rep_weights = Vec::new();
-    let mut rep_of = vec![0u32; points.len()];
-    for run in keyed.chunk_by(|a, b| a.0 == b.0) {
-        let (mut weight, mut sum) = (0.0, [0.0; D]);
-        for &(_, i) in run {
-            let (p, w) = (&points[i as usize], weights[i as usize]);
-            weight += w;
-            for d in 0..D {
-                sum[d] += w * p[d];
+        });
+        sort_in_parts(&mut packed, parts);
+        let mask = (1u64 << index_bits) - 1;
+        reduce_runs(
+            inst,
+            &packed,
+            |a, b| (a ^ b) & !mask == 0,
+            |x| (x & mask) as usize,
+            parts,
+        )
+    } else {
+        let mut keyed = vec![([0i64; D], 0u32); n];
+        let tasks = keyed
+            .chunks_mut(chunk)
+            .zip(points.chunks(chunk))
+            .enumerate();
+        map_parts(tasks.collect(), |(c, (out, pts))| {
+            for ((slot, p), i) in out.iter_mut().zip(pts).zip(c * chunk..) {
+                *slot = (std::array::from_fn(|d| key(p[d]) as i64), i as u32);
             }
-            rep_of[i as usize] = reps.len() as u32;
-        }
-        reps.push(Point(std::array::from_fn(|d| sum[d] / weight)));
-        rep_weights.push(weight);
-    }
-    drop(keyed);
+        });
+        sort_in_parts(&mut keyed, parts);
+        reduce_runs(inst, &keyed, |a, b| a.0 == b.0, |x| x.1 as usize, parts)
+    };
 
-    // Second pass: realized displacement of every point to its cell's
-    // representative, which the a-priori gap bound is built from.
-    let norm = inst.norm();
+    // The realized displacements, summed in input order, are what the
+    // a-priori gap bound is built from.
     let r = inst.radius();
     let kf = inst.k() as f64;
     let mut weighted_displacement = 0.0;
     let mut error_bound = 0.0;
-    for ((p, &w), &rep) in points.iter().zip(weights).zip(&rep_of) {
-        let disp = norm.dist(p, &reps[rep as usize]);
+    for (&w, disp) in inst.weights().iter().zip(&disp) {
+        let disp = f64::from_bits(disp.load(Relaxed));
         weighted_displacement += w * disp;
         error_bound += w * (kf * disp / r).min(1.0);
     }
+    drop(disp);
 
     let instance =
-        Instance::new(reps, rep_weights, r, inst.k(), norm)?.with_kernel(inst.kernel())?;
+        Instance::new(reps, rep_weights, r, inst.k(), inst.norm())?.into_kernel(inst.kernel())?;
     Ok(Coreset {
         instance,
         cell,
         weighted_displacement,
         error_bound,
     })
+}
+
+/// The layout of a packed (cell key, point index) `u64` for `n` points
+/// whose keys span `lo..=hi` per dimension: each dimension's offset
+/// from `lo` shifted past the index and every later dimension, and the
+/// index in the lowest `index_bits` bits, as `(shifts, index_bits)`.
+/// `None` when the fields need more than 64 bits together.
+fn packed_layout<const D: usize>(
+    lo: &[i64; D],
+    hi: &[i64; D],
+    n: usize,
+) -> Option<([u32; D], u32)> {
+    let bits = |span: u64| u64::BITS - span.leading_zeros();
+    let key_bits: [u32; D] = std::array::from_fn(|d| bits(hi[d].wrapping_sub(lo[d]) as u64));
+    let index_bits = bits((n - 1) as u64);
+    if key_bits.iter().sum::<u32>() + index_bits > u64::BITS {
+        return None;
+    }
+    let mut shifts = [index_bits; D];
+    for d in (0..D.saturating_sub(1)).rev() {
+        shifts[d] = shifts[d + 1] + key_bits[d + 1];
+    }
+    Some((shifts, index_bits))
+}
+
+/// The run-length pass over keys sorted by (cell, point index), where
+/// `same_cell` tells whether two keys share a cell and `index` reads a
+/// key's point index. Every run becomes one representative, the
+/// weighted centroid of its points summed in ascending index, carrying
+/// their summed weight; every point's distance to its representative is
+/// stored at its index (as `f64` bits). The keys are cut into `parts`
+/// pieces at run starts, and each piece writes its representatives into
+/// its own slice of the output, so they come out in key order for any
+/// part count.
+fn reduce_runs<const D: usize, K: Sync>(
+    inst: &Instance<D>,
+    sorted: &[K],
+    same_cell: impl Fn(&K, &K) -> bool + Sync,
+    index: impl Fn(&K) -> usize + Sync,
+    parts: usize,
+) -> (Vec<Point<D>>, Vec<f64>, Vec<AtomicU64>) {
+    let n = sorted.len();
+    let mut cuts = vec![0];
+    for p in 1..parts.max(1) {
+        let mut cut = (n * p / parts).max(cuts[p - 1]);
+        while cut > 0 && cut < n && same_cell(&sorted[cut - 1], &sorted[cut]) {
+            cut += 1;
+        }
+        cuts.push(cut);
+    }
+    cuts.push(n);
+    let pieces: Vec<&[K]> = cuts.windows(2).map(|w| &sorted[w[0]..w[1]]).collect();
+    let runs = |piece: &[K]| piece.chunk_by(|a, b| same_cell(a, b)).count();
+    let counts = map_parts(pieces.clone(), runs);
+
+    let total = counts.iter().sum();
+    let mut reps = vec![Point([0.0; D]); total];
+    let mut rep_weights = vec![0.0; total];
+    let disp: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+    let (points, weights, norm) = (inst.points(), inst.weights(), inst.norm());
+    let tasks = pieces
+        .into_iter()
+        .zip(split_by_lens(&mut reps, counts.iter().copied()))
+        .zip(split_by_lens(&mut rep_weights, counts.iter().copied()));
+    map_parts(tasks.collect(), |((piece, reps), rep_weights)| {
+        let runs = piece.chunk_by(|a, b| same_cell(a, b));
+        for ((run, rep), rep_weight) in runs.zip(reps).zip(rep_weights) {
+            let (mut weight, mut sum) = (0.0, [0.0; D]);
+            for i in run.iter().map(&index) {
+                let (p, w) = (&points[i], weights[i]);
+                weight += w;
+                for d in 0..D {
+                    sum[d] += w * p[d];
+                }
+            }
+            *rep = Point(std::array::from_fn(|d| sum[d] / weight));
+            *rep_weight = weight;
+            // Every index lies in exactly one run. `Relaxed` suffices:
+            // the values are read only after `map_parts` returns, and
+            // its join orders every store before that.
+            for i in run.iter().map(&index) {
+                disp[i].store(norm.dist(&points[i], rep).to_bits(), Relaxed);
+            }
+        }
+    });
+    (reps, rep_weights, disp)
 }
 
 /// Report of one coreset-path solve: the reduced problem's size, the
@@ -292,19 +449,18 @@ pub fn solve_coreset<const D: usize>(
     })
 }
 
-/// Sorts `items`, whose elements are all distinct, on the rayon pool:
-/// each thread sorts a contiguous part, then one stable sort merges the
-/// sorted parts, which it finds as runs. With no equal elements there
-/// is nothing to arbitrate, so the result is the one sorted order.
-fn sort_in_parts<T: Ord + Send>(items: &mut [T]) {
-    let parts = rayon::current_num_threads();
-    // Below ~65k elements the split does not pay for its threads.
-    if parts == 1 || items.len() < 1 << 16 {
+/// Sorts `items`, whose elements are all distinct, in `parts` pieces:
+/// each sorts a contiguous part (on the rayon pool when `parts > 1`),
+/// then one stable sort merges the sorted parts, which it finds as
+/// runs. With no equal elements there is nothing to arbitrate, so the
+/// result is the one sorted order.
+fn sort_in_parts<T: Ord + Send>(items: &mut [T], parts: usize) {
+    if parts <= 1 {
         items.sort_unstable();
         return;
     }
     let chunks: Vec<&mut [T]> = items.chunks_mut(items.len().div_ceil(parts)).collect();
-    chunks.into_par_iter().for_each(|c| c.sort_unstable());
+    map_parts(chunks, |c| c.sort_unstable());
     items.sort();
 }
 
@@ -603,19 +759,26 @@ mod tests {
             .collect();
         let inst = Instance::new(points, weights, r, 3, Norm::L1).unwrap();
         for cells in [0.5, 1.0, 3.0, 4.0, 8.0] {
+            let want = hashmap_coreset(&inst, cells);
             let cs = build_coreset(&inst, cells).unwrap();
-            assert_eq!(
-                outputs(&cs),
-                hashmap_coreset(&inst, cells),
-                "{label} D={D} cells={cells}"
-            );
+            assert_eq!(outputs(&cs), want, "{label} D={D} cells={cells}");
+            for parts in [1, 2, 3, 7] {
+                let cs = build_coreset_in_parts(&inst, cells, parts).unwrap();
+                assert_eq!(
+                    outputs(&cs),
+                    want,
+                    "{label} D={D} cells={cells} parts={parts}"
+                );
+            }
         }
     }
 
-    /// Bucketing by sort reproduces the `HashMap` build bit for bit:
-    /// representatives, weights, emission order, displacement and
-    /// bound. Negative coordinates, duplicates, 3-D, and an input large
-    /// enough that the sort splits across the pool.
+    /// Bucketing by sort reproduces the `HashMap` build bit for bit, in
+    /// 1, 2, 3 and 7 parts: representatives, weights, emission order,
+    /// displacement and bound. Negative coordinates, duplicates, a run
+    /// of duplicates across every part cut, one cell holding every
+    /// point (more parts than runs), 3-D, keys too wide to pack, and an
+    /// input large enough that `build_coreset` itself splits.
     #[test]
     fn sort_bucketing_matches_the_hashmap_build() {
         check_against_hashmap(random_points::<2>(1, 500, -5.0, 5.0), 0.9, "negative");
@@ -624,11 +787,45 @@ mod tests {
             dup.push(dup[i]);
         }
         check_against_hashmap(dup, 0.6, "duplicates");
+        // 240 copies of the centre among 160 spread points: its run
+        // holds the middle 60% of the sorted keys, across every cut.
+        let mut straddle = random_points::<2>(5, 160, -4.0, 4.0);
+        straddle.splice(80..80, std::iter::repeat_n(Point([0.01, 0.02]), 240));
+        check_against_hashmap(straddle, 1.0, "straddling run");
+        check_against_hashmap(random_points::<2>(6, 50, 2.0, 2.1), 1.0, "one cell");
         check_against_hashmap(random_points::<3>(3, 600, -2.0, 2.0), 0.8, "3-D");
+        let mut straddle3 = random_points::<3>(7, 90, -3.0, 3.0);
+        straddle3.extend(std::iter::repeat_n(Point([0.5, -0.5, 0.25]), 120));
+        check_against_hashmap(straddle3, 1.0, "3-D straddling run");
+        // Keys of ±4·10¹² need 43 bits a dimension: the (key, index)
+        // tuples are sorted unpacked.
+        let mut wide = random_points::<2>(8, 300, -1e12, 1e12);
+        wide.extend(random_points::<2>(9, 200, -1.0, 1.0));
+        wide.push(Point([1e12, -1e12]));
+        check_against_hashmap(wide, 1.0, "too wide to pack");
         check_against_hashmap(
             random_points::<2>(4, 70_000, -50.0, 50.0),
             1.0,
             "split sort",
+        );
+    }
+
+    /// The packed layout takes exactly the keys and indices that fit 64
+    /// bits, high dimensions first, and nothing wider.
+    #[test]
+    fn packed_layout_fits_exactly_64_bits() {
+        let n = 1 << 20; // indices 0..2²⁰ take 20 bits
+        let span = (1i64 << 22) - 1; // 22 bits
+        assert_eq!(
+            packed_layout(&[-5, 7], &[span - 5, span + 7], n),
+            Some(([42, 20], 20))
+        );
+        assert_eq!(packed_layout(&[0, 0], &[span + 1, span], n), None);
+        assert_eq!(packed_layout(&[i64::MIN], &[i64::MAX], 1), Some(([0], 0)));
+        assert_eq!(packed_layout(&[i64::MIN], &[i64::MAX], 2), None);
+        assert_eq!(
+            packed_layout(&[3, 3, 3], &[3, 3, 3], 1),
+            Some(([0, 0, 0], 0))
         );
     }
 
@@ -640,5 +837,22 @@ mod tests {
         // Cell keys past 2⁶³ would saturate into one cell.
         let err = build_coreset(&inst, 1e30).unwrap_err().to_string();
         assert!(err.contains("1000000000000000000000000000000"), "{err}");
+        // At every part count the error names the lowest-index
+        // offending coordinate, and that point's first offending one.
+        let mut points = vec![Point([0.0, 0.0]); 10];
+        points.extend([Point([0.0, 3.0]), Point([7.0, 2.0]), Point([5.0, 0.0])]);
+        let inst = Instance::unweighted(points, 1.0, 1, Norm::L2).unwrap();
+        for parts in [1, 2, 3, 7] {
+            for cells in [0.0, f64::NAN] {
+                assert!(build_coreset_in_parts(&inst, cells, parts).is_err());
+            }
+            let err = build_coreset_in_parts(&inst, 1e30, parts)
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains("coordinate 3 lands in cell 3000000000000000"),
+                "parts={parts}: {err}"
+            );
+        }
     }
 }

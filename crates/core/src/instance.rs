@@ -224,10 +224,14 @@ impl<const D: usize> Instance<D> {
 
     /// Returns a copy of this instance with a different reward kernel.
     pub fn with_kernel(&self, kernel: Kernel) -> Result<Self> {
+        self.clone().into_kernel(kernel)
+    }
+
+    /// [`Self::with_kernel`] without the copy.
+    pub(crate) fn into_kernel(mut self, kernel: Kernel) -> Result<Self> {
         kernel.validate().map_err(CoreError::InvalidInstance)?;
-        let mut inst = self.clone();
-        inst.kernel = kernel;
-        Ok(inst)
+        self.kernel = kernel;
+        Ok(self)
     }
 
     /// Appends a new point with weight `w` and returns its index (`n`

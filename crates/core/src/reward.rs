@@ -1372,7 +1372,10 @@ fn scan_row<const D: usize>(
 }
 
 /// Splits `buf` into consecutive disjoint slices of the given lengths.
-fn split_by_lens<T>(mut buf: &mut [T], lens: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
+pub(crate) fn split_by_lens<T>(
+    mut buf: &mut [T],
+    lens: impl Iterator<Item = usize>,
+) -> Vec<&mut [T]> {
     lens.map(|len| {
         let (head, tail) = std::mem::take(&mut buf).split_at_mut(len);
         buf = tail;
@@ -1381,17 +1384,26 @@ fn split_by_lens<T>(mut buf: &mut [T], lens: impl Iterator<Item = usize>) -> Vec
     .collect()
 }
 
-/// Runs `work` on each task: across the rayon pool when there are
-/// several, on the calling thread when there is one. `work` is a trait
-/// object so the pool code is compiled once per task type, not once
-/// per (norm, kernel) pass.
-fn run_parts<T: Send>(tasks: Vec<T>, work: &(dyn Fn(T) + Sync)) {
+/// Runs `work` on each task and returns its results in task order:
+/// across the rayon pool when there are several tasks, on the calling
+/// thread when there is one.
+pub(crate) fn map_parts<T: Send, R: Send>(
+    tasks: Vec<T>,
+    work: impl Fn(T) -> R + Sync + Send,
+) -> Vec<R> {
     use rayon::prelude::*;
     if tasks.len() > 1 {
-        tasks.into_par_iter().for_each(work);
+        tasks.into_par_iter().map(work).collect()
     } else {
-        tasks.into_iter().for_each(work);
+        tasks.into_iter().map(work).collect()
     }
+}
+
+/// [`map_parts`] for passes that write their output in place. `work` is
+/// a trait object so the pool code is compiled once per task type, not
+/// once per (norm, kernel) pass.
+fn run_parts<T: Send>(tasks: Vec<T>, work: &(dyn Fn(T) + Sync)) {
+    map_parts(tasks, work);
 }
 
 /// Pass 1 of [`SparseCsr::fill_cells`]: every row's degree.
@@ -2263,8 +2275,10 @@ mod tests {
     /// Instances that stress the cell fill's exactness: rows at exact
     /// multiples of `r` from the bounding-box corner (cell edges, and
     /// `d = r` pairs that only `Step` keeps), duplicates, a bounding box
-    /// far from the origin, a single cell, and a spread that takes the
-    /// kd path. Returns `(label, instance, expect_grid)`.
+    /// far from the origin, a single cell, a spread that takes the kd
+    /// path, cells dense enough to fill several root-pass lane groups,
+    /// and cells of every member count around one and two groups.
+    /// Returns `(label, instance, expect_grid)`.
     fn fill_cases<const D: usize>(norm: Norm, kernel: Kernel) -> Vec<(String, Instance<D>, bool)> {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -2315,6 +2329,28 @@ mod tests {
             true,
         ));
         cases.push(("spread".into(), random(&mut rng, 40, 0.0, 1e6), 0.5, false));
+        // Uniform at degree ~48 (L2): cells of side r hold 10–20 members.
+        let per_cell: f64 = if D == 2 { 15.0 } else { 11.5 };
+        let side = (300.0 / per_cell).powf(1.0 / D as f64);
+        cases.push((
+            "cell-dense".into(),
+            random(&mut rng, 300, 0.0, side),
+            1.0,
+            true,
+        ));
+        // Cells along the first axis holding 1 to 2·ROOT_LANES + 1
+        // members, away from the cell edges; the anchor at the origin
+        // pins the grid's corner and is cell 0's one member.
+        let mut counted = vec![Point::new([0.0; D])];
+        for cell in 1..=2 * grid::ROOT_LANES {
+            for _ in 0..=cell {
+                counted.push(Point::new(std::array::from_fn(|d| {
+                    let base = if d == 0 { cell as f64 } else { 0.0 };
+                    base + rng.gen_range(0.1..0.9)
+                })));
+            }
+        }
+        cases.push(("lane-groups".into(), counted, 1.0, true));
         // A rounding edge on the x-axis at r = 0.2: `b - a` rounds to
         // exactly r although the real gap is wider, and `a`'s cell lies
         // outside `b`'s query box but inside that of `b2`, a member of

@@ -7,9 +7,11 @@
 //! away. This backend keeps that grid and the weights in its slot order
 //! (O(n) memory) and answers from it directly:
 //!
-//! * the **root pass** is the CSR fill's cell sweep ([`CellFill`],
-//!   [`scan_row`]) with the row write replaced by `total += w · frac`,
-//!   split across the pool by cell ranges;
+//! * the **root pass** is the CSR fill's cell sweep ([`CellFill`])
+//!   with the row write replaced by `total += w · frac`, split across
+//!   the pool by cell ranges. It scores [`ROOT_LANES`] members of a
+//!   cell at once, one lane each ([`lane_sums`]); a member whose own
+//!   box is narrower than the union takes [`scan_row`] alone;
 //! * a single gain or commit gathers the query box's slots and sorts
 //!   them into ascending index.
 //!
@@ -24,7 +26,7 @@ use mmph_geom::{GridIndex, Point};
 
 use super::{
     extents, run_parts, scan_row, slot_weights, split_by_lens, too_many_cells, with_pair_frac,
-    CellFill, PairPass, Residuals,
+    Cand, CellFill, PairPass, Residuals,
 };
 use crate::instance::Instance;
 use crate::kernel::PreparedKernel;
@@ -162,6 +164,10 @@ impl<const D: usize> GridCells<D> {
     }
 }
 
+/// Members of a cell scored together against its candidate list, one
+/// lane each (see [`lane_sums`]).
+pub(super) const ROOT_LANES: usize = 4;
+
 /// The root pass: each part sweeps its cells and writes every member's
 /// `Σ w · frac` into its slice of `out`.
 struct RootPass<'f, 'a, const D: usize, T, F> {
@@ -176,25 +182,64 @@ impl<const D: usize, T: Send, F: Fn(&mut T, f64) + Sync> PairPass<D> for RootPas
     fn run(self, pair: impl Fn(&Point<D>, &Point<D>) -> f64 + Copy + Send + Sync) {
         let (fill, set, stop) = (self.fill, self.set, self.stop);
         let (grid, r) = (fill.grid, fill.inst.radius());
+        let points = grid.slot_points();
         let tasks: Vec<_> = fill.parts.iter().cloned().zip(self.out).collect();
         run_parts(tasks, &|(cells, out)| {
             let base = fill.slots(&cells).start;
+            let mut full = Vec::new();
             fill.sweep(cells, &mut |members, union, cands| {
                 if stop() {
                     return ControlFlow::Break(());
                 }
+                full.clear();
                 for slot in members {
-                    let x = &grid.slot_points()[slot];
-                    // Fresh residuals: `min(frac, 1) = frac`. The row's
-                    // dropped zero-`frac` candidates add exact `+0.0`.
+                    let x = &points[slot];
+                    if grid.query_box(x, r) == Some(*union) {
+                        full.push(slot);
+                        continue;
+                    }
+                    // A box narrower than the union: `scan_row` checks
+                    // each candidate's cell.
                     let mut total = 0.0;
                     scan_row(grid, r, x, union, cands, pair, |_, p, f| {
                         total += cands[p].weight * f;
                     });
                     set(&mut out[slot - base], total);
                 }
+                for group in full.chunks(ROOT_LANES) {
+                    let totals = lane_sums(points, group, cands, pair);
+                    for (&slot, total) in group.iter().zip(totals) {
+                        set(&mut out[slot - base], total);
+                    }
+                }
                 ControlFlow::Continue(())
             });
         });
     }
+}
+
+/// `Σ w · pair(x, c)` over `cands` for the points at up to
+/// [`ROOT_LANES`] slots whose query box is the cell's whole union, each
+/// lane adding its terms in candidate order, as [`scan_row`]'s first arm
+/// does for one member. The lanes share every candidate load and carry
+/// independent sums, so the compiler can interleave (and vectorize)
+/// them, and no lane's bits change. A short group repeats its last
+/// member; the repeated lanes' sums are not returned.
+#[inline(always)]
+fn lane_sums<const D: usize>(
+    points: &[Point<D>],
+    group: &[usize],
+    cands: &[Cand<D>],
+    pair: impl Fn(&Point<D>, &Point<D>) -> f64,
+) -> impl Iterator<Item = f64> {
+    let xs: [Point<D>; ROOT_LANES] = std::array::from_fn(|l| points[group[l.min(group.len() - 1)]]);
+    // Fresh residuals: `min(frac, 1) = frac`. The row's dropped
+    // zero-`frac` candidates add exact `+0.0`.
+    let mut totals = [0.0; ROOT_LANES];
+    for c in cands {
+        for (total, x) in totals.iter_mut().zip(&xs) {
+            *total += c.weight * pair(x, &c.point);
+        }
+    }
+    totals.into_iter().take(group.len())
 }

@@ -27,6 +27,7 @@
 //! disconnect mid-solve abandons the remaining rounds at the next
 //! eval check and returns the committed prefix.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mmph_core::{
@@ -160,7 +161,7 @@ enum Plan {
 
 /// A solve extracted from a request, pre-generation.
 struct SolveItem {
-    instance: Instance<2>,
+    instance: Arc<Instance<2>>,
     budget: SolveBudget,
     strategy: OracleStrategy,
     engine: EngineKind,
@@ -198,7 +199,7 @@ struct Tracked {
 pub struct Service {
     config: ServiceConfig,
     stats: ServiceStats,
-    cache: Vec<(Scenario, Instance<2>)>,
+    cache: Vec<(Scenario, Arc<Instance<2>>)>,
     tracked: Option<Tracked>,
     shutdown: bool,
 }
@@ -451,7 +452,7 @@ impl Service {
         // Explicit coreset request, or an `auto` engine whose CSR
         // estimate busts the sparse cap: answer through the coreset
         // pipeline instead of the direct batch path.
-        let pipeline = requested.for_instance(&instance, engine, self.config.sparse_cap_bytes);
+        let pipeline = requested.for_instance(&*instance, engine, self.config.sparse_cap_bytes);
         if let Pipeline::Coreset(cells_per_radius) = pipeline {
             let resp = self.coreset_response(
                 req.id,
@@ -566,7 +567,7 @@ impl Service {
             };
             let instance = self.instance_for(&scenario)?;
             self.tracked = Some(Tracked {
-                inc: IncrementalInstance::new(instance, kind)?,
+                inc: IncrementalInstance::new(Instance::clone(&instance), kind)?,
                 scratch: SolveScratch::new(),
             });
         }
@@ -687,21 +688,23 @@ impl Service {
     }
 
     /// Generates (or recalls) the instance a scenario pins. The cache
-    /// is MRU-ordered and returns *clones of one generation*, so
+    /// is MRU-ordered and shares *one generation* per scenario, so
     /// repeated scenarios are `==` by pointer-free structural equality
-    /// and the batch layer's adjacent-identical engine reuse fires.
-    fn instance_for(&mut self, scenario: &Scenario) -> Result<Instance<2>> {
+    /// and the batch layer's adjacent-identical engine reuse fires. The
+    /// points are held once: only an owner that needs its own copy (the
+    /// batch call, the tracked incremental instance) clones them.
+    fn instance_for(&mut self, scenario: &Scenario) -> Result<Arc<Instance<2>>> {
         if let Some(pos) = self.cache.iter().position(|(sc, _)| sc == scenario) {
             let entry = self.cache.remove(pos);
-            let inst = entry.1.clone();
+            let inst = Arc::clone(&entry.1);
             self.cache.push(entry);
             return Ok(inst);
         }
-        let inst = scenario.generate_2d()?;
+        let inst = Arc::new(scenario.generate_2d()?);
         if self.cache.len() == INSTANCE_CACHE {
             self.cache.remove(0);
         }
-        self.cache.push((scenario.clone(), inst.clone()));
+        self.cache.push((scenario.clone(), Arc::clone(&inst)));
         Ok(inst)
     }
 
@@ -718,7 +721,8 @@ impl Service {
                 j += 1;
             }
             let seg = &solves[i..j];
-            let instances: Vec<Instance<2>> = seg.iter().map(|s| s.instance.clone()).collect();
+            let instances: Vec<Instance<2>> =
+                seg.iter().map(|s| Instance::clone(&s.instance)).collect();
             let budgets: Vec<SolveBudget> = seg.iter().map(|s| s.budget.clone()).collect();
             let runner = BatchRunner::new()
                 .with_strategy(strategy)
