@@ -2,8 +2,9 @@
 //!
 //! * `lazy_greedy` — CELF vs eager Algorithm 2 (identical output,
 //!   fewer coverage-reward evaluations ⇒ faster for large n).
-//! * `spatial_index` — kd-tree-backed vs linear-scan reward evaluation
-//!   inside Algorithm 2, across radii (small radius favors the index).
+//! * `spatial_index` — occupied-cell grid vs linear-scan reward
+//!   evaluation inside Algorithm 2, across radii (small radius favors
+//!   the index).
 //! * `round_oracle` — grid vs multistart oracle for Algorithm 1:
 //!   quality is printed, time is measured.
 //! * `l1_center` — the paper's projection "new-center" vs the exact
@@ -124,23 +125,31 @@ fn bench_spatial_index(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("scan", format!("r{r}")),
             &inst,
-            |b, inst| b.iter(|| LocalGreedy::new().solve(inst).unwrap().total_reward),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("kdtree", format!("r{r}")),
-            &inst,
             |b, inst| {
                 b.iter(|| {
                     LocalGreedy::new()
-                        .with_engine(EngineKind::Kd)
+                        .with_engine(EngineKind::Scan)
                         .solve(inst)
                         .unwrap()
                         .total_reward
                 })
             },
         );
-        // Raw gain-evaluation throughput of the scan and kd engines (one
-        // full candidate sweep against fresh residuals).
+        group.bench_with_input(
+            BenchmarkId::new("grid", format!("r{r}")),
+            &inst,
+            |b, inst| {
+                b.iter(|| {
+                    LocalGreedy::new()
+                        .with_engine(EngineKind::Grid)
+                        .solve(inst)
+                        .unwrap()
+                        .total_reward
+                })
+            },
+        );
+        // Raw gain-evaluation throughput of the scan and grid engines
+        // (one full candidate sweep against fresh residuals).
         let residuals = Residuals::new(inst.n());
         let sweep = |engine: &RewardEngine<2>| -> f64 {
             inst.points()
@@ -154,9 +163,9 @@ fn bench_spatial_index(c: &mut Criterion) {
             |b, inst| b.iter(|| sweep(&RewardEngine::scan(inst))),
         );
         group.bench_with_input(
-            BenchmarkId::new("engine_kd_sweep", format!("r{r}")),
+            BenchmarkId::new("engine_grid_sweep", format!("r{r}")),
             &inst,
-            |b, inst| b.iter(|| sweep(&RewardEngine::indexed(inst))),
+            |b, inst| b.iter(|| sweep(&RewardEngine::grid(inst))),
         );
     }
     group.finish();

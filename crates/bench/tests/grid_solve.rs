@@ -9,16 +9,17 @@
 //! instance and prints its build, solve and full-resolution pass, the
 //! representative count, the gap and the full objective, so the exact
 //! and the coreset solve of one instance can be set side by side.
-//! A high-spread arm solves clustered input on both `grid` and `kd`,
-//! which must agree on the reward within 1e-9 relative, and prints both
-//! times. Nothing here is a floor: the numbers are recorded, not gated.
+//! A high-spread arm solves clustered input on `grid` and a 3-D arm a
+//! uniform 3-D instance, each held to `streaming_objective` like the
+//! uniform arms. Nothing here is a floor: the numbers are recorded, not
+//! gated.
 //!
 //! Every test is `#[ignore]`d, and each must run in a process of its
 //! own, since `VmHWM` only ever grows:
 //! `cargo test --release -p mmph-bench --test grid_solve -- --ignored --exact full_grid_exact_solve_at_1e6`
 //! and the same with `full_grid_exact_solve_at_2e6`,
-//! `full_grid_exact_solve_at_1e7`, `full_coreset_solve_at_1e7` or
-//! `full_high_spread_kd_against_grid`.
+//! `full_grid_exact_solve_at_1e7`, `full_coreset_solve_at_1e7`,
+//! `full_high_spread_grid_solve` or `full_grid_exact_solve_3d_at_1e5`.
 
 use std::time::Instant;
 
@@ -41,15 +42,15 @@ fn vm_hwm_mib() -> Option<f64> {
 
 /// One lazy greedy solve on an explicit engine kind, timed from the
 /// engine build to the picks.
-struct LazyRun {
+struct LazyRun<const D: usize> {
     build_ms: f64,
     solve_ms: f64,
     evals: u64,
     reward: f64,
-    centers: Vec<Point<2>>,
+    centers: Vec<Point<D>>,
 }
 
-fn lazy_solve(inst: &Instance<2>, kind: EngineKind) -> LazyRun {
+fn lazy_solve<const D: usize>(inst: &Instance<D>, kind: EngineKind) -> LazyRun<D> {
     let t0 = Instant::now();
     let engine = RewardEngine::with_kind(inst, kind);
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -72,13 +73,15 @@ fn uniform_instance(n: usize) -> Instance<2> {
     uniform_degree_instance_2d(n, 16, 48.0, SpaceSpec::PAPER, 0x5EED_BA5E).unwrap()
 }
 
-fn record_grid_solve(n: usize) {
-    let inst = uniform_instance(n);
-    let run = lazy_solve(&inst, EngineKind::Grid);
-    let exact = streaming_objective(&inst, &run.centers);
+/// Solves `inst` on `grid`, prints the run under `label` and holds its
+/// reward to `streaming_objective` within 1e-9 relative.
+fn record_grid_solve<const D: usize>(label: &str, inst: &Instance<D>) {
+    let run = lazy_solve(inst, EngineKind::Grid);
+    let exact = streaming_objective(inst, &run.centers);
     println!(
-        "n={n}: grid build {:.0} ms, lazy solve {:.0} ms, {} evals, reward {}, \
+        "{label} n={}: grid build {:.0} ms, lazy solve {:.0} ms, {} evals, reward {}, \
          VmHWM {:.0} MiB, {} threads",
+        inst.n(),
         run.build_ms,
         run.solve_ms,
         run.evals,
@@ -97,19 +100,19 @@ fn record_grid_solve(n: usize) {
 #[test]
 #[ignore = "full size: run by hand, one test per process"]
 fn full_grid_exact_solve_at_1e6() {
-    record_grid_solve(1_000_000);
+    record_grid_solve("uniform", &uniform_instance(1_000_000));
 }
 
 #[test]
 #[ignore = "full size: run by hand, one test per process"]
 fn full_grid_exact_solve_at_2e6() {
-    record_grid_solve(2_000_000);
+    record_grid_solve("uniform", &uniform_instance(2_000_000));
 }
 
 #[test]
 #[ignore = "full size: n=10⁷, tens of seconds and several GiB"]
 fn full_grid_exact_solve_at_1e7() {
-    record_grid_solve(10_000_000);
+    record_grid_solve("uniform", &uniform_instance(10_000_000));
 }
 
 /// The coreset pipeline at its defaults (4 cells per radius, `auto`
@@ -140,9 +143,9 @@ fn full_coreset_solve_at_1e7() {
 
 /// n = 10⁶ in 100 clusters: 10⁴ uniform points in a 20r square each,
 /// on a 10×10 lattice with spacing 10⁴·r (r = 1, L2, unit weights,
-/// k = 16). Cells of side r would outnumber the points ~8,000 to 1, so
-/// `auto` enumerates with the kd-tree and the grid engine coarsens its
-/// cells until they fit.
+/// k = 16). Cells of side r over the bounding box would outnumber the
+/// points ~8,000 to 1; the grid engine indexes the ~40,000 occupied
+/// ones.
 fn high_spread_instance() -> Instance<2> {
     const CLUSTER: usize = 10_000;
     let mut rng = StdRng::seed_from_u64(0x5EED_BA5E);
@@ -163,31 +166,24 @@ fn high_spread_instance() -> Instance<2> {
 }
 
 #[test]
-#[ignore = "full size: n=10⁶ high-spread, over a minute on the grid engine"]
-fn full_high_spread_kd_against_grid() {
-    let inst = high_spread_instance();
-    let kd = lazy_solve(&inst, EngineKind::Kd);
-    let grid = lazy_solve(&inst, EngineKind::Grid);
-    for (name, run) in [("kd", &kd), ("grid", &grid)] {
-        println!(
-            "high spread n={}: {name} build {:.0} ms, lazy solve {:.0} ms, {} evals, reward {}",
-            inst.n(),
-            run.build_ms,
-            run.solve_ms,
-            run.evals,
-            run.reward
-        );
-    }
-    println!(
-        "VmHWM {:.0} MiB, {} threads",
-        vm_hwm_mib().unwrap_or(f64::NAN),
-        rayon::current_num_threads()
-    );
-    assert_eq!(grid.centers.len(), 16);
-    assert!(
-        (kd.reward - grid.reward).abs() <= 1e-9 * grid.reward,
-        "kd {} vs grid {}",
-        kd.reward,
-        grid.reward
-    );
+#[ignore = "full size: n=10⁶ high-spread, a few seconds"]
+fn full_high_spread_grid_solve() {
+    record_grid_solve("high spread", &high_spread_instance());
+}
+
+/// n = 10⁵ uniform in [0, 4]³ at expected degree 48 (L2, unit weights,
+/// k = 16): the radius whose ball holds 48 points on average.
+fn uniform_instance_3d(n: usize) -> Instance<3> {
+    let mut rng = StdRng::seed_from_u64(0x5EED_BA5E);
+    let points: Vec<Point<3>> = (0..n)
+        .map(|_| Point::new(std::array::from_fn(|_| rng.gen_range(0.0..4.0))))
+        .collect();
+    let r = (48.0 * 64.0 * 3.0 / (4.0 * std::f64::consts::PI * n as f64)).cbrt();
+    Instance::new(points, vec![1.0; n], r, 16, Norm::L2).unwrap()
+}
+
+#[test]
+#[ignore = "full size: run by hand, one test per process"]
+fn full_grid_exact_solve_3d_at_1e5() {
+    record_grid_solve("uniform 3-D", &uniform_instance_3d(100_000));
 }

@@ -29,9 +29,8 @@ OPTIONS:
                     n=10000,k=16,count=4,repeat=8,seed=0,norm=l2,weights=diff
   --solver NAME     greedy2 (sequential argmax) or lazy (CELF) [lazy]
   --oracle NAME     seq|par|lazy — overrides the solver's strategy
-  --engine NAME     auto|scan|kd|sparse|sparse-f32|grid [sparse]; grid
-                    coarsens its cells on high-spread input and is far
-                    slower than kd there, where auto uses kd
+  --engine NAME     auto|scan|sparse|sparse-f32|grid [sparse]; grid holds
+                    no CSR, O(n) memory on input of any spread
   --threads N       worker threads (default: all cores)
   --cold            disable scratch/engine reuse (per-request baseline)
   --deadline-ms N   per-request wall-clock budget (degrades, never hangs)
@@ -284,7 +283,7 @@ mod tests {
         for extra in [
             ["--solver", "greedy2"],
             ["--oracle", "par"],
-            ["--engine", "kd"],
+            ["--engine", "grid"],
         ] {
             let mut argv = vec!["--scenarios", "n=15,repeat=2", "--quiet", "--verify"];
             argv.extend(extra);
@@ -311,6 +310,15 @@ mod tests {
             panic!("--shards must be a usage error: {r:?}");
         };
         assert!(msg.contains("unknown flag --shards"), "{msg}");
+    }
+
+    #[test]
+    fn kd_engine_is_gone() {
+        let (r, _) = run_capture(&["--scenarios", "n=40", "--engine", "kd"]);
+        let Err(CliError::Usage(msg)) = r else {
+            panic!("--engine kd must be a usage error: {r:?}");
+        };
+        assert!(msg.contains("unknown engine 'kd'"), "{msg}");
     }
 
     #[test]

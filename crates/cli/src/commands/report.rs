@@ -19,8 +19,8 @@ INPUT (one of):
 OPTIONS:
   --solver NAME  one of the names from `mmph solvers` (default greedy2)
   --oracle S     candidate-scoring strategy: seq | par | lazy (default seq)
-  --engine E     reward-evaluation engine: auto | scan | kd | sparse
-                 | grid (default auto); the same centers on every engine
+  --engine E     reward-evaluation engine: auto | scan | sparse | grid
+                 (default auto); the same centers on every engine
   --threads N    size of the rayon pool behind all parallel work: --oracle
                  par and the sparse CSR build from 10,000 points up
                  (default: all cores)";

@@ -36,7 +36,7 @@ OPTIONS:
   --tcp ADDR       listen on ADDR instead of stdin/stdout
   --solver NAME    default solver for requests without one [lazy]
   --oracle NAME    seq|par|lazy — overrides the solver's strategy
-  --engine NAME    default engine: auto|scan|kd|sparse|sparse-f32|grid [sparse]
+  --engine NAME    default engine: auto|scan|sparse|sparse-f32|grid [sparse]
   --threads N      worker threads (default: all cores)
   --cold           disable scratch/engine reuse across requests
   --max-batch N    max requests folded into one dispatch round [64]
@@ -55,10 +55,8 @@ OPTIONS:
 Solve requests may carry `coreset_cells` to route through the coreset
 pipeline, and an `auto`-engine request whose CSR estimate busts the
 sparse cap escalates to it on its own. `engine: \"grid\"` solves exactly
-at any n with no CSR, but on high-spread input it coarsens its cells and
-runs far slower than kd (77 s against 4.1 s at n=10^6 in 100 far-apart
-clusters, 2 vCPUs); `auto` enumerates with kd there. A request carrying
-the removed `shards` field is answered with an error.";
+at any n and any spread with no CSR. A request carrying the removed
+`shards` field or the removed `kd` engine is answered with an error.";
 
 fn summarize(stats: &ServiceStats) -> String {
     format!(

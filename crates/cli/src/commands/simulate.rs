@@ -32,8 +32,8 @@ OPTIONS:
   --clusters M   Gaussian interest clusters; 0 = uniform (default 0)
   --solver NAME  greedy2 | greedy3 | adaptive (default greedy3)
   --oracle S     seq | par | lazy candidate scoring for greedy2 (default seq)
-  --engine E     auto | scan | kd | sparse | grid reward engine for
-                 greedy2 (default auto); the same centers on every engine
+  --engine E     auto | scan | sparse | grid reward engine for greedy2
+                 (default auto); the same centers on every engine
   --threads N    size of the rayon pool behind all parallel work: --oracle
                  par and the sparse CSR build from 10,000 points up
                  (default: all cores)

@@ -34,17 +34,15 @@ OPTIONS:
   --all          run every solver and print a comparison table
   --oracle S     candidate-scoring strategy: seq | par | lazy (default seq);
                  all three produce identical solutions
-  --engine E     reward-evaluation engine: auto | scan | kd | sparse
+  --engine E     reward-evaluation engine: auto | scan | sparse
                  | sparse-f32 | grid (default auto = sparse while its CSR
                  fits the 512 MiB cap; past it, auto escalates to the
                  coreset path, whose reduced solve runs on grid). grid
-                 holds no CSR, O(n) memory, but on high-spread input it
-                 coarsens its cells and scans whole clusters per query
-                 (n=10^6 in 100 far-apart clusters: 77 s against kd's
-                 4.1 s on 2 vCPUs); auto enumerates with kd there until
-                 the grid indexes occupied cells only. scan, sparse and
-                 grid are bit-identical, kd matches them to 1e-9, and the
-                 opt-in mixed-precision sparse-f32 to a documented bound
+                 holds no CSR: it sweeps an index of the occupied cells
+                 of side r, O(n) memory on input of any spread. scan,
+                 sparse and grid are bit-identical, and the opt-in
+                 mixed-precision sparse-f32 matches them to a documented
+                 bound
   --threads N    size of the rayon pool behind all parallel work: --oracle
                  par, the sparse CSR build from 10,000 points up, the grid
                  engine's root sweep and the coreset pass (default: all
@@ -530,6 +528,16 @@ mod tests {
     }
 
     #[test]
+    fn kd_engine_is_gone() {
+        let (r, out) = run_capture(&["--n", "200", "--k", "3", "--engine", "kd"]);
+        let Err(CliError::Usage(msg)) = r else {
+            panic!("--engine kd must be a usage error: {r:?}");
+        };
+        assert!(msg.contains("unknown engine 'kd'"), "{msg}");
+        assert!(out.is_empty(), "nothing solved: {out}");
+    }
+
+    #[test]
     fn bad_pipeline_flags_rejected() {
         let (r, _) = run_capture(&["--n", "50", "--k", "2", "--coreset-cells", "x"]);
         assert!(r.is_err());
@@ -761,9 +769,9 @@ mod tests {
             assert!(matches!(r, Err(CliError::Usage(_))), "spec {spec} passed");
         }
         // Non-sparse engines cannot patch in place.
-        let (r, _) = run_capture(&["--n", "20", "--churn", "2x0.1", "--engine", "kd"]);
+        let (r, _) = run_capture(&["--n", "20", "--churn", "2x0.1", "--engine", "grid"]);
         let Err(CliError::Usage(msg)) = r else {
-            panic!("kd churn must be rejected: {r:?}");
+            panic!("grid churn must be rejected: {r:?}");
         };
         assert!(msg.contains("sparse engine"), "{msg}");
         let (r, _) = run_capture(&["--n", "20", "--engine", "ball"]);

@@ -15,14 +15,15 @@
 //! cap too. The reduced solve then runs on the CSR-free grid engine
 //! ([`EngineKind::Grid`]): O(n) memory, one parallel cell sweep for the
 //! root gains, and every gain and commit bit-identical to the dense
-//! scan. Bucketing is one sort of `(cell key, point index)` and a
-//! run-length pass, so each cell sums its points in input order. Where
-//! the keys' offsets and the index fit 64 bits together (2×12 + 24 bits
-//! at n = 10⁷) they are packed into one `u64` and sorted as integers.
-//! The key pass, the sort and the run-length pass run in parallel
-//! parts; the run-length pass writes every point's displacement at its
-//! index, and the displacement sums then run serially in input order,
-//! so every output is bit-identical for any thread count.
+//! scan. Bucketing is the occupied-cell index's sort of `(cell key,
+//! point index)` ([`crate::cells::sort_by_cell`]) and a run-length
+//! pass, so each cell sums its points in input order. Where the keys'
+//! offsets and the index fit 64 bits together (2×12 + 24 bits at
+//! n = 10⁷) they are packed into one `u64` and sorted as integers. The
+//! key pass, the sort and the run-length pass run in parallel parts;
+//! the run-length pass writes every point's displacement at its index,
+//! and the displacement sums then run serially in input order, so every
+//! output is bit-identical for any thread count.
 //!
 //! Why this is sound: moving a point by `disp ≤ cell·√D/2` changes its
 //! kernel fraction against any center by at most `disp / r`, so for a
@@ -44,10 +45,11 @@ use rayon::prelude::*;
 
 use crate::batch::{recycle, solve_rounds_within};
 use crate::budget::{DegradeReason, SolveBudget};
+use crate::cells::{sort_by_cell, CellOrder};
 use crate::instance::Instance;
 use crate::oracle::{GainOracle, OracleStrategy};
 use crate::reward::{
-    busts_cap, map_parts, min_sparse_bytes, split_by_lens, EngineKind, RewardEngine,
+    busts_cap, map_parts, min_sparse_bytes, split_by_lens, sweep_parts, EngineKind, RewardEngine,
     DEFAULT_SPARSE_CAP_BYTES,
 };
 use crate::scratch::SolveScratch;
@@ -110,15 +112,11 @@ pub struct Coreset<const D: usize> {
     pub error_bound: f64,
 }
 
-/// Point count from which [`build_coreset`] splits its passes across the
-/// rayon pool; below it the build runs as one part on the calling
-/// thread. The value is the one the sort alone used before the other
-/// passes went parallel, carried over rather than measured for them.
-const PARALLEL_MIN_POINTS: usize = 1 << 16;
-
 /// Builds the grid-cell coreset of `inst` with cell side
 /// `r / cells_per_radius`. Representatives are emitted in sorted cell
-/// order, so the construction is deterministic.
+/// order, so the construction is deterministic. The passes split across
+/// the rayon pool from 10,000 points up, as the occupied-cell index's
+/// do.
 ///
 /// # Errors
 ///
@@ -129,12 +127,7 @@ pub fn build_coreset<const D: usize>(
     inst: &Instance<D>,
     cells_per_radius: f64,
 ) -> Result<Coreset<D>> {
-    let parts = if inst.n() >= PARALLEL_MIN_POINTS {
-        rayon::current_num_threads()
-    } else {
-        1
-    };
-    build_coreset_in_parts(inst, cells_per_radius, parts)
+    build_coreset_in_parts(inst, cells_per_radius, sweep_parts(inst.n()))
 }
 
 /// [`build_coreset`] with its key, sort and run-length passes split into
@@ -194,47 +187,24 @@ fn build_coreset_in_parts<const D: usize>(
     // Bucket with one sort of (cell key, point index): each occupied
     // cell becomes a run in ascending key order, its points in
     // ascending index, so every cell sums its points in input order.
-    // When every key's offset from its dimension's least key and the
-    // index fit one `u64` together (2×12 + 24 bits at n = 10⁷ and 4
-    // cells per radius), the pair is packed into it, high dimensions
-    // first, and the packed order is the pair's lexicographic order.
-    let (reps, rep_weights, disp) = if let Some((shifts, index_bits)) = packed_layout(&lo, &hi, n) {
-        let mut packed = vec![0u64; n];
-        let tasks = packed
-            .chunks_mut(chunk)
-            .zip(points.chunks(chunk))
-            .enumerate();
-        map_parts(tasks.collect(), |(c, (out, pts))| {
-            for ((slot, p), i) in out.iter_mut().zip(pts).zip(c * chunk..) {
-                // A dimension of zero bits has offset 0 at every point,
-                // so its shift (possibly 64, taken mod 64) adds nothing.
-                *slot = (0..D).fold(i as u64, |x, d| {
-                    x | ((key(p[d]) as i64).wrapping_sub(lo[d]) as u64).wrapping_shl(shifts[d])
-                });
-            }
-        });
-        sort_in_parts(&mut packed, parts);
-        let mask = (1u64 << index_bits) - 1;
-        reduce_runs(
-            inst,
-            &packed,
-            |a, b| (a ^ b) & !mask == 0,
-            |x| (x & mask) as usize,
-            parts,
-        )
-    } else {
-        let mut keyed = vec![([0i64; D], 0u32); n];
-        let tasks = keyed
-            .chunks_mut(chunk)
-            .zip(points.chunks(chunk))
-            .enumerate();
-        map_parts(tasks.collect(), |(c, (out, pts))| {
-            for ((slot, p), i) in out.iter_mut().zip(pts).zip(c * chunk..) {
-                *slot = (std::array::from_fn(|d| key(p[d]) as i64), i as u32);
-            }
-        });
-        sort_in_parts(&mut keyed, parts);
-        reduce_runs(inst, &keyed, |a, b| a.0 == b.0, |x| x.1 as usize, parts)
+    // Keys are offsets from each dimension's least key.
+    let span: [u64; D] = std::array::from_fn(|d| hi[d].wrapping_sub(lo[d]) as u64);
+    let offsets =
+        |p: &Point<D>| std::array::from_fn(|d| (key(p[d]) as i64).wrapping_sub(lo[d]) as u64);
+    let (reps, rep_weights, disp) = match sort_by_cell(points, &span, offsets, parts) {
+        CellOrder::Packed { keys, index_bits } => {
+            let mask = (1u64 << index_bits) - 1;
+            reduce_runs(
+                inst,
+                &keys,
+                |a, b| (a ^ b) & !mask == 0,
+                |x| (x & mask) as usize,
+                parts,
+            )
+        }
+        CellOrder::Wide(pairs) => {
+            reduce_runs(inst, &pairs, |a, b| a.0 == b.0, |x| x.1 as usize, parts)
+        }
     };
 
     // The realized displacements, summed in input order, are what the
@@ -258,29 +228,6 @@ fn build_coreset_in_parts<const D: usize>(
         weighted_displacement,
         error_bound,
     })
-}
-
-/// The layout of a packed (cell key, point index) `u64` for `n` points
-/// whose keys span `lo..=hi` per dimension: each dimension's offset
-/// from `lo` shifted past the index and every later dimension, and the
-/// index in the lowest `index_bits` bits, as `(shifts, index_bits)`.
-/// `None` when the fields need more than 64 bits together.
-fn packed_layout<const D: usize>(
-    lo: &[i64; D],
-    hi: &[i64; D],
-    n: usize,
-) -> Option<([u32; D], u32)> {
-    let bits = |span: u64| u64::BITS - span.leading_zeros();
-    let key_bits: [u32; D] = std::array::from_fn(|d| bits(hi[d].wrapping_sub(lo[d]) as u64));
-    let index_bits = bits((n - 1) as u64);
-    if key_bits.iter().sum::<u32>() + index_bits > u64::BITS {
-        return None;
-    }
-    let mut shifts = [index_bits; D];
-    for d in (0..D.saturating_sub(1)).rev() {
-        shifts[d] = shifts[d + 1] + key_bits[d + 1];
-    }
-    Some((shifts, index_bits))
 }
 
 /// The run-length pass over keys sorted by (cell, point index), where
@@ -447,21 +394,6 @@ pub fn solve_coreset<const D: usize>(
         solve_ms,
         eval_ms,
     })
-}
-
-/// Sorts `items`, whose elements are all distinct, in `parts` pieces:
-/// each sorts a contiguous part (on the rayon pool when `parts > 1`),
-/// then one stable sort merges the sorted parts, which it finds as
-/// runs. With no equal elements there is nothing to arbitrate, so the
-/// result is the one sorted order.
-fn sort_in_parts<T: Ord + Send>(items: &mut [T], parts: usize) {
-    if parts <= 1 {
-        items.sort_unstable();
-        return;
-    }
-    let chunks: Vec<&mut [T]> = items.chunks_mut(items.len().div_ceil(parts)).collect();
-    map_parts(chunks, |c| c.sort_unstable());
-    items.sort();
 }
 
 /// Full-resolution objective `f(C) = Σᵢ wᵢ·min(1, Σ_c frac(d(c, xᵢ)))`
@@ -673,7 +605,7 @@ mod tests {
             escalate(Pipeline::Direct, EngineKind::Auto),
             Pipeline::Coreset(DEFAULT_CORESET_CELLS)
         );
-        for kind in [EngineKind::Kd, EngineKind::Sparse, EngineKind::Grid] {
+        for kind in [EngineKind::Scan, EngineKind::Sparse, EngineKind::Grid] {
             assert_eq!(escalate(Pipeline::Direct, kind), Pipeline::Direct, "{kind}");
         }
         assert_eq!(
@@ -807,25 +739,6 @@ mod tests {
             random_points::<2>(4, 70_000, -50.0, 50.0),
             1.0,
             "split sort",
-        );
-    }
-
-    /// The packed layout takes exactly the keys and indices that fit 64
-    /// bits, high dimensions first, and nothing wider.
-    #[test]
-    fn packed_layout_fits_exactly_64_bits() {
-        let n = 1 << 20; // indices 0..2²⁰ take 20 bits
-        let span = (1i64 << 22) - 1; // 22 bits
-        assert_eq!(
-            packed_layout(&[-5, 7], &[span - 5, span + 7], n),
-            Some(([42, 20], 20))
-        );
-        assert_eq!(packed_layout(&[0, 0], &[span + 1, span], n), None);
-        assert_eq!(packed_layout(&[i64::MIN], &[i64::MAX], 1), Some(([0], 0)));
-        assert_eq!(packed_layout(&[i64::MIN], &[i64::MAX], 2), None);
-        assert_eq!(
-            packed_layout(&[3, 3, 3], &[3, 3, 3], 1),
-            Some(([0, 0, 0], 0))
         );
     }
 

@@ -51,7 +51,7 @@ use crate::instance::{Delta, Instance};
 use crate::kernel::PreparedKernel;
 use crate::oracle::{GainOracle, OracleStrategy};
 use crate::reward::{
-    padded_len, point_bits, CsrScratch, EngineKind, Enumerator, LaneScalar, RewardEngine,
+    cell_index, padded_len, point_bits, CsrScratch, EngineKind, LaneScalar, RewardEngine,
     SparseCsr, SPARSE_LANES,
 };
 use crate::scratch::SolveScratch;
@@ -75,12 +75,12 @@ pub const DEFAULT_CHURN_THRESHOLD: f64 = 0.05;
 
 /// A hash grid over the instance's points with cell side = the
 /// interest radius, maintained incrementally under churn. Unlike
-/// `mmph_geom::GridIndex` (which snapshots the point set into its own
-/// CSR layout at build time), this index holds only point *indices*
+/// [`crate::cells::GridIndex`] (which sorts a snapshot of the point set
+/// into its slots at build time), this index holds only point *indices*
 /// per cell, so inserts/removes/moves are O(1) hash operations.
 /// Radius enumeration visits the 3^D cell neighborhood and reports
-/// `norm.dist` — the same distance bits the cold build's enumerators
-/// produce, which is what keeps patched rows bit-identical to rebuilt
+/// `norm.dist` — the same distance bits the cold build's index query
+/// produces, which is what keeps patched rows bit-identical to rebuilt
 /// ones.
 #[derive(Debug)]
 struct ChurnGrid<const D: usize> {
@@ -132,7 +132,7 @@ impl<const D: usize> ChurnGrid<D> {
     }
 
     /// Calls `f(index, dist)` for every point within `radius` of
-    /// `center` (boundary inclusive, like the cold enumerators).
+    /// `center` (boundary inclusive, like the cold build's index query).
     fn for_each_within(
         &self,
         points: &[Point<D>],
@@ -293,13 +293,12 @@ impl<const D: usize> IncrementalInstance<D> {
             )));
         }
         let mut csr_scratch = CsrScratch::new();
-        let enumerator = Enumerator::build(inst.points(), inst.radius());
         let state = if kind == EngineKind::SparseF32 {
-            let mut csr = SparseCsr::<f32>::build_with(&inst, &enumerator, &mut csr_scratch);
+            let mut csr = SparseCsr::<f32>::build_with(&inst, &cell_index(&inst), &mut csr_scratch);
             csr.offsets.pop();
             CsrState::F32(csr)
         } else {
-            let mut csr = SparseCsr::<f64>::build_with(&inst, &enumerator, &mut csr_scratch);
+            let mut csr = SparseCsr::<f64>::build_with(&inst, &cell_index(&inst), &mut csr_scratch);
             csr.offsets.pop(); // drop the sentinel: row ends derive from degrees
             CsrState::F64(csr)
         };
@@ -581,13 +580,13 @@ impl<const D: usize> IncrementalInstance<D> {
     /// Unconditional compaction rebuild (also the recovery path for
     /// tests).
     pub fn rebuild(&mut self) {
-        let enumerator = Enumerator::build(self.inst.points(), self.inst.radius());
+        let grid = cell_index(&self.inst);
         match &mut self.state {
             CsrState::F64(csr_slot) => {
                 let old = std::mem::replace(csr_slot, SparseCsr::<f64>::empty());
                 old.recycle(&mut self.csr_scratch);
                 let mut csr =
-                    SparseCsr::<f64>::build_with(&self.inst, &enumerator, &mut self.csr_scratch);
+                    SparseCsr::<f64>::build_with(&self.inst, &grid, &mut self.csr_scratch);
                 csr.offsets.pop();
                 *csr_slot = csr;
             }
@@ -595,7 +594,7 @@ impl<const D: usize> IncrementalInstance<D> {
                 let old = std::mem::replace(csr_slot, SparseCsr::<f32>::empty());
                 old.recycle(&mut self.csr_scratch);
                 let mut csr =
-                    SparseCsr::<f32>::build_with(&self.inst, &enumerator, &mut self.csr_scratch);
+                    SparseCsr::<f32>::build_with(&self.inst, &grid, &mut self.csr_scratch);
                 csr.offsets.pop();
                 *csr_slot = csr;
             }
@@ -1386,8 +1385,7 @@ fn verify_csr<S: LaneScalar, const D: usize>(
             return Err(format!("slot_of/order mismatch at candidate {i}"));
         }
     }
-    let enumerator = Enumerator::build(inst.points(), inst.radius());
-    let cold = SparseCsr::<S>::build(inst, &enumerator);
+    let cold = SparseCsr::<S>::build(inst, &cell_index(inst));
     for i in 0..n {
         let p_range = patched.padded_row(i);
         let c_range = cold.padded_row(i);

@@ -41,6 +41,7 @@ pub mod batch;
 pub mod bounds;
 pub mod budget;
 pub mod cancel;
+pub mod cells;
 pub mod coreset;
 pub mod incremental;
 pub mod instance;
@@ -58,6 +59,7 @@ pub use batch::{
 };
 pub use budget::{DegradeReason, SolveBudget, SolveOutcome, SolveStatus};
 pub use cancel::CancelToken;
+pub use cells::GridIndex;
 pub use coreset::{
     build_coreset, solve_coreset, streaming_objective, Coreset, CoresetConfig, CoresetReport,
     Pipeline, DEFAULT_CORESET_CELLS,

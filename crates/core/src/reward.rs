@@ -17,8 +17,9 @@
 use std::mem::MaybeUninit;
 use std::ops::{ControlFlow, Range};
 
-use mmph_geom::{CellBox, GridIndex, KdTree, Norm, Point};
+use mmph_geom::{Norm, Point};
 
+use crate::cells::{CellBox, GridIndex};
 use crate::instance::Instance;
 use crate::kernel::{FracPass, PreparedKernel};
 
@@ -285,15 +286,11 @@ impl Residuals {
 pub enum EngineKind {
     /// Pick automatically: the sparse CSR engine when its estimated
     /// footprint fits [`DEFAULT_SPARSE_CAP_BYTES`], else the CSR-free
-    /// [`EngineKind::Grid`] backend (the kd-tree only for input spread
-    /// so wide that the uniform grid would outnumber its points).
+    /// [`EngineKind::Grid`] backend, on any spread of input.
     #[default]
     Auto,
     /// Dense linear scan over all points (the reference semantics).
     Scan,
-    /// Kd-tree radius queries. Sums in tree order, so it matches
-    /// [`EngineKind::Scan`] to ~1e-9 relative, not bitwise.
-    Kd,
     /// Precomputed CSR neighbor lists (forced, ignoring the memory cap).
     Sparse,
     /// The sparse CSR engine with `frac`/`weight` stored as `f32`
@@ -303,25 +300,24 @@ pub enum EngineKind {
     /// DESIGN.md "Kernel layout & precision"). Opt-in only — never
     /// selected by [`EngineKind::Auto`].
     SparseF32,
-    /// CSR-free cell sweep over the cell-ordered grid: O(n) memory and
-    /// no precomputed rows. Every gain and commit sums its query box in
-    /// ascending index, as a CSR row does, so it is bit-identical to
-    /// [`EngineKind::Scan`] and [`EngineKind::Sparse`]. What
-    /// [`EngineKind::Auto`] runs past the cap.
+    /// CSR-free cell sweep over the occupied-cell index
+    /// ([`GridIndex`]) at cell side `r`: O(n) memory, whatever the
+    /// spread, and no precomputed rows. Every gain and commit sums its
+    /// query box in ascending index, as a CSR row does, so it is
+    /// bit-identical to [`EngineKind::Scan`] and [`EngineKind::Sparse`].
+    /// What [`EngineKind::Auto`] runs past the cap.
     Grid,
 }
 
 impl EngineKind {
     /// All parseable names, for CLI help strings.
-    pub const NAMES: &'static [&'static str] =
-        &["auto", "scan", "kd", "sparse", "sparse-f32", "grid"];
+    pub const NAMES: &'static [&'static str] = &["auto", "scan", "sparse", "sparse-f32", "grid"];
 
     /// Parses a CLI name.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "auto" => Ok(EngineKind::Auto),
             "scan" => Ok(EngineKind::Scan),
-            "kd" => Ok(EngineKind::Kd),
             "sparse" => Ok(EngineKind::Sparse),
             "sparse-f32" => Ok(EngineKind::SparseF32),
             "grid" => Ok(EngineKind::Grid),
@@ -337,7 +333,6 @@ impl EngineKind {
         match self {
             EngineKind::Auto => "auto",
             EngineKind::Scan => "scan",
-            EngineKind::Kd => "kd",
             EngineKind::Sparse => "sparse",
             EngineKind::SparseF32 => "sparse-f32",
             EngineKind::Grid => "grid",
@@ -368,7 +363,7 @@ pub const DEFAULT_SPARSE_CAP_BYTES: usize = 512 << 20;
 /// the reports and by perfbench's `reward.*` layer metrics.
 #[derive(Debug, Clone, Copy)]
 pub struct SparseStats {
-    /// Wall time of the CSR build (including the enumeration index).
+    /// Wall time of the CSR build (including the occupied-cell index).
     pub build_nanos: u64,
     /// Bytes held by the CSR buffers.
     pub bytes: usize,
@@ -382,9 +377,6 @@ pub struct SparseStats {
     pub avg_degree: f64,
     /// Largest row degree.
     pub max_degree: usize,
-    /// True when the uniform grid enumerated the pairs; false when the
-    /// high-spread fallback used the kd-tree instead.
-    pub used_grid: bool,
 }
 
 /// Lane width of the blocked sparse kernel: every CSR row is padded to
@@ -464,34 +456,6 @@ pub(crate) fn point_bits<const D: usize>(p: &Point<D>) -> [u64; D] {
     std::array::from_fn(|d| p[d].to_bits())
 }
 
-/// Fills `order` with all point indices sorted by grid cell (cell side
-/// = the interest radius) and index within a cell — the storage order
-/// of the blocked CSR. Spatially adjacent candidates share most of
-/// their neighbor sets, so evaluating them consecutively touches
-/// overlapping residual cache lines.
-pub(crate) fn spatial_order<const D: usize>(
-    points: &[Point<D>],
-    radius: f64,
-    order: &mut Vec<u32>,
-) {
-    order.clear();
-    order.extend(0..points.len() as u32);
-    let cell = radius.max(1e-9);
-    let mut lo = [f64::INFINITY; D];
-    for p in points {
-        for d in 0..D {
-            lo[d] = lo[d].min(p[d]);
-        }
-    }
-    // The key ends with the index, so the order is total (no unstable
-    // tie arbitration) and ascending-index within each cell.
-    order.sort_unstable_by_key(|&i| {
-        let p = &points[i as usize];
-        let cells: [u64; D] = std::array::from_fn(|d| ((p[d] - lo[d]) / cell) as u64);
-        (cells, i)
-    });
-}
-
 /// Precomputed fixed-radius adjacency in blocked CSR form: row `i`
 /// holds the ascending-index neighbors `j` with `d(x_i, x_j) ≤ r` and
 /// `frac(d_ij, r) > 0`, alongside the kernel fraction and the weight
@@ -507,8 +471,8 @@ pub(crate) fn spatial_order<const D: usize>(
 ///   `frac = weight = 0` (an exact `+0.0` gain term), so the kernel
 ///   walks fixed-width chunks with no tail loop and no per-entry
 ///   branches. `degrees` records the real (unpadded) length.
-/// * **Row blocking** — rows are stored in grid-cell order
-///   ([`spatial_order`]), not index order: `order[slot]` is the
+/// * **Row blocking** — rows are stored in the occupied-cell index's
+///   slot order ([`GridIndex::entries`]), not index order: `order[slot]` is the
 ///   candidate stored at `slot`, `slot_of[i]` its inverse. Scanning
 ///   candidates in `order` reads the CSR streams strictly sequentially
 ///   and revisits hot residual cache lines.
@@ -545,80 +509,16 @@ pub(crate) struct SparseCsr<S> {
     pub(crate) stats: SparseStats,
 }
 
-/// Radius enumerator behind the CSR build: the uniform grid for the
-/// common dense-bbox case, the kd-tree when the points are spread so
-/// wide that grid cells would outnumber points.
-pub(crate) enum Enumerator<const D: usize> {
-    Grid(GridIndex<D>),
-    Kd(KdTree<D>),
+/// The occupied-cell index at cell side `r` over `inst`'s points: what
+/// every CSR build and the grid engine sweep.
+pub(crate) fn cell_index<const D: usize>(inst: &Instance<D>) -> GridIndex<D> {
+    GridIndex::build_for_radius(inst.points(), inst.radius())
+        .expect("instance points are non-empty and finite")
 }
 
-/// The bounding-box extent of `points` along each dimension.
-fn extents<const D: usize>(points: &[Point<D>]) -> [f64; D] {
-    std::array::from_fn(|d| {
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for p in points {
-            lo = lo.min(p[d]);
-            hi = hi.max(p[d]);
-        }
-        hi - lo
-    })
-}
-
-/// Whether a uniform grid of cell side `cell` over a bounding box of
-/// these extents would hold more than ~4 cells per point: the
-/// high-spread case, where the cell array would outgrow the points.
-fn too_many_cells<const D: usize>(extent: &[f64; D], cell: f64, n: usize) -> bool {
-    let cells = extent.iter().fold(1usize, |cells, &e| {
-        cells.saturating_mul(((e / cell).floor() as usize).saturating_add(1))
-    });
-    cells > 4 * n + 1024
-}
-
-impl<const D: usize> Enumerator<D> {
-    /// Grid unless the cell count at cell side `r` would exceed
-    /// ~4n (high-spread input), in which case the kd-tree enumerates.
-    pub(crate) fn build(points: &[Point<D>], radius: f64) -> Self {
-        if too_many_cells(&extents(points), radius.max(1e-9), points.len()) {
-            return Enumerator::Kd(KdTree::build(points));
-        }
-        match GridIndex::build_for_radius(points, radius) {
-            Ok(g) => Enumerator::Grid(g),
-            Err(_) => Enumerator::Kd(KdTree::build(points)),
-        }
-    }
-
-    pub(crate) fn for_each_within(
-        &self,
-        center: &Point<D>,
-        radius: f64,
-        norm: Norm,
-        f: impl FnMut(usize, f64),
-    ) {
-        match self {
-            Enumerator::Grid(g) => g.for_each_within(center, radius, norm, f),
-            Enumerator::Kd(t) => t.for_each_within(center, radius, norm, f),
-        }
-    }
-
-    fn used_grid(&self) -> bool {
-        matches!(self, Enumerator::Grid(_))
-    }
-
-    /// The CSR-free backend over this index: the grid backend on the
-    /// grid, the kd backend on the high-spread kd-tree.
-    fn into_csr_free(self, inst: &Instance<D>) -> Backend<D> {
-        match self {
-            Enumerator::Grid(g) => Backend::Grid(GridCells::new(inst, g)),
-            Enumerator::Kd(t) => Backend::Kd(t),
-        }
-    }
-}
-
-/// Reusable buffers for the sparse CSR adjacency: the flat CSR arrays
-/// (including the lane-padded layout vectors and the `f32` streams of
-/// the mixed-precision engine) plus the per-row sort buffer of the kd
-/// path's row-by-row fill. A [`RewardEngine::sparse_with_scratch`] or
+/// Reusable buffers for the sparse CSR adjacency: the flat CSR arrays,
+/// including the lane-padded layout vectors and the `f32` streams of
+/// the mixed-precision engine. A [`RewardEngine::sparse_with_scratch`] or
 /// [`RewardEngine::sparse_f32_with_scratch`] build *takes* the vectors
 /// it needs (an O(1) move), refills them in place, and
 /// [`RewardEngine::reclaim`] puts them back after the solve — so a
@@ -637,7 +537,6 @@ pub struct CsrScratch {
     weight: Vec<f64>,
     frac32: Vec<f32>,
     weight32: Vec<f32>,
-    pub(crate) row: Vec<(u32, f64)>,
 }
 
 impl CsrScratch {
@@ -657,7 +556,6 @@ impl CsrScratch {
             * 4
             + (self.frac.capacity() + self.weight.capacity()) * 8
             + (self.frac32.capacity() + self.weight32.capacity()) * 4
-            + self.row.capacity() * 16
     }
 }
 
@@ -689,51 +587,40 @@ impl<S: LaneScalar> SparseCsr<S> {
                 padded_entries: 0,
                 avg_degree: 0.0,
                 max_degree: 0,
-                used_grid: true,
             },
         }
     }
 
-    /// Builds the CSR over `inst`'s points via `enumerator`, with fresh
-    /// buffers.
-    pub(crate) fn build<const D: usize>(inst: &Instance<D>, enumerator: &Enumerator<D>) -> Self {
-        Self::build_with(inst, enumerator, &mut CsrScratch::default())
+    /// Builds the CSR over `inst`'s points from their occupied-cell
+    /// index `grid`, with fresh buffers.
+    pub(crate) fn build<const D: usize>(inst: &Instance<D>, grid: &GridIndex<D>) -> Self {
+        Self::build_with(inst, grid, &mut CsrScratch::default())
     }
 
     /// Builds the CSR into the buffers taken from `scratch` (leaving
-    /// this scalar's buffers empty; see [`RewardEngine::reclaim`]). The
-    /// grid path fills cell by cell ([`Self::fill_cells`]), split across
-    /// the rayon pool from [`PARALLEL_BUILD_MIN_POINTS`] points up; the
-    /// kd path fills row by row ([`Self::fill_rows`]). Both produce the
-    /// same arrays from the same enumerated pairs.
+    /// this scalar's buffers empty; see [`RewardEngine::reclaim`]),
+    /// cell by cell ([`Self::fill_cells`]), split across the rayon pool
+    /// from [`PARALLEL_BUILD_MIN_POINTS`] points up.
     pub(crate) fn build_with<const D: usize>(
         inst: &Instance<D>,
-        enumerator: &Enumerator<D>,
+        grid: &GridIndex<D>,
         scratch: &mut CsrScratch,
     ) -> Self {
-        Self::build_in_parts(inst, enumerator, scratch, sweep_parts(inst.n()))
+        Self::build_in_parts(inst, grid, scratch, sweep_parts(inst.n()))
     }
 
-    /// [`Self::build_with`] with an explicit part count for the grid
-    /// path's cell split.
+    /// [`Self::build_with`] with an explicit part count for the cell
+    /// split.
     fn build_in_parts<const D: usize>(
         inst: &Instance<D>,
-        enumerator: &Enumerator<D>,
+        grid: &GridIndex<D>,
         scratch: &mut CsrScratch,
         parts: usize,
     ) -> Self {
         let started = std::time::Instant::now();
         let mut csr = Self::from_scratch(scratch);
-        let max_degree = match enumerator {
-            Enumerator::Grid(grid) => csr.fill_cells(inst, grid, parts),
-            Enumerator::Kd(_) => {
-                let mut row = std::mem::take(&mut scratch.row);
-                let max = csr.fill_rows(inst, enumerator, &mut row);
-                scratch.row = row;
-                max
-            }
-        };
-        csr.finish(inst, enumerator.used_grid(), max_degree, started);
+        let max_degree = csr.fill_cells(inst, grid, parts);
+        csr.finish(inst, max_degree, started);
         csr
     }
 
@@ -768,7 +655,6 @@ impl<S: LaneScalar> SparseCsr<S> {
     fn finish<const D: usize>(
         &mut self,
         inst: &Instance<D>,
-        used_grid: bool,
         max_degree: usize,
         started: std::time::Instant,
     ) {
@@ -795,101 +681,15 @@ impl<S: LaneScalar> SparseCsr<S> {
             padded_entries,
             avg_degree: entries as f64 / n as f64,
             max_degree,
-            used_grid,
         };
     }
 
-    /// Appends one enumerated-and-sorted row: keeps the entries with
-    /// positive kernel fraction (a zero-`frac` entry — a point exactly
-    /// on the rim — contributes an exact `+0.0` to every gain, so
-    /// dropping it is bit-transparent), then pads to a lane multiple by
-    /// repeating the last real neighbor with `frac = weight = 0`.
-    /// Returns the real degree.
-    pub(crate) fn append_row<const D: usize>(
-        inst: &Instance<D>,
-        kernel: &PreparedKernel,
-        row: &[(u32, f64)],
-        neighbors: &mut Vec<u32>,
-        frac: &mut Vec<S>,
-        weight: &mut Vec<S>,
-    ) -> usize {
-        let r = inst.radius();
-        let before = neighbors.len();
-        for &(j, d) in row {
-            let f = kernel.frac(d, r);
-            if f > 0.0 {
-                neighbors.push(j);
-                frac.push(S::narrow(f));
-                weight.push(S::narrow(inst.weight(j as usize)));
-            }
-        }
-        let deg = neighbors.len() - before;
-        let target = before + padded_len(deg);
-        if deg > 0 {
-            // Padding duplicates a real in-range neighbor index so the
-            // kernel's unchecked residual gather stays in bounds and the
-            // dirty-region test sees no phantom points.
-            let pad = *neighbors.last().expect("deg > 0");
-            while neighbors.len() < target {
-                neighbors.push(pad);
-                frac.push(S::narrow(0.0));
-                weight.push(S::narrow(0.0));
-            }
-        }
-        deg
-    }
-
-    /// The per-row fill of the kd path: rows in [`spatial_order`], each
-    /// one enumerated, sorted ascending, stripped of zero-`frac`
-    /// entries, appended and padded. Returns the largest degree.
-    fn fill_rows<const D: usize>(
-        &mut self,
-        inst: &Instance<D>,
-        enumerator: &Enumerator<D>,
-        row: &mut Vec<(u32, f64)>,
-    ) -> usize {
-        spatial_order(inst.points(), inst.radius(), &mut self.order);
-        let r = inst.radius();
-        let norm = inst.norm();
-        let kernel = inst.kernel().prepared();
-        self.offsets.reserve(self.order.len() + 1);
-        self.degrees.reserve(self.order.len());
-        self.offsets.push(0);
-        let mut max_degree = 0usize;
-        for &i in &self.order {
-            row.clear();
-            enumerator.for_each_within(inst.point(i as usize), r, norm, |j, d| {
-                row.push((j as u32, d));
-            });
-            // Enumerators emit in index-unrelated order (cell or leaf
-            // order); ascending neighbor index is what makes the sparse
-            // accumulation bit-identical to the dense scan.
-            row.sort_unstable_by_key(|&(j, _)| j);
-            let deg = Self::append_row(
-                inst,
-                &kernel,
-                row,
-                &mut self.neighbors,
-                &mut self.frac,
-                &mut self.weight,
-            );
-            max_degree = max_degree.max(deg);
-            self.degrees.push(deg as u32);
-            assert!(
-                self.neighbors.len() <= u32::MAX as usize,
-                "sparse engine: neighbor entries overflow u32 offsets"
-            );
-            self.offsets.push(self.neighbors.len() as u32);
-        }
-        max_degree
-    }
-
-    /// The grid-path fill. Rows are stored in the grid's slot order,
-    /// which is [`spatial_order`]'s permutation without its comparison
-    /// sort. Each occupied cell gathers its candidates once — every
-    /// point in the union of its members' query boxes, in ascending
-    /// index — and each member's row is one scan of that list (see
-    /// [`scan_row`]), so rows come out sorted with no per-row sort.
+    /// The cell fill. Rows are stored in the grid's slot order, the
+    /// points sorted by (cell, index). Each occupied cell gathers its
+    /// candidates once — every point in the union of its members'
+    /// query boxes, in ascending index — and each member's row is one
+    /// scan of that list (see [`scan_row`]), so rows come out sorted
+    /// with no per-row sort.
     ///
     /// Two passes over `parts` contiguous cell ranges balanced by point
     /// count (on the rayon pool when `parts > 1`): the first counts
@@ -1031,7 +831,7 @@ impl<S: LaneScalar> SparseCsr<S> {
             let mut terms = [0.0f64; SPARSE_LANES];
             for l in 0..SPARSE_LANES {
                 // SAFETY: every stored neighbor index is < n = y.len():
-                // real entries come from the radius enumerator over the
+                // real entries come from the radius query over the
                 // instance's own points, and padding repeats a real
                 // entry of the same row.
                 let yv = unsafe { *y.get_unchecked(nb8[l] as usize) };
@@ -1124,14 +924,14 @@ impl<S: LaneScalar> SparseCsr<S> {
     /// row's degree — cheap relative to the build, accurate on the
     /// near-uniform inputs the grid targets. Includes the layout
     /// vectors and an average half-lane of padding per row.
-    fn estimate_bytes<const D: usize>(inst: &Instance<D>, enumerator: &Enumerator<D>) -> usize {
+    fn estimate_bytes<const D: usize>(inst: &Instance<D>, grid: &GridIndex<D>) -> usize {
         let n = inst.n();
         let stride = (n / 256).max(1);
         let mut sampled = 0usize;
         let mut entries = 0usize;
         let mut i = 0;
         while i < n {
-            enumerator.for_each_within(inst.point(i), inst.radius(), inst.norm(), |_, _| {
+            grid.for_each_within(inst.point(i), inst.radius(), inst.norm(), |_, _| {
                 entries += 1;
             });
             sampled += 1;
@@ -1152,7 +952,7 @@ impl<S: LaneScalar> SparseCsr<S> {
 /// `f64` CSR over `n` points: every row holds at least its own point, so
 /// the estimate is never below the degree-1 footprint, `120·n + 4`
 /// bytes. Checking it first decides a cap that even it busts without
-/// building the grid the estimate samples.
+/// building the index the estimate samples.
 pub(crate) fn min_sparse_bytes(n: usize) -> usize {
     SparseCsr::<f64>::footprint(n, 1.0)
 }
@@ -1166,17 +966,18 @@ pub(crate) fn busts_cap<S: LaneScalar>(est_bytes: usize, cap_bytes: usize) -> bo
     est_bytes > cap_bytes || est_bytes / SparseCsr::<S>::BYTES_PER_ENTRY >= u32::MAX as usize
 }
 
-/// Smallest instance whose grid-path CSR build is split across the
-/// rayon pool. Smaller builds run as one part on the calling thread, so
-/// small served solves spawn no threads. On a 2-vCPU Xeon a 2-part
-/// build of a degree-48 instance took 2.5 ms against 3.3 ms serial at
-/// n = 2,000, and 13 ms against 22 ms at n = 10,000: from here on the
-/// saving dwarfs the cost of spawning the workers.
+/// Smallest instance whose occupied-cell index, CSR build, grid root
+/// pass and coreset are split across the rayon pool. Smaller ones run
+/// as one part on the calling thread, so small served solves spawn no
+/// threads. On a 2-vCPU Xeon a 2-part CSR build of a degree-48
+/// instance took 2.5 ms against 3.3 ms serial at n = 2,000, and 13 ms
+/// against 22 ms at n = 10,000: from here on the saving dwarfs the
+/// cost of spawning the workers.
 const PARALLEL_BUILD_MIN_POINTS: usize = 10_000;
 
-/// Parts a cell sweep over `n` points splits into: one per pool thread
-/// from [`PARALLEL_BUILD_MIN_POINTS`] up, else one.
-fn sweep_parts(n: usize) -> usize {
+/// Parts a pass over `n` points splits into: one per pool thread from
+/// [`PARALLEL_BUILD_MIN_POINTS`] up, else one.
+pub(crate) fn sweep_parts(n: usize) -> usize {
     if n >= PARALLEL_BUILD_MIN_POINTS {
         rayon::current_num_threads()
     } else {
@@ -1293,7 +1094,7 @@ impl<'a, const D: usize> CellFill<'a, D> {
     fn sweep(&self, cells: Range<usize>, block: &mut CellBlock<'_, D>) {
         let (grid, r) = (self.grid, self.inst.radius());
         let (entries, points) = (grid.entries(), grid.slot_points());
-        let (mut keys, mut cands) = (Vec::new(), Vec::new());
+        let (mut keys, mut cands, mut hints) = (Vec::new(), Vec::new(), Vec::new());
         for c in cells {
             let members = self.slots(&(c..c + 1));
             let Some(union) = members
@@ -1306,7 +1107,7 @@ impl<'a, const D: usize> CellFill<'a, D> {
             // (index, slot) keys: one integer sort merges the cells'
             // ascending runs into ascending index.
             keys.clear();
-            grid.for_each_cell_in(&union, |slots| {
+            grid.for_each_row_near(&union, &mut hints, |slots| {
                 keys.extend(slots.map(|s| (u64::from(entries[s]) << 32) | s as u64));
             });
             keys.sort_unstable();
@@ -1329,8 +1130,9 @@ impl<'a, const D: usize> CellFill<'a, D> {
 /// Scans the row of `x` and returns its degree. The row's entries are
 /// the candidates with positive `frac = pair(x, ·)` that lie in `x`'s
 /// own query box — exactly the pairs [`GridIndex::for_each_within`]
-/// reports and [`SparseCsr::append_row`] keeps, since a positive
-/// fraction implies `d ≤ r`. Float rounding at a cell edge can make a
+/// reports with a positive fraction, since that implies `d ≤ r`. A
+/// zero-`frac` pair (a point exactly on the rim) adds an exact `+0.0`
+/// to every gain, so dropping it is bit-transparent. Float rounding at a cell edge can make a
 /// member's box narrower than the block's union; only then does a
 /// candidate's cell need checking.
 ///
@@ -1481,7 +1283,9 @@ impl<const D: usize, S: LaneScalar> PairPass<D> for WritePass<'_, '_, D, S> {
                     }
                     if deg > 0 {
                         // Padding repeats the last real neighbor with
-                        // zero frac and weight (see `append_row`).
+                        // zero frac and weight, so the kernel's
+                        // unchecked residual gather stays in bounds and
+                        // the dirty-region test sees no phantom points.
                         let pad = cands[kept[deg - 1].0 as usize].index;
                         for k in start + deg..start + padded_len(deg) {
                             nb[k].write(pad);
@@ -1497,9 +1301,9 @@ impl<const D: usize, S: LaneScalar> PairPass<D> for WritePass<'_, '_, D, S> {
 }
 
 /// Reward evaluation engine: computes coverage rewards by dense linear
-/// scan, tree radius query, precomputed sparse CSR adjacency or a
-/// CSR-free grid query, and counts evaluations (used by the CELF
-/// ablation to demonstrate the saved work).
+/// scan, precomputed sparse CSR adjacency or a CSR-free grid query, and
+/// counts evaluations (used by the CELF ablation to demonstrate the
+/// saved work).
 #[derive(Debug)]
 pub struct RewardEngine<'a, const D: usize> {
     inst: &'a Instance<D>,
@@ -1516,7 +1320,6 @@ pub struct RewardEngine<'a, const D: usize> {
 #[derive(Debug)]
 pub(crate) enum Backend<const D: usize> {
     Scan,
-    Kd(KdTree<D>),
     Sparse(SparseCsr<f64>),
     SparseF32(SparseCsr<f32>),
     Grid(GridCells<D>),
@@ -1566,20 +1369,11 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
         Self::with_backend(inst, Backend::Scan)
     }
 
-    /// Engine backed by a kd-tree radius query. Worth it when the
-    /// interest radius covers a small fraction of the instance (see the
-    /// `ablation_spatial_index` bench for the crossover).
-    pub fn indexed(inst: &'a Instance<D>) -> Self {
-        Self::with_backend(inst, Backend::Kd(KdTree::build(inst.points())))
-    }
-
-    /// The CSR-free grid engine ([`EngineKind::Grid`]): the cell-ordered
-    /// grid at cell side `r` and the weights in its slot order, O(n)
-    /// memory. On input spread so wide that cells of side `r` would
-    /// outnumber the points ~4 to 1, the cell side doubles until they
-    /// do not, so the index stays O(n); every result stays exact.
+    /// The CSR-free grid engine ([`EngineKind::Grid`]): the
+    /// occupied-cell index at cell side `r` and the weights in its slot
+    /// order, O(n) memory on input of any spread.
     pub fn grid(inst: &'a Instance<D>) -> Self {
-        Self::with_backend(inst, Backend::Grid(GridCells::build(inst)))
+        Self::with_backend(inst, Backend::Grid(GridCells::new(inst, cell_index(inst))))
     }
 
     /// Engine backed by a precomputed CSR neighbor adjacency: candidate
@@ -1587,8 +1381,10 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     /// dense scan. Forces the build regardless of footprint; use
     /// [`Self::auto`] for the memory-capped variant.
     pub fn sparse(inst: &'a Instance<D>) -> Self {
-        let enumerator = Enumerator::build(inst.points(), inst.radius());
-        Self::with_backend(inst, Backend::Sparse(SparseCsr::build(inst, &enumerator)))
+        Self::with_backend(
+            inst,
+            Backend::Sparse(SparseCsr::build(inst, &cell_index(inst))),
+        )
     }
 
     /// Sparse engine whose CSR buffers are taken from (and on
@@ -1596,10 +1392,9 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     /// produced adjacency is byte-identical to [`Self::sparse`]; only
     /// the allocation behaviour differs.
     pub fn sparse_with_scratch(inst: &'a Instance<D>, scratch: &mut CsrScratch) -> Self {
-        let enumerator = Enumerator::build(inst.points(), inst.radius());
         Self::with_backend(
             inst,
-            Backend::Sparse(SparseCsr::build_with(inst, &enumerator, scratch)),
+            Backend::Sparse(SparseCsr::build_with(inst, &cell_index(inst), scratch)),
         )
     }
 
@@ -1609,20 +1404,18 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     /// documented relative error bound instead of the bit-identical
     /// guarantee — see DESIGN.md "Kernel layout & precision".
     pub fn sparse_f32(inst: &'a Instance<D>) -> Self {
-        let enumerator = Enumerator::build(inst.points(), inst.radius());
         Self::with_backend(
             inst,
-            Backend::SparseF32(SparseCsr::build(inst, &enumerator)),
+            Backend::SparseF32(SparseCsr::build(inst, &cell_index(inst))),
         )
     }
 
     /// [`Self::sparse_f32`] over scratch-borrowed buffers, mirroring
     /// [`Self::sparse_with_scratch`].
     pub fn sparse_f32_with_scratch(inst: &'a Instance<D>, scratch: &mut CsrScratch) -> Self {
-        let enumerator = Enumerator::build(inst.points(), inst.radius());
         Self::with_backend(
             inst,
-            Backend::SparseF32(SparseCsr::build_with(inst, &enumerator, scratch)),
+            Backend::SparseF32(SparseCsr::build_with(inst, &cell_index(inst), scratch)),
         )
     }
 
@@ -1696,8 +1489,8 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     }
 
     /// Sparse when the estimated CSR footprint fits under
-    /// [`DEFAULT_SPARSE_CAP_BYTES`], else the CSR-free grid engine (kd
-    /// only for high-spread input; see [`EngineKind::Auto`]).
+    /// [`DEFAULT_SPARSE_CAP_BYTES`], else the CSR-free grid engine (see
+    /// [`EngineKind::Auto`]).
     pub fn auto(inst: &'a Instance<D>) -> Self {
         Self::auto_with_cap(inst, DEFAULT_SPARSE_CAP_BYTES)
     }
@@ -1714,33 +1507,23 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     /// 12 B for `f32` — so under the same cap the mixed-precision
     /// engine stays sparse to roughly 1.67× more entries instead of
     /// falling back at the `f64` threshold. Past the cap the engine is
-    /// the grid backend over the grid the estimate already built, or
-    /// kd when the input is spread too wide for a grid.
+    /// the grid backend over the index the estimate already built.
     pub fn auto_with_cap_kind(inst: &'a Instance<D>, cap_bytes: usize, kind: EngineKind) -> Self {
-        let enumerator = Enumerator::build(inst.points(), inst.radius());
+        let grid = cell_index(inst);
         let f32_kind = matches!(kind, EngineKind::SparseF32);
         let busts = if f32_kind {
-            busts_cap::<f32>(
-                SparseCsr::<f32>::estimate_bytes(inst, &enumerator),
-                cap_bytes,
-            )
+            busts_cap::<f32>(SparseCsr::<f32>::estimate_bytes(inst, &grid), cap_bytes)
         } else {
-            busts_cap::<f64>(
-                SparseCsr::<f64>::estimate_bytes(inst, &enumerator),
-                cap_bytes,
-            )
+            busts_cap::<f64>(SparseCsr::<f64>::estimate_bytes(inst, &grid), cap_bytes)
         };
-        if busts {
-            return Self::with_backend(inst, enumerator.into_csr_free(inst));
-        }
-        if f32_kind {
-            Self::with_backend(
-                inst,
-                Backend::SparseF32(SparseCsr::build(inst, &enumerator)),
-            )
+        let backend = if busts {
+            Backend::Grid(GridCells::new(inst, grid))
+        } else if f32_kind {
+            Backend::SparseF32(SparseCsr::build(inst, &grid))
         } else {
-            Self::with_backend(inst, Backend::Sparse(SparseCsr::build(inst, &enumerator)))
-        }
+            Backend::Sparse(SparseCsr::build(inst, &grid))
+        };
+        Self::with_backend(inst, backend)
     }
 
     /// The estimated CSR footprint in bytes that [`Self::auto_with_cap_kind`]
@@ -1749,12 +1532,10 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     pub fn estimated_sparse_bytes(inst: &Instance<D>, kind: EngineKind) -> Option<usize> {
         match kind {
             EngineKind::Sparse | EngineKind::Auto => {
-                let enumerator = Enumerator::build(inst.points(), inst.radius());
-                Some(SparseCsr::<f64>::estimate_bytes(inst, &enumerator))
+                Some(SparseCsr::<f64>::estimate_bytes(inst, &cell_index(inst)))
             }
             EngineKind::SparseF32 => {
-                let enumerator = Enumerator::build(inst.points(), inst.radius());
-                Some(SparseCsr::<f32>::estimate_bytes(inst, &enumerator))
+                Some(SparseCsr::<f32>::estimate_bytes(inst, &cell_index(inst)))
             }
             _ => None,
         }
@@ -1767,7 +1548,6 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
         match kind {
             EngineKind::Auto => Self::auto(inst),
             EngineKind::Scan => Self::scan(inst),
-            EngineKind::Kd => Self::indexed(inst),
             EngineKind::Sparse => Self::sparse(inst),
             EngineKind::SparseF32 => Self::sparse_f32(inst),
             EngineKind::Grid => Self::grid(inst),
@@ -1778,7 +1558,6 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     pub fn kind(&self) -> EngineKind {
         match self.backend {
             Backend::Scan => EngineKind::Scan,
-            Backend::Kd(_) => EngineKind::Kd,
             Backend::Sparse(_) => EngineKind::Sparse,
             Backend::SparseF32(_) => EngineKind::SparseF32,
             Backend::Grid(_) => EngineKind::Grid,
@@ -1874,23 +1653,10 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
             }
         }
         self.note_eval();
-        let r = self.inst.radius();
-        let kernel = &self.kernel;
-        let mut total = 0.0;
-        let mut add = |i: usize, d: f64| {
-            let y = residuals.y(i);
-            if y > 0.0 {
-                total += self.inst.weight(i) * kernel.frac(d, r).min(y);
-            }
-        };
         match &self.backend {
-            Backend::Scan | Backend::Sparse(_) | Backend::SparseF32(_) => {
-                return coverage_reward_with(self.inst, c, residuals, kernel);
-            }
-            Backend::Grid(g) => return g.gain(self.inst, kernel, c, residuals.as_slice()),
-            Backend::Kd(tree) => tree.for_each_within(c, r, self.inst.norm(), &mut add),
+            Backend::Grid(g) => g.gain(self.inst, &self.kernel, c, residuals.as_slice()),
+            _ => coverage_reward_with(self.inst, c, residuals, &self.kernel),
         }
-        total
     }
 
     /// Coverage reward of candidate point `i` — the hot path of every
@@ -2156,37 +1922,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_scan_and_indexed_agree() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(88);
-        let pts: Vec<Point<2>> = (0..100)
-            .map(|_| Point::new([rng.gen_range(0.0..4.0), rng.gen_range(0.0..4.0)]))
-            .collect();
-        let ws: Vec<f64> = (0..100).map(|_| rng.gen_range(1.0..5.0)).collect();
-        for norm in [Norm::L1, Norm::L2] {
-            let inst = Instance::new(pts.clone(), ws.clone(), 1.0, 2, norm).unwrap();
-            let scan = RewardEngine::scan(&inst);
-            let indexed = RewardEngine::indexed(&inst);
-            let mut res = Residuals::new(inst.n());
-            for trial in 0..20 {
-                let c = Point::new([rng.gen_range(0.0..4.0), rng.gen_range(0.0..4.0)]);
-                let a = scan.gain(&c, &res);
-                let b = indexed.gain(&c, &res);
-                assert!(
-                    (a - b).abs() < 1e-9,
-                    "trial {trial} norm {norm}: {a} vs {b}"
-                );
-                if trial == 9 {
-                    res.apply(&inst, &c); // change residual state mid-way
-                }
-            }
-            assert_eq!(scan.evals(), 20);
-            assert_eq!(indexed.evals(), 20);
-        }
-    }
-
-    #[test]
     fn engine_counts_evaluations() {
         let inst = line_instance(1, 1.0);
         let engine = RewardEngine::scan(&inst);
@@ -2237,16 +1972,98 @@ mod tests {
         Instance::new(pts, ws, 0.7, 4, Norm::L2).unwrap()
     }
 
+    /// Fills `order` with all point indices sorted by grid cell of side
+    /// `cell`, measured from the bounding-box corner, and by index
+    /// within a cell: the slot order the index's sort must reproduce.
+    fn spatial_order<const D: usize>(points: &[Point<D>], cell: f64, order: &mut Vec<u32>) {
+        order.clear();
+        order.extend(0..points.len() as u32);
+        let mut lo = [f64::INFINITY; D];
+        for p in points {
+            for d in 0..D {
+                lo[d] = lo[d].min(p[d]);
+            }
+        }
+        // The key ends with the index, so the order is total (no unstable
+        // tie arbitration) and ascending-index within each cell.
+        order.sort_unstable_by_key(|&i| {
+            let p = &points[i as usize];
+            let cells: [u64; D] = std::array::from_fn(|d| ((p[d] - lo[d]) / cell) as u64);
+            (cells, i)
+        });
+    }
+
     impl<S: LaneScalar> SparseCsr<S> {
-        /// The reference build: rows in [`spatial_order`], each one
-        /// enumerated, sorted and appended on its own — the per-row
-        /// fill, whatever the enumerator.
-        fn build_rowwise<const D: usize>(inst: &Instance<D>, enumerator: &Enumerator<D>) -> Self {
+        /// The per-row reference build over the index `grid`: rows in
+        /// [`spatial_order`] at the index's cell side, each one
+        /// enumerated through the index's radius query, sorted,
+        /// appended and padded on its own.
+        fn build_rowwise<const D: usize>(inst: &Instance<D>, grid: &GridIndex<D>) -> Self {
             let started = std::time::Instant::now();
             let mut csr = Self::from_scratch(&mut CsrScratch::default());
-            let max_degree = csr.fill_rows(inst, enumerator, &mut Vec::new());
-            csr.finish(inst, enumerator.used_grid(), max_degree, started);
+            let max_degree = csr.fill_rows(inst, grid);
+            csr.finish(inst, max_degree, started);
             csr
+        }
+
+        /// The per-row fill: rows in [`spatial_order`], each one
+        /// enumerated, sorted ascending, stripped of zero-`frac`
+        /// entries, appended and padded. Returns the largest degree.
+        fn fill_rows<const D: usize>(&mut self, inst: &Instance<D>, grid: &GridIndex<D>) -> usize {
+            spatial_order(inst.points(), grid.cell_size(), &mut self.order);
+            let (r, norm) = (inst.radius(), inst.norm());
+            let kernel = inst.kernel().prepared();
+            self.offsets.push(0);
+            let mut row = Vec::new();
+            for slot in 0..self.order.len() {
+                row.clear();
+                let x = inst.point(self.order[slot] as usize);
+                grid.for_each_within(x, r, norm, |j, d| {
+                    row.push((j as u32, d));
+                });
+                // The query emits in cell order; ascending neighbor index
+                // is what makes the sparse accumulation bit-identical to
+                // the dense scan.
+                row.sort_unstable_by_key(|&(j, _)| j);
+                let deg = Self::append_row(inst, &kernel, &row, self);
+                self.degrees.push(deg as u32);
+                self.offsets.push(self.neighbors.len() as u32);
+            }
+            self.degrees.iter().max().map_or(0, |&d| d as usize)
+        }
+
+        /// Appends one enumerated-and-sorted row: keeps the entries with
+        /// positive kernel fraction (a zero-`frac` entry — a point
+        /// exactly on the rim — contributes an exact `+0.0` to every
+        /// gain, so dropping it is bit-transparent), then pads to a lane
+        /// multiple by repeating the last real neighbor with
+        /// `frac = weight = 0`. Returns the real degree.
+        fn append_row<const D: usize>(
+            inst: &Instance<D>,
+            kernel: &PreparedKernel,
+            row: &[(u32, f64)],
+            csr: &mut Self,
+        ) -> usize {
+            let r = inst.radius();
+            let before = csr.neighbors.len();
+            for &(j, d) in row {
+                let f = kernel.frac(d, r);
+                if f > 0.0 {
+                    csr.neighbors.push(j);
+                    csr.frac.push(S::narrow(f));
+                    csr.weight.push(S::narrow(inst.weight(j as usize)));
+                }
+            }
+            let deg = csr.neighbors.len() - before;
+            if deg > 0 {
+                let pad = *csr.neighbors.last().expect("deg > 0");
+                while csr.neighbors.len() < before + padded_len(deg) {
+                    csr.neighbors.push(pad);
+                    csr.frac.push(S::narrow(0.0));
+                    csr.weight.push(S::narrow(0.0));
+                }
+            }
+            deg
         }
 
         /// Every stored array (floats as bits) and the entry statistics.
@@ -2275,10 +2092,13 @@ mod tests {
     /// Instances that stress the cell fill's exactness: rows at exact
     /// multiples of `r` from the bounding-box corner (cell edges, and
     /// `d = r` pairs that only `Step` keeps), duplicates, a bounding box
-    /// far from the origin, a single cell, a spread that takes the kd
-    /// path, cells dense enough to fill several root-pass lane groups,
-    /// and cells of every member count around one and two groups.
-    /// Returns `(label, instance, expect_grid)`.
+    /// far from the origin, a single cell, a spread of ~2×10⁶ cells per
+    /// side, cells dense enough to fill several root-pass lane groups,
+    /// cells of every member count around one and two groups, and
+    /// points at ±10³⁰⁰ and ±10³⁰⁸, whose keys at side `r` do not fit 64
+    /// bits, so that the index widens its cells. Returns
+    /// `(label, instance, at_r)`, where `at_r` says the index keeps cell
+    /// side `r`.
     fn fill_cases<const D: usize>(norm: Norm, kernel: Kernel) -> Vec<(String, Instance<D>, bool)> {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -2328,7 +2148,7 @@ mod tests {
             1.0,
             true,
         ));
-        cases.push(("spread".into(), random(&mut rng, 40, 0.0, 1e6), 0.5, false));
+        cases.push(("spread".into(), random(&mut rng, 40, 0.0, 1e6), 0.5, true));
         // Uniform at degree ~48 (L2): cells of side r hold 10–20 members.
         let per_cell: f64 = if D == 2 { 15.0 } else { 11.5 };
         let side = (300.0 / per_cell).powf(1.0 / D as f64);
@@ -2369,6 +2189,13 @@ mod tests {
             0.2,
             true,
         ));
+        // Two far points and a cluster at the origin, which the widened
+        // cells hold in one or two cells.
+        for far in [1e300, 1e308] {
+            let mut pts = vec![on_axis(-far), on_axis(far)];
+            pts.extend(random(&mut rng, 30, 0.0, 2.0));
+            cases.push((format!("far-{far:e}"), pts, 1.0, false));
+        }
         cases
             .into_iter()
             .map(|(label, pts, r, grid)| {
@@ -2391,14 +2218,17 @@ mod tests {
         ];
         for norm in [Norm::L1, Norm::L2, Norm::LInf] {
             for kernel in kernels {
-                for (label, inst, grid) in fill_cases::<D>(norm, kernel) {
-                    let enumerator = Enumerator::build(inst.points(), inst.radius());
-                    assert_eq!(enumerator.used_grid(), grid, "{label}: enumerator");
-                    let want = SparseCsr::<S>::build_rowwise(&inst, &enumerator).arrays();
+                for (label, inst, at_r) in fill_cases::<D>(norm, kernel) {
+                    let grid = cell_index(&inst);
+                    assert_eq!(
+                        grid.cell_size() == inst.radius(),
+                        at_r,
+                        "{label}: cell side"
+                    );
+                    let want = SparseCsr::<S>::build_rowwise(&inst, &grid).arrays();
                     let mut scratch = CsrScratch::new();
                     for parts in [1, 2, 3, 7] {
-                        let got =
-                            SparseCsr::<S>::build_in_parts(&inst, &enumerator, &mut scratch, parts);
+                        let got = SparseCsr::<S>::build_in_parts(&inst, &grid, &mut scratch, parts);
                         assert_eq!(
                             got.arrays(),
                             want,
@@ -2424,8 +2254,8 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The grid engine's bulk root pass, on every fill case (the spread
-    /// one on a coarsened grid) in 1, 2, 3 and 7 parts, against its own
+    /// The grid engine's bulk root pass, on every fill case (the far
+    /// ones on widened cells) in 1, 2, 3 and 7 parts, against its own
     /// per-candidate `candidate_gain` and the sparse engine's on fresh
     /// residuals, and against the dense scan away from the cell-edge
     /// rounding case (where the sparse rows drop a `d = r` pair the
@@ -2535,31 +2365,70 @@ mod tests {
         }
     }
 
-    /// Named on high-spread input, the grid engine coarsens its cells
-    /// instead of allocating one per `r`-square, and stays bit-identical
-    /// to the dense scan.
+    /// Clustered input: 20 clusters of 100 points, 10⁴·r apart, under
+    /// L1, L2 and L∞. Every engine runs at cell side `r`: the grid root
+    /// pass and the grid, sparse and scan gains agree bit for bit, and so
+    /// do the lazy picks and rewards of all three.
     #[test]
-    fn grid_engine_coarsens_on_high_spread_input() {
-        let points: Vec<Point<2>> = (0..40)
-            .map(|i| {
-                let t = i as f64;
-                Point::new([t * t * 37.0, (t * 13.0) % 1000.0 * t])
-            })
-            .collect();
-        let inst = Instance::new(points, vec![1.0; 40], 0.5, 3, Norm::L2).unwrap();
-        let grid = RewardEngine::grid(&inst);
-        let Backend::Grid(cells) = &grid.backend else {
-            unreachable!("grid engine");
-        };
-        assert!(cells.grid.cell_size() > inst.radius());
-        assert!(cells.grid.cell_starts().len() <= 4 * inst.n() + 1026);
-        let scan = RewardEngine::scan(&inst);
-        let fresh = Residuals::new(inst.n());
-        for i in 0..inst.n() {
+    fn clustered_input_runs_every_engine_at_cell_side_r() {
+        use crate::batch::solve_rounds;
+        use crate::oracle::{GainOracle, OracleStrategy};
+        use crate::scratch::SolveScratch;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut points = Vec::new();
+        for c in 0..20 {
+            let (x0, y0) = (f64::from(c % 5) * 1e4, f64::from(c / 5) * 1e4);
+            for _ in 0..100 {
+                points.push(Point::new([
+                    x0 + rng.gen_range(0.0..6.0),
+                    y0 + rng.gen_range(0.0..6.0),
+                ]));
+            }
+        }
+        let weights = (0..points.len()).map(|i| 1.0 + (i % 3) as f64).collect();
+        let inst = Instance::new(points, weights, 1.0, 12, Norm::L2).unwrap();
+        for norm in [Norm::L1, Norm::L2, Norm::LInf] {
+            let inst = inst.clone().with_norm(norm).unwrap();
+            let grid = RewardEngine::grid(&inst);
+            let Backend::Grid(cells) = &grid.backend else {
+                unreachable!("grid engine");
+            };
+            assert_eq!(cells.grid.cell_size(), inst.radius(), "{norm}");
+            let fresh = Residuals::new(inst.n());
+            let gains = |e: &RewardEngine<'_, 2>| -> Vec<u64> {
+                (0..inst.n())
+                    .map(|i| e.candidate_gain(i, &fresh).to_bits())
+                    .collect()
+            };
+            let want = gains(&RewardEngine::scan(&inst));
+            assert_eq!(gains(&grid), want, "{norm}: grid gains");
             assert_eq!(
-                scan.candidate_gain(i, &fresh).to_bits(),
-                grid.candidate_gain(i, &fresh).to_bits()
+                gains(&RewardEngine::sparse(&inst)),
+                want,
+                "{norm}: sparse gains"
             );
+            let mut by_slot = vec![f64::NAN; inst.n()];
+            grid.root_gains_by_slot(&mut by_slot, |o, g| *o = g, &|| false);
+            let order = grid.eval_order().unwrap();
+            for (slot, &i) in order.iter().enumerate() {
+                assert_eq!(
+                    by_slot[slot].to_bits(),
+                    want[i as usize],
+                    "{norm}: root pass"
+                );
+            }
+            let solve = |kind| {
+                let oracle = GainOracle::with_engine(&inst, kind, OracleStrategy::Lazy);
+                let mut scratch = SolveScratch::new();
+                let total = solve_rounds(&oracle, &mut scratch);
+                (scratch.picks().to_vec(), total.to_bits())
+            };
+            let picks = solve(EngineKind::Scan);
+            assert_eq!(picks.0.len(), 12);
+            assert_eq!(solve(EngineKind::Grid), picks, "{norm}: grid picks");
+            assert_eq!(solve(EngineKind::Sparse), picks, "{norm}: sparse picks");
         }
     }
 
@@ -2569,9 +2438,8 @@ mod tests {
         let mut scratch = CsrScratch::new();
         let engine = RewardEngine::sparse_with_scratch(&inst, &mut scratch);
         let entries = engine.sparse_stats().unwrap().entries;
-        // The CSR vectors were moved into the engine; only the
-        // per-row sort buffer stays behind.
-        assert!(scratch.retained_bytes() <= scratch.row.capacity() * 16);
+        // The CSR vectors were moved into the engine.
+        assert_eq!(scratch.retained_bytes(), 0);
         engine.reclaim(&mut scratch);
         assert!(scratch.retained_bytes() >= entries * SparseCsr::<f64>::BYTES_PER_ENTRY);
         // A rebuild through the warm scratch matches a fresh build.

@@ -2,10 +2,11 @@
 //!
 //! A lazy greedy needs every candidate's gain against fresh residuals
 //! once, then a few re-evaluations and `k` commits. None of that needs
-//! precomputed rows: the cell-ordered [`GridIndex`] the CSR build sweeps
-//! already holds every candidate's neighbors, three cells per dimension
-//! away. This backend keeps that grid and the weights in its slot order
-//! (O(n) memory) and answers from it directly:
+//! precomputed rows: the occupied-cell [`GridIndex`] the CSR build
+//! sweeps already holds every candidate's neighbors, three cells per
+//! dimension away. This backend keeps that index and the weights in its
+//! slot order (O(n) memory, whatever the spread) and answers from it
+//! directly:
 //!
 //! * the **root pass** is the CSR fill's cell sweep ([`CellFill`])
 //!   with the row write replaced by `total += w · frac`, split across
@@ -22,16 +23,17 @@
 
 use std::ops::ControlFlow;
 
-use mmph_geom::{GridIndex, Point};
+use mmph_geom::Point;
 
 use super::{
-    extents, run_parts, scan_row, slot_weights, split_by_lens, too_many_cells, with_pair_frac,
-    Cand, CellFill, PairPass, Residuals,
+    run_parts, scan_row, slot_weights, split_by_lens, with_pair_frac, Cand, CellFill, PairPass,
+    Residuals,
 };
+use crate::cells::GridIndex;
 use crate::instance::Instance;
 use crate::kernel::PreparedKernel;
 
-/// The grid backend's state: the cell-ordered grid and the weights in
+/// The grid backend's state: the occupied-cell index and the weights in
 /// its slot order.
 #[derive(Debug)]
 pub(crate) struct GridCells<const D: usize> {
@@ -44,26 +46,6 @@ impl<const D: usize> GridCells<D> {
     pub(crate) fn new(inst: &Instance<D>, grid: GridIndex<D>) -> Self {
         let weights = slot_weights(inst, &grid);
         GridCells { grid, weights }
-    }
-
-    /// Builds the grid over `inst`'s points at cell side `r`, doubled
-    /// while the cells would outnumber the points ~4 to 1. Any cell side
-    /// of at least `r` keeps each query box to about three cells per
-    /// dimension; every result stays exact whatever the side.
-    ///
-    /// # Panics
-    ///
-    /// When the points span more than an `f64` can hold, so that no
-    /// finite cell side indexes them.
-    pub(crate) fn build(inst: &Instance<D>) -> Self {
-        let extent = extents(inst.points());
-        let mut cell = inst.radius().max(1e-9);
-        while too_many_cells(&extent, cell, inst.n()) {
-            cell *= 2.0;
-        }
-        let grid = GridIndex::build(inst.points(), cell)
-            .expect("grid engine: the points span more than a finite cell side can index");
-        Self::new(inst, grid)
     }
 
     /// Candidate at each slot: the cell-major evaluation order.
@@ -104,7 +86,7 @@ impl<const D: usize> GridCells<D> {
         // (index, slot) keys: each cell is an ascending run, and one
         // integer sort merges them.
         let mut keys = Vec::new();
-        self.grid.for_each_cell_in(&cells, |slots| {
+        self.grid.for_each_row_in(&cells, |slots| {
             keys.extend(slots.map(|s| (u64::from(entries[s]) << 32) | s as u64));
         });
         keys.sort_unstable();

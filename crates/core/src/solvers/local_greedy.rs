@@ -217,11 +217,11 @@ mod tests {
             let inst = random_instance(&mut rng, 60, 4, 1.0, norm);
             let plain = LocalGreedy::new().solve(&inst).unwrap();
             let indexed = LocalGreedy::new()
-                .with_engine(EngineKind::Kd)
+                .with_engine(EngineKind::Grid)
                 .solve(&inst)
                 .unwrap();
             assert_eq!(plain.centers, indexed.centers);
-            assert!((plain.total_reward - indexed.total_reward).abs() < 1e-9);
+            assert_eq!(plain.total_reward.to_bits(), indexed.total_reward.to_bits());
         }
     }
 

@@ -231,10 +231,10 @@ fn dirty_region_charges_strictly_fewer_evals_on_clusters() {
 
 #[test]
 fn forced_sparse_handles_high_spread_inputs() {
-    // Points so spread out that the uniform grid would allocate more
-    // cells than points: the build must fall back to kd enumeration and
-    // stay bit-identical, and past the cap `auto` keeps the kd engine
-    // rather than a grid that would outnumber the points.
+    // Points so spread out that a dense grid at cell side r would
+    // allocate more cells than points: the occupied-cell index builds
+    // the CSR bit-identical to the scan, and past the cap `auto` runs
+    // the grid engine on it.
     let points: Vec<Point<2>> = (0..40)
         .map(|i| {
             let t = i as f64;
@@ -244,9 +244,10 @@ fn forced_sparse_handles_high_spread_inputs() {
     let inst = Instance::new(points, vec![1.0; 40], 0.5, 3, Norm::L2).unwrap();
     let scan = RewardEngine::scan(&inst);
     let sparse = RewardEngine::sparse(&inst);
-    let stats = sparse.sparse_stats().unwrap();
-    assert!(!stats.used_grid, "expected the kd-tree fallback");
-    assert_eq!(RewardEngine::auto_with_cap(&inst, 0).kind(), EngineKind::Kd);
+    assert_eq!(
+        RewardEngine::auto_with_cap(&inst, 0).kind(),
+        EngineKind::Grid
+    );
     let residuals = Residuals::new(inst.n());
     for i in 0..inst.n() {
         assert_eq!(
@@ -256,11 +257,10 @@ fn forced_sparse_handles_high_spread_inputs() {
     }
 }
 
-/// Forced engine plus dirty-region CELF on top: the five columns of
+/// Forced engine plus dirty-region CELF on top: the four columns of
 /// the degree-pinned sweep.
-const SWEEP_COLUMNS: [(&str, EngineKind, bool); 5] = [
+const SWEEP_COLUMNS: [(&str, EngineKind, bool); 4] = [
     ("scan", EngineKind::Scan, false),
-    ("kd", EngineKind::Kd, false),
     ("sparse", EngineKind::Sparse, false),
     ("sparse+dirty", EngineKind::Sparse, true),
     ("grid", EngineKind::Grid, false),

@@ -14,10 +14,11 @@
 //! * [`l1ball`] — minimax centers under the 1-norm: the paper's
 //!   per-dimension projection center (§V-B) and an exact 2-D L1 center via
 //!   rotation duality.
-//! * [`kdtree`] / [`grid`] — spatial indexes for
-//!   within-radius queries used by the incremental reward evaluators.
 //! * [`aabb`] — axis-aligned bounding boxes and Chebyshev centers.
 //! * [`hull`] — 2-D convex hulls (plot overlays, pre-filtering).
+//!
+//! The fixed-radius index every reward engine queries lives in
+//! `mmph-core` (`mmph_core::GridIndex`), beside its only users.
 //!
 //! All floating point here is plain `f64`; inputs containing NaN are
 //! rejected at construction time by the higher-level crates, and the
@@ -30,17 +31,13 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod aabb;
-pub mod grid;
 pub mod hull;
-pub mod kdtree;
 pub mod l1ball;
 pub mod norm;
 pub mod point;
 pub mod welzl;
 
 pub use aabb::Aabb;
-pub use grid::{CellBox, GridIndex};
-pub use kdtree::KdTree;
 pub use norm::Norm;
 pub use point::{Point, Point2, Point3};
 pub use welzl::{min_enclosing_ball, Ball};

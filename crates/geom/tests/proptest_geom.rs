@@ -4,7 +4,7 @@
 use mmph_geom::hull::{convex_hull, hull_contains};
 use mmph_geom::l1ball::{l1_minimax_center_2d, l1_radius_at, projection_center};
 use mmph_geom::welzl::{circumball, min_enclosing_ball, ritter_ball};
-use mmph_geom::{Aabb, GridIndex, KdTree, Norm, Point};
+use mmph_geom::{Aabb, Point};
 use proptest::prelude::*;
 
 type P2 = Point<2>;
@@ -114,27 +114,6 @@ proptest! {
         prop_assert!(r_exact <= r_proj + 1e-9);
         for p in &pts {
             prop_assert!(r_exact <= l1_radius_at(p, &pts) + 1e-9);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Spatial indexes agree with each other
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn spatial_indexes_agree(
-        pts in points(60),
-        c in point2(),
-        r in 0.0..6.0f64,
-    ) {
-        let tree = KdTree::build(&pts);
-        let grid = GridIndex::build(&pts, 1.0).unwrap();
-        for norm in [Norm::L1, Norm::L2, Norm::LInf] {
-            let mut a: Vec<usize> = tree.within(&c, r, norm).into_iter().map(|(i, _)| i).collect();
-            let mut b: Vec<usize> = grid.within(&c, r, norm).into_iter().map(|(i, _)| i).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            prop_assert_eq!(&a, &b, "grid disagrees under {}", norm);
         }
     }
 

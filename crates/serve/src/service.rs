@@ -1041,7 +1041,7 @@ mod tests {
         assert!(out[0].error.as_deref().unwrap().contains("unknown solver"));
         assert_eq!(out[1].op, "error");
         let msg = out[1].error.as_deref().unwrap();
-        assert!(msg.contains("auto|scan|kd|sparse|sparse-f32"), "{msg}");
+        assert!(msg.contains("auto|scan|sparse|sparse-f32|grid"), "{msg}");
     }
 
     #[test]
@@ -1076,6 +1076,19 @@ mod tests {
             msg.contains("engine: \"grid\"") && msg.contains("coreset_cells"),
             "{msg}"
         );
+        assert!(svc.cache.is_empty(), "refused before generating points");
+    }
+
+    #[test]
+    fn kd_engine_is_refused() {
+        let mut svc = Service::new(ServiceConfig::default());
+        let mut req = Request::solve(7, scenario(35));
+        req.engine = Some("kd".into());
+        let out = svc.handle_lines(&lines(&[req]));
+        assert_eq!(out[0].op, "error");
+        assert_eq!(out[0].in_reply_to, Some(7));
+        let msg = out[0].error.as_deref().unwrap();
+        assert!(msg.contains("unknown engine 'kd'"), "{msg}");
         assert!(svc.cache.is_empty(), "refused before generating points");
     }
 
@@ -1123,7 +1136,7 @@ mod tests {
 
         // An explicit engine never escalates.
         let mut direct = Request::solve(5, scenario(33));
-        direct.engine = Some("kd".into());
+        direct.engine = Some("grid".into());
         let out = svc.handle_lines(&lines(&[direct]));
         assert!(out[0].is_completed_solve());
         assert_eq!(out[0].pipeline, None);

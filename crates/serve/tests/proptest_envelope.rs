@@ -56,7 +56,7 @@ fn request() -> impl Strategy<Value = Request> {
     let engine = prop_oneof![
         Just("sparse".to_string()),
         Just("scan".to_string()),
-        Just("kd".to_string())
+        Just("grid".to_string())
     ];
     (
         (0u64..u64::MAX, op),

@@ -6,8 +6,9 @@
 
 use mmph::core::submodular;
 use mmph::prelude::*;
+use mmph_core::GridIndex;
 use mmph_geom::welzl::min_enclosing_ball;
-use mmph_geom::{KdTree, Point as GPoint};
+use mmph_geom::Point as GPoint;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -88,7 +89,7 @@ fn welzl_handles_five_dimensions() {
 #[test]
 fn spatial_indexes_agree_in_five_dimensions() {
     let pts = random_points_5d(150, 5);
-    let kd = KdTree::build(&pts);
+    let grid = GridIndex::build(&pts, 1.0).unwrap();
     let mut rng = StdRng::seed_from_u64(6);
     for _ in 0..15 {
         let mut c = [0.0; 5];
@@ -98,7 +99,11 @@ fn spatial_indexes_agree_in_five_dimensions() {
         let c = GPoint::new(c);
         let r = rng.gen_range(0.5..3.0);
         for norm in [Norm::L1, Norm::L2, Norm::LInf] {
-            let mut a: Vec<usize> = kd.within(&c, r, norm).into_iter().map(|(i, _)| i).collect();
+            let mut a: Vec<usize> = grid
+                .within(&c, r, norm)
+                .into_iter()
+                .map(|(i, _)| i)
+                .collect();
             a.sort_unstable();
             let want: Vec<usize> = pts
                 .iter()
@@ -106,7 +111,7 @@ fn spatial_indexes_agree_in_five_dimensions() {
                 .filter(|(_, p)| norm.dist(&c, p) <= r)
                 .map(|(i, _)| i)
                 .collect();
-            assert_eq!(a, want, "kd under {norm}");
+            assert_eq!(a, want, "grid under {norm}");
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Property-based tests (proptest) over the core invariants.
 
 use mmph::prelude::*;
-use mmph_core::reward;
+use mmph_core::{reward, GridIndex};
 use mmph_geom::welzl::min_enclosing_ball;
-use mmph_geom::{KdTree, Point as GPoint};
+use mmph_geom::Point as GPoint;
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -131,19 +131,20 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// kd-tree vs linear scan
+// Occupied-cell index vs linear scan
 // ---------------------------------------------------------------------
 
 proptest! {
     #[test]
-    fn kdtree_radius_query_equals_scan(
+    fn cell_index_radius_query_equals_scan(
         pts in prop::collection::vec(point2(), 1..80),
         c in point2(),
         r in 0.0..8.0f64,
         n in norm(),
     ) {
-        let tree = KdTree::build(&pts);
-        let mut got: Vec<usize> = tree.within(&c, r, n).into_iter().map(|(i, _)| i).collect();
+        // Cells of side r, as the engines build them.
+        let grid = GridIndex::build_for_radius(&pts, r).unwrap();
+        let mut got: Vec<usize> = grid.within(&c, r, n).into_iter().map(|(i, _)| i).collect();
         got.sort_unstable();
         let want: Vec<usize> = pts
             .iter()
