@@ -20,6 +20,7 @@
 //! ([`verify_reports`] checks this in-binary; `proptest_scratch`
 //! fuzzes it).
 
+use std::borrow::Borrow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -441,37 +442,42 @@ impl BatchRunner {
         }
     }
 
-    /// Serves one worker's contiguous slice of the stream.
-    /// `budgets[r]` (when present) bounds `chunk[r]`; a missing entry
-    /// means unlimited. A panicking request yields an ordered error
-    /// entry and a fresh scratch — the remaining requests of its run
-    /// rebuild the engine and proceed.
-    fn run_chunk<const D: usize>(
+    /// Serves one worker's contiguous slice of the stream with
+    /// `scratch` as its arena. `budgets[r]` (when present) bounds
+    /// `chunk[r]`; a missing entry means unlimited. A panicking request
+    /// yields an ordered error entry and a fresh scratch — the remaining
+    /// requests of its run rebuild the engine and proceed.
+    fn run_chunk<const D: usize, I: Borrow<Instance<D>>>(
         &self,
         start: usize,
-        chunk: &[Instance<D>],
+        chunk: &[I],
         budgets: &[SolveBudget],
+        scratch: &mut SolveScratch,
     ) -> Vec<BatchResult> {
         let budget_for = |off: usize| budgets.get(off).cloned().unwrap_or_default();
         let mut out = Vec::with_capacity(chunk.len());
         if !self.warm {
             for (off, inst) in chunk.iter().enumerate() {
-                out.push(self.solve_cold(start + off, inst, budget_for(off)));
+                out.push(self.solve_cold(start + off, inst.borrow(), budget_for(off)));
             }
             return out;
         }
-        let mut scratch = SolveScratch::new();
         let mut i = 0;
         while i < chunk.len() {
-            let inst = &chunk[i];
+            let inst: &Instance<D> = chunk[i].borrow();
             // Extend the run over adjacent identical requests so they
-            // share one engine build.
+            // share one engine build; a shared instance is identical by
+            // address, before any point is compared.
+            let same = |other: &I| {
+                let other = other.borrow();
+                std::ptr::eq(other, inst) || other == inst
+            };
             let mut j = i + 1;
-            while j < chunk.len() && chunk[j] == *inst {
+            while j < chunk.len() && same(&chunk[j]) {
                 j += 1;
             }
             let build0 = Instant::now();
-            let mut oracle = self.build_oracle(inst, &mut scratch);
+            let mut oracle = self.build_oracle(inst, scratch);
             let build_nanos = build0.elapsed().as_nanos() as u64;
             let mut evals_before = 0u64;
             let mut panicked = false;
@@ -486,7 +492,7 @@ impl BatchRunner {
                 let clock = budget.start();
                 let solved = catch_unwind(AssertUnwindSafe(|| {
                     self.maybe_inject_panic(index);
-                    solve_rounds_within(&oracle, &mut scratch, &clock)
+                    solve_rounds_within(&oracle, scratch, &clock)
                 }));
                 match solved {
                     Ok((reward, tripped)) => {
@@ -523,9 +529,9 @@ impl BatchRunner {
                 // scratch) may be mid-update; drop both and let the
                 // rest of the stream rebuild from a clean arena.
                 drop(oracle);
-                scratch = SolveScratch::new();
+                *scratch = SolveScratch::new();
             } else {
-                recycle(oracle, &mut scratch);
+                recycle(oracle, scratch);
                 i = j;
             }
         }
@@ -534,8 +540,14 @@ impl BatchRunner {
 
     /// Solves every instance in `instances`, in order, across
     /// `rayon::current_num_threads()` workers (each with its own
-    /// scratch). Results come back in input order.
-    pub fn run<const D: usize>(&self, instances: &[Instance<D>]) -> BatchReport {
+    /// scratch). Results come back in input order. The items may be
+    /// instances or anything that borrows one (`&Instance`,
+    /// `Arc<Instance>`), so a caller that shares its instances need not
+    /// copy them.
+    pub fn run<const D: usize, I: Borrow<Instance<D>> + Sync>(
+        &self,
+        instances: &[I],
+    ) -> BatchReport {
         self.run_budgeted(instances, &[])
     }
 
@@ -544,42 +556,63 @@ impl BatchRunner {
     /// tail is unlimited. A tripped budget degrades that request to
     /// its committed prefix (status [`SolveStatus::Degraded`]); it
     /// never hangs the report.
-    pub fn run_budgeted<const D: usize>(
+    pub fn run_budgeted<const D: usize, I: Borrow<Instance<D>> + Sync>(
         &self,
-        instances: &[Instance<D>],
+        instances: &[I],
         budgets: &[SolveBudget],
     ) -> BatchReport {
-        let t0 = Instant::now();
         let workers = rayon::current_num_threads()
             .max(1)
             .min(instances.len().max(1));
-        let results = if workers <= 1 {
-            self.run_chunk(0, instances, budgets)
-        } else {
-            let per = instances.len().div_ceil(workers);
-            let chunks: Vec<(usize, &[Instance<D>], &[SolveBudget])> = instances
-                .chunks(per)
-                .enumerate()
-                .map(|(c, slice)| {
-                    let start = c * per;
-                    let bslice = budgets
-                        .get(start..)
-                        .map_or(&budgets[0..0], |rest| &rest[..rest.len().min(slice.len())]);
-                    (start, slice, bslice)
-                })
-                .collect();
-            chunks
-                .into_par_iter()
-                .map(|(start, slice, bslice)| self.run_chunk(start, slice, bslice))
-                .collect::<Vec<_>>()
-                .into_iter()
-                .flatten()
-                .collect()
-        };
+        if workers <= 1 {
+            return self.run_budgeted_in(instances, budgets, &mut SolveScratch::new());
+        }
+        let t0 = Instant::now();
+        let per = instances.len().div_ceil(workers);
+        let chunks: Vec<(usize, &[I], &[SolveBudget])> = instances
+            .chunks(per)
+            .enumerate()
+            .map(|(c, slice)| {
+                let start = c * per;
+                let bslice = budgets
+                    .get(start..)
+                    .map_or(&budgets[0..0], |rest| &rest[..rest.len().min(slice.len())]);
+                (start, slice, bslice)
+            })
+            .collect();
+        let results = chunks
+            .into_par_iter()
+            .map(|(start, slice, bslice)| {
+                self.run_chunk(start, slice, bslice, &mut SolveScratch::new())
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .flatten()
+            .collect();
         BatchReport {
             results,
             wall_nanos: t0.elapsed().as_nanos() as u64,
             workers,
+            warm: self.warm,
+        }
+    }
+
+    /// [`Self::run_budgeted`] as one worker on the calling thread, with
+    /// `scratch` as its arena: whatever the arena holds from an earlier
+    /// run is reused, and it keeps this run's buffers afterward. With
+    /// reuse off (`with_warm(false)`) the arena is not touched.
+    pub fn run_budgeted_in<const D: usize, I: Borrow<Instance<D>>>(
+        &self,
+        instances: &[I],
+        budgets: &[SolveBudget],
+        scratch: &mut SolveScratch,
+    ) -> BatchReport {
+        let t0 = Instant::now();
+        let results = self.run_chunk(0, instances, budgets, scratch);
+        BatchReport {
+            results,
+            wall_nanos: t0.elapsed().as_nanos() as u64,
+            workers: 1,
             warm: self.warm,
         }
     }

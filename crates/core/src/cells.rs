@@ -42,6 +42,37 @@ impl<const D: usize> CellBox<D> {
     pub(crate) fn contains(&self, cell: &[u64; D]) -> bool {
         (0..D).all(|d| self.lo[d] <= cell[d] && cell[d] <= self.hi[d])
     }
+
+    /// The row of the box after the row of `row` in key order: an
+    /// odometer over every dimension but the last, which `row` keeps.
+    /// `None` after the last row.
+    fn next_row(&self, mut row: [u64; D]) -> Option<[u64; D]> {
+        let last = D - 1;
+        let d = (0..last).rev().find(|&d| row[d] < self.hi[d])?;
+        row[d] += 1;
+        row[d + 1..last].copy_from_slice(&self.lo[d + 1..last]);
+        Some(row)
+    }
+
+    /// The first cell of the box at or after `cell` in key order (the
+    /// last dimension varying fastest), if any.
+    fn first_from(&self, mut cell: [u64; D]) -> Option<[u64; D]> {
+        for d in 0..D {
+            if cell[d] < self.lo[d] {
+                cell[d..].copy_from_slice(&self.lo[d..]);
+                return Some(cell);
+            }
+            if cell[d] > self.hi[d] {
+                // No cell of the box shares `cell`'s keys up to `d`:
+                // carry into the deepest earlier key that can grow.
+                let up = (0..d).rev().find(|&e| cell[e] < self.hi[e])?;
+                cell[up] += 1;
+                cell[up + 1..].copy_from_slice(&self.lo[up + 1..]);
+                return Some(cell);
+            }
+        }
+        Some(cell)
+    }
 }
 
 /// 2⁶⁴: a cell key must lie below it to be stored as a `u64`.
@@ -317,20 +348,35 @@ impl<const D: usize> GridIndex<D> {
     /// `cells`, in key order. A row is the cells that share every key
     /// but the last; their packed keys are consecutive integers, so one
     /// search finds a row's first occupied cell and its slots run on to
-    /// its last.
+    /// its last. From each row the walk goes straight to the row of the
+    /// next occupied cell in the box, so it takes at most one step per
+    /// occupied cell, however many empty rows the box spans.
     pub(crate) fn for_each_row_in(&self, cells: &CellBox<D>, f: impl FnMut(Range<usize>)) {
-        self.for_each_row_near(cells, &mut Vec::new(), f);
+        self.walk_rows(cells, None, f);
     }
 
     /// [`Self::for_each_row_in`] for a walk over boxes near one another,
     /// such as a sweep's consecutive cells: `hints[j]` keeps where the
     /// last box's `j`-th row began, and this box's `j`-th row is searched
     /// outward from there, so nearby boxes find their rows in a few
-    /// steps. Any hints give the same rows.
+    /// steps. Any hints give the same rows. So that every row keeps its
+    /// hint, this walk visits each row of the box in turn; a sweep's
+    /// boxes span a few rows.
     pub(crate) fn for_each_row_near(
         &self,
         cells: &CellBox<D>,
         hints: &mut Vec<usize>,
+        f: impl FnMut(Range<usize>),
+    ) {
+        self.walk_rows(cells, Some(hints), f);
+    }
+
+    /// The row walk behind [`Self::for_each_row_in`] (no hints) and
+    /// [`Self::for_each_row_near`].
+    fn walk_rows(
+        &self,
+        cells: &CellBox<D>,
+        mut hints: Option<&mut Vec<usize>>,
         mut f: impl FnMut(Range<usize>),
     ) {
         let last = D - 1;
@@ -342,12 +388,17 @@ impl<const D: usize> GridIndex<D> {
             cur[last] = cells.lo[last];
             let first = pack(&cur, &self.shifts);
             let end = first + (cells.hi[last] - cells.lo[last]);
-            if hints.len() == row {
-                hints.push(from);
-            }
-            let mut c = search_from(&self.keys, hints[row], first);
-            hints[row] = c;
-            let start = c;
+            let start = match hints.as_deref_mut() {
+                Some(hints) => {
+                    if hints.len() == row {
+                        hints.push(from);
+                    }
+                    hints[row] = search_from(&self.keys, hints[row], first);
+                    hints[row]
+                }
+                None => search_from(&self.keys, from, first),
+            };
+            let mut c = start;
             while c < self.keys.len() && self.keys[c] <= end {
                 c += 1;
             }
@@ -355,20 +406,28 @@ impl<const D: usize> GridIndex<D> {
                 f(self.cell_starts[start] as usize..self.cell_starts[c] as usize);
             }
             (row, from) = (row + 1, c);
-            // Odometer increment over every dimension but the last.
-            let mut d = last;
-            loop {
-                if d == 0 {
-                    return;
-                }
-                d -= 1;
-                if cur[d] < cells.hi[d] {
-                    cur[d] += 1;
-                    cur[(d + 1)..last].copy_from_slice(&cells.lo[(d + 1)..last]);
-                    break;
-                }
+            // `keys[c]` is the first occupied cell past this row, so no
+            // row before that cell's first one in the box holds any.
+            let next = match hints {
+                Some(_) => cells.next_row(cur),
+                None => self
+                    .keys
+                    .get(c)
+                    .and_then(|&key| cells.first_from(self.unpack(key))),
+            };
+            match next {
+                Some(next) => cur = next,
+                None => return,
             }
         }
+    }
+
+    /// The cell keys that the packed key `key` holds: [`pack`]'s inverse.
+    fn unpack(&self, key: u64) -> [u64; D] {
+        std::array::from_fn(|d| match bit_len(self.span[d]) {
+            0 => 0,
+            bits => (key >> self.shifts[d]) & (u64::MAX >> (u64::BITS - bits)),
+        })
     }
 
     /// Calls `f(index, distance)` for every point within `radius` of
@@ -704,9 +763,9 @@ mod tests {
     }
 
     /// Slots are in (cell keys, index) order, each occupied cell's range
-    /// holds exactly its points, the directory's keys ascend, and (where
-    /// the grid has at most 10⁴ rows) the whole box's rows cover every
-    /// slot once.
+    /// holds exactly its points, the directory's keys ascend, every key
+    /// unpacks to its cell, and the whole grid's rows cover every slot
+    /// once.
     fn check_layout<const D: usize>(g: &GridIndex<D>, pts: &[Point<D>]) {
         let mut seen = g.entries().to_vec();
         seen.sort_unstable();
@@ -723,23 +782,18 @@ mod tests {
             assert!(w[0] < w[1], "cell {c} is empty");
             let cell = key(g.entries()[w[0] as usize]).0;
             assert_eq!(pack(&cell, &g.shifts), g.keys[c]);
+            assert_eq!(g.unpack(g.keys[c]), cell);
             for s in w[0]..w[1] {
                 assert_eq!(key(g.entries()[s as usize]).0, cell);
             }
         }
-        let rows = g.span[..D - 1]
-            .iter()
-            .map(|&s| s as f64 + 1.0)
-            .product::<f64>();
-        if rows <= 1e4 {
-            let all = CellBox {
-                lo: [0; D],
-                hi: g.span,
-            };
-            let mut slots = Vec::new();
-            g.for_each_row_in(&all, |run| slots.extend(run));
-            assert_eq!(slots, (0..pts.len()).collect::<Vec<_>>());
-        }
+        let all = CellBox {
+            lo: [0; D],
+            hi: g.span,
+        };
+        let mut slots = Vec::new();
+        g.for_each_row_in(&all, |run| slots.extend(run));
+        assert_eq!(slots, (0..pts.len()).collect::<Vec<_>>());
     }
 
     #[test]
@@ -786,6 +840,75 @@ mod tests {
                         hits(&want, &pts[i], r, norm),
                         linear_within(&pts, &pts[i], r, norm)
                     );
+                }
+            }
+        }
+    }
+
+    /// A query box over ~10⁹ rows a dimension, nearly all empty: the
+    /// whole-grid query returns the linear scan's hits (the walk skips
+    /// from each row to the next occupied one), and so do boxes that
+    /// start and end between occupied rows, in 2-D and 3-D.
+    #[test]
+    fn sparse_boxes_walk_only_occupied_rows() {
+        let mut rng = StdRng::seed_from_u64(61);
+        let pts: Vec<P2> = (0..400)
+            .map(|_| Point::new([rng.gen_range(0.0..1e9), rng.gen_range(0.0..1e9)]))
+            .collect();
+        let g = GridIndex::build(&pts, 1.0).unwrap();
+        assert_eq!(g.cell_size(), 1.0);
+        assert!(g.span[0] > 900_000_000, "{:?}", g.span);
+        check_layout(&g, &pts);
+        let c = Point::new([5e8, 5e8]);
+        for norm in [Norm::L1, Norm::L2, Norm::LInf] {
+            let r = 2e9;
+            assert_eq!(hits(&g, &c, r, norm), (0..400).collect::<Vec<_>>());
+            for _ in 0..20 {
+                let c = Point::new([rng.gen_range(-1e8..1.1e9), rng.gen_range(-1e8..1.1e9)]);
+                let r = rng.gen_range(0.0..6e8);
+                assert_eq!(hits(&g, &c, r, norm), linear_within(&pts, &c, r, norm));
+            }
+        }
+        let pts: Vec<Point<3>> = (0..400)
+            .map(|_| Point::new(std::array::from_fn(|_| rng.gen_range(0.0..1e6))))
+            .collect();
+        let g = GridIndex::build(&pts, 1.0).unwrap();
+        assert_eq!(g.cell_size(), 1.0);
+        check_layout(&g, &pts);
+        for _ in 0..20 {
+            let c = Point::new(std::array::from_fn(|_| rng.gen_range(-1e5..1.1e6)));
+            let r = rng.gen_range(0.0..8e5);
+            assert_eq!(
+                hits(&g, &c, r, Norm::L2),
+                linear_within(&pts, &c, r, Norm::L2)
+            );
+        }
+    }
+
+    /// The box's own order: `first_from` finds the first cell of a box
+    /// at or after any cell, as a scan of the box's cells in key order
+    /// does.
+    #[test]
+    fn first_from_matches_a_scan_of_the_box() {
+        let bx = CellBox {
+            lo: [2, 1, 3],
+            hi: [4, 3, 5],
+        };
+        let mut inside = Vec::new();
+        for a in 0..7u64 {
+            for b in 0..6u64 {
+                for c in 0..8u64 {
+                    if bx.contains(&[a, b, c]) {
+                        inside.push([a, b, c]);
+                    }
+                }
+            }
+        }
+        for a in 0..7u64 {
+            for b in 0..6u64 {
+                for c in 0..8u64 {
+                    let want = inside.iter().find(|&&cell| cell >= [a, b, c]).copied();
+                    assert_eq!(bx.first_from([a, b, c]), want, "{:?}", [a, b, c]);
                 }
             }
         }

@@ -293,13 +293,17 @@ impl<const D: usize> IncrementalInstance<D> {
             )));
         }
         let mut csr_scratch = CsrScratch::new();
+        // Every CSR taken here sorts its coordinate permutation now, so
+        // the churn repairs below always have one to keep.
         let state = if kind == EngineKind::SparseF32 {
             let mut csr = SparseCsr::<f32>::build_with(&inst, &cell_index(&inst), &mut csr_scratch);
             csr.offsets.pop();
+            csr.sorted_coords(&inst);
             CsrState::F32(csr)
         } else {
             let mut csr = SparseCsr::<f64>::build_with(&inst, &cell_index(&inst), &mut csr_scratch);
             csr.offsets.pop(); // drop the sentinel: row ends derive from degrees
+            csr.sorted_coords(&inst);
             CsrState::F64(csr)
         };
         let grid = ChurnGrid::build(inst.points(), inst.radius());
@@ -557,8 +561,8 @@ impl<const D: usize> IncrementalInstance<D> {
         let inst = &self.inst;
         let pending = &mut self.coords_pending;
         match &mut self.state {
-            CsrState::F64(csr) => repair_coords_into(&mut csr.by_coords, inst, pending),
-            CsrState::F32(csr) => repair_coords_into(&mut csr.by_coords, inst, pending),
+            CsrState::F64(csr) => repair_coords_into(csr.sorted_coords_mut(inst), inst, pending),
+            CsrState::F32(csr) => repair_coords_into(csr.sorted_coords_mut(inst), inst, pending),
         }
         pending.clear();
     }
@@ -588,6 +592,7 @@ impl<const D: usize> IncrementalInstance<D> {
                 let mut csr =
                     SparseCsr::<f64>::build_with(&self.inst, &grid, &mut self.csr_scratch);
                 csr.offsets.pop();
+                csr.sorted_coords(&self.inst);
                 *csr_slot = csr;
             }
             CsrState::F32(csr_slot) => {
@@ -596,6 +601,7 @@ impl<const D: usize> IncrementalInstance<D> {
                 let mut csr =
                     SparseCsr::<f32>::build_with(&self.inst, &grid, &mut self.csr_scratch);
                 csr.offsets.pop();
+                csr.sorted_coords(&self.inst);
                 *csr_slot = csr;
             }
         }
@@ -712,6 +718,24 @@ impl<const D: usize> IncrementalInstance<D> {
             CsrState::F64(csr) => verify_csr(csr, &self.inst, &self.coords_pending),
             CsrState::F32(csr) => verify_csr(csr, &self.inst, &self.coords_pending),
         }
+    }
+}
+
+#[cfg(test)]
+impl<const D: usize> IncrementalInstance<D> {
+    /// Runs `f` on an engine over the patched CSR, transplanted as
+    /// [`Self::resolve`] does and moved back afterward.
+    pub(crate) fn with_engine<R>(&mut self, f: impl FnOnce(&RewardEngine<'_, D>) -> R) -> R {
+        let engine = match std::mem::replace(&mut self.state, CsrState::F64(SparseCsr::empty())) {
+            CsrState::F64(csr) => RewardEngine::from_csr(&self.inst, csr),
+            CsrState::F32(csr) => RewardEngine::from_csr32(&self.inst, csr),
+        };
+        let out = f(&engine);
+        self.state = match engine.kind() {
+            EngineKind::SparseF32 => CsrState::F32(engine.take_csr32().expect("f32 backend")),
+            _ => CsrState::F64(engine.take_csr().expect("f64 backend")),
+        };
+        out
     }
 }
 
@@ -1435,8 +1459,11 @@ fn verify_csr<S: LaneScalar, const D: usize>(
     // permutation of `0..n`.
     let mut pending_sorted: Vec<u32> = coords_pending.to_vec();
     pending_sorted.sort_unstable();
-    let live: Vec<u32> = patched
+    let by_coords = patched
         .by_coords
+        .get()
+        .ok_or("the incremental CSR lost its coordinate permutation")?;
+    let live: Vec<u32> = by_coords
         .iter()
         .copied()
         .filter(|&j| (j as usize) < n && pending_sorted.binary_search(&j).is_err())
@@ -1447,14 +1474,14 @@ fn verify_csr<S: LaneScalar, const D: usize>(
         }
     }
     if pending_sorted.is_empty() {
-        if patched.by_coords.len() != n {
+        if by_coords.len() != n {
             return Err(format!(
                 "repaired by_coords length {} != n {n}",
-                patched.by_coords.len()
+                by_coords.len()
             ));
         }
         let mut seen = vec![false; n];
-        for &j in &patched.by_coords {
+        for &j in by_coords {
             if (j as usize) >= n || std::mem::replace(&mut seen[j as usize], true) {
                 return Err(format!(
                     "repaired by_coords is not a permutation (index {j})"
@@ -1466,7 +1493,7 @@ fn verify_csr<S: LaneScalar, const D: usize>(
     // candidates by coordinate bits reproduces cold's.
     let mut sorted: Vec<u32> = (0..n as u32).collect();
     sorted.sort_unstable_by_key(|&j| point_bits(inst.point(j as usize)));
-    if sorted != cold.by_coords {
+    if sorted != cold.sorted_coords(inst) {
         return Err("rebuilt by_coords is not the coordinate sort".into());
     }
     Ok(())
@@ -1717,7 +1744,7 @@ mod tests {
         // The permutation is maintained across churn (it was cleared
         // wholesale before), complete and sorted after the repair.
         let by_coords = match &inc.state {
-            CsrState::F64(csr) => &csr.by_coords,
+            CsrState::F64(csr) => csr.by_coords.get().unwrap(),
             CsrState::F32(_) => unreachable!(),
         };
         assert_eq!(by_coords.len(), inc.inst.n());

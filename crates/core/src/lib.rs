@@ -72,7 +72,7 @@ pub use kernel::{Kernel, PreparedKernel};
 pub use oracle::{GainOracle, LazyScratch, OracleStrategy, Scored};
 pub use reward::{
     coverage_reward, objective, psi, CsrScratch, EngineKind, Residuals, RewardEngine, SparseStats,
-    DEFAULT_SPARSE_CAP_BYTES, SPARSE_LANES,
+    DEFAULT_SPARSE_CAP_BYTES, PARALLEL_BUILD_MIN_POINTS, SPARSE_LANES,
 };
 pub use scratch::SolveScratch;
 pub use solver::{Solution, Solver};

@@ -140,6 +140,11 @@ impl LazyScratch {
     pub fn retained_capacity(&self) -> usize {
         self.entries.capacity()
     }
+
+    /// Bytes those slots hold.
+    pub fn retained_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<Entry>()
+    }
 }
 
 /// Candidate-scoring oracle shared by all greedy solvers.
@@ -482,9 +487,9 @@ impl<'a, const D: usize> GainOracle<'a, D> {
             // reused scratch, any previous solve's entries), refilled
             // — in the engine's cache-friendly eval order on the sparse
             // and grid engines, index order otherwise; from one bulk
-            // pass on the grid engine at fresh residuals — and
-            // heapified in place:
-            // no allocation once the capacity has reached n. Entry
+            // pass on those engines at fresh residuals — and heapified
+            // in place: no allocation once the capacity has reached n
+            // (a bulk pass in one part allocates nothing). Entry
             // ordering is total (distinct indices break every gain
             // tie), so the pop sequence is independent of how the heap
             // was built, including the fill order.
@@ -552,7 +557,8 @@ impl<'a, const D: usize> GainOracle<'a, D> {
     /// ([`RewardEngine::root_gains_by_slot`]), in eval order, against
     /// fresh residuals (version 0 means `y = 1` everywhere). Returns
     /// `false`, leaving `entries` empty, when the engine has no such
-    /// pass: only the grid backend does.
+    /// pass: every engine with an eval order (sparse, sparse-f32, grid)
+    /// has one, and the scan engine has neither.
     ///
     /// The outcome is the per-candidate prime's: the sweep polls the
     /// cancel token uncounted and stops early once it reads tripped,
@@ -561,9 +567,8 @@ impl<'a, const D: usize> GainOracle<'a, D> {
     /// before it. A `tripping_after` cut therefore lands on the same
     /// candidate, with the same eval count.
     fn prime_fresh(&self, entries: &mut Vec<Entry>) -> bool {
-        let order = match self.engine.eval_order() {
-            Some(order) if self.engine.kind() == EngineKind::Grid => order,
-            _ => return false,
+        let Some(order) = self.engine.eval_order() else {
+            return false;
         };
         entries.extend(order.iter().map(|&i| Entry {
             gain: 0.0,

@@ -16,6 +16,7 @@
 
 use std::mem::MaybeUninit;
 use std::ops::{ControlFlow, Range};
+use std::sync::OnceLock;
 
 use mmph_geom::{Norm, Point};
 
@@ -365,7 +366,8 @@ pub const DEFAULT_SPARSE_CAP_BYTES: usize = 512 << 20;
 pub struct SparseStats {
     /// Wall time of the CSR build (including the occupied-cell index).
     pub build_nanos: u64,
-    /// Bytes held by the CSR buffers.
+    /// Bytes held by the CSR buffers. The coordinate permutation that a
+    /// copied-point lookup sorts on demand (4 B a point) is not counted.
     pub bytes: usize,
     /// Total neighbor entries (sum of row degrees, after dropping
     /// zero-`frac` entries; excludes lane padding).
@@ -396,7 +398,8 @@ pub(crate) trait LaneScalar: Copy + std::fmt::Debug + Send + Sync + 'static {
     fn narrow(x: f64) -> Self;
     /// Exact widening back to `f64` (lossless for both scalars).
     fn widen(self) -> f64;
-    /// Takes this scalar's `(frac, weight)` buffers from the scratch.
+    /// Takes this scalar's `(frac, weight)` buffers from the scratch and
+    /// frees the other scalar's, which a build of this one never reads.
     fn take_bufs(scratch: &mut CsrScratch) -> (Vec<Self>, Vec<Self>);
     /// Returns buffers taken with [`Self::take_bufs`].
     fn put_bufs(scratch: &mut CsrScratch, frac: Vec<Self>, weight: Vec<Self>);
@@ -413,6 +416,8 @@ impl LaneScalar for f64 {
         self
     }
     fn take_bufs(scratch: &mut CsrScratch) -> (Vec<Self>, Vec<Self>) {
+        scratch.frac32 = Vec::new();
+        scratch.weight32 = Vec::new();
         (
             std::mem::take(&mut scratch.frac),
             std::mem::take(&mut scratch.weight),
@@ -435,6 +440,8 @@ impl LaneScalar for f32 {
         f64::from(self)
     }
     fn take_bufs(scratch: &mut CsrScratch) -> (Vec<Self>, Vec<Self>) {
+        scratch.frac = Vec::new();
+        scratch.weight = Vec::new();
         (
             std::mem::take(&mut scratch.frac32),
             std::mem::take(&mut scratch.weight32),
@@ -499,10 +506,11 @@ pub(crate) struct SparseCsr<S> {
     /// Candidate stored at each slot — the cache-friendly eval order.
     pub(crate) order: Vec<u32>,
     /// Candidate indices sorted by coordinate bit pattern, for the
-    /// copied-point lookup behind [`RewardEngine::gain`]. Cleared (and
-    /// flagged stale) by delta patching; an empty permutation just
-    /// routes copied-point lookups to the dense reference scan.
-    pub(crate) by_coords: Vec<u32>,
+    /// copied-point lookup behind [`RewardEngine::gain`]. Sorted on the
+    /// first such lookup ([`Self::sorted_coords`]): a greedy never makes
+    /// one, so a build does not pay for the sort. The incremental layer
+    /// forces it on every CSR it takes and then repairs it in place.
+    pub(crate) by_coords: OnceLock<Vec<u32>>,
     pub(crate) neighbors: Vec<u32>,
     pub(crate) frac: Vec<S>,
     pub(crate) weight: Vec<S>,
@@ -524,14 +532,15 @@ pub(crate) fn cell_index<const D: usize>(inst: &Instance<D>) -> GridIndex<D> {
 /// [`RewardEngine::reclaim`] puts them back after the solve — so a
 /// warm batch pipeline rebuilds the CSR for each new instance without
 /// fresh heap allocations once capacities have grown to the workload's
-/// steady state.
+/// steady state. A build frees what it cannot use before it allocates:
+/// the other scalar's `frac`/`weight` streams, and any buffer too small
+/// for this build, so a kept buffer never sits beside its replacement.
 #[derive(Debug, Default)]
 pub struct CsrScratch {
     offsets: Vec<u32>,
     degrees: Vec<u32>,
     slot_of: Vec<u32>,
     order: Vec<u32>,
-    by_coords: Vec<u32>,
     neighbors: Vec<u32>,
     frac: Vec<f64>,
     weight: Vec<f64>,
@@ -551,7 +560,6 @@ impl CsrScratch {
             + self.degrees.capacity()
             + self.slot_of.capacity()
             + self.order.capacity()
-            + self.by_coords.capacity()
             + self.neighbors.capacity())
             * 4
             + (self.frac.capacity() + self.weight.capacity()) * 8
@@ -565,6 +573,24 @@ pub(crate) fn padded_len(deg: usize) -> usize {
     deg.div_ceil(SPARSE_LANES) * SPARSE_LANES
 }
 
+/// Empties `buf` and gives it room for `len` items. A buffer with less
+/// room is freed before its replacement is allocated, so the two never
+/// hold memory at once. The replacement has 1/64 to spare, so that an
+/// instance of about the same size reuses it: the entry count of two
+/// uniform instances with the same `n` and degree differs by far less.
+/// Pages that nothing writes are never touched, so the slack costs
+/// address space, not resident memory.
+fn reserve_fresh<T>(buf: &mut Vec<T>, len: usize) {
+    buf.clear();
+    if buf.capacity() < len {
+        *buf = Vec::new();
+        buf.reserve_exact(len + len / 64);
+    }
+}
+
+/// Slots a CSR root pass scores between two polls of its stop flag.
+const ROOT_POLL_SLOTS: usize = 256;
+
 impl<S: LaneScalar> SparseCsr<S> {
     const BYTES_PER_ENTRY: usize = 4 + 2 * S::BYTES; // neighbor + frac + weight
 
@@ -576,7 +602,7 @@ impl<S: LaneScalar> SparseCsr<S> {
             degrees: Vec::new(),
             slot_of: Vec::new(),
             order: Vec::new(),
-            by_coords: Vec::new(),
+            by_coords: OnceLock::new(),
             neighbors: Vec::new(),
             frac: Vec::new(),
             weight: Vec::new(),
@@ -624,34 +650,24 @@ impl<S: LaneScalar> SparseCsr<S> {
         csr
     }
 
-    /// An empty CSR over the buffers taken from `scratch`, cleared with
-    /// their capacity kept.
+    /// A CSR over the buffers taken from `scratch`, as they are: the
+    /// fill empties each one ([`reserve_fresh`]) before it writes it.
     fn from_scratch(scratch: &mut CsrScratch) -> Self {
         let (frac, weight) = S::take_bufs(scratch);
-        let mut csr = SparseCsr {
+        SparseCsr {
             offsets: std::mem::take(&mut scratch.offsets),
             degrees: std::mem::take(&mut scratch.degrees),
             slot_of: std::mem::take(&mut scratch.slot_of),
             order: std::mem::take(&mut scratch.order),
-            by_coords: std::mem::take(&mut scratch.by_coords),
             neighbors: std::mem::take(&mut scratch.neighbors),
             frac,
             weight,
             ..Self::empty()
-        };
-        csr.offsets.clear();
-        csr.degrees.clear();
-        csr.slot_of.clear();
-        csr.order.clear();
-        csr.by_coords.clear();
-        csr.neighbors.clear();
-        csr.frac.clear();
-        csr.weight.clear();
-        csr
+        }
     }
 
-    /// Derives `slot_of` and `by_coords` from the filled rows and
-    /// records the build statistics.
+    /// Derives `slot_of` from the filled rows and records the build
+    /// statistics.
     fn finish<const D: usize>(
         &mut self,
         inst: &Instance<D>,
@@ -659,13 +675,11 @@ impl<S: LaneScalar> SparseCsr<S> {
         started: std::time::Instant,
     ) {
         let n = inst.n();
+        reserve_fresh(&mut self.slot_of, n);
         self.slot_of.resize(n, 0);
         for (slot, &i) in self.order.iter().enumerate() {
             self.slot_of[i as usize] = slot as u32;
         }
-        self.by_coords.extend(0..n as u32);
-        self.by_coords
-            .sort_unstable_by_key(|&j| point_bits(inst.point(j as usize)));
         let entries = self.degrees.iter().map(|&d| d as usize).sum::<usize>();
         let padded_entries = self.neighbors.len();
         self.stats = SparseStats {
@@ -673,8 +687,7 @@ impl<S: LaneScalar> SparseCsr<S> {
             bytes: (self.offsets.len()
                 + self.degrees.len()
                 + self.slot_of.len()
-                + self.order.len()
-                + self.by_coords.len())
+                + self.order.len())
                 * 4
                 + padded_entries * Self::BYTES_PER_ENTRY,
             entries,
@@ -703,10 +716,12 @@ impl<S: LaneScalar> SparseCsr<S> {
         parts: usize,
     ) -> usize {
         let n = inst.n();
+        reserve_fresh(&mut self.order, n);
         self.order.extend_from_slice(grid.entries());
         let weights = slot_weights(inst, grid);
         let fill = CellFill::new(inst, grid, &weights, parts);
 
+        reserve_fresh(&mut self.degrees, n);
         self.degrees.resize(n, 0);
         let degree_parts = split_by_lens(
             &mut self.degrees,
@@ -720,7 +735,7 @@ impl<S: LaneScalar> SparseCsr<S> {
             },
         );
 
-        self.offsets.reserve(n + 1);
+        reserve_fresh(&mut self.offsets, n + 1);
         self.offsets.push(0);
         let mut total = 0usize;
         for &deg in &self.degrees {
@@ -736,9 +751,9 @@ impl<S: LaneScalar> SparseCsr<S> {
         // leaves the first touch of the pages to the parallel pass: at
         // n = 10⁶ on 2 vCPUs, zero-filling first cost 0.3 s of a 1.7 s
         // build.
-        self.neighbors.reserve(total);
-        self.frac.reserve(total);
-        self.weight.reserve(total);
+        reserve_fresh(&mut self.neighbors, total);
+        reserve_fresh(&mut self.frac, total);
+        reserve_fresh(&mut self.weight, total);
         let lens = || {
             fill.parts.iter().map(|c| {
                 let slots = fill.slots(c);
@@ -775,7 +790,6 @@ impl<S: LaneScalar> SparseCsr<S> {
         scratch.degrees = self.degrees;
         scratch.slot_of = self.slot_of;
         scratch.order = self.order;
-        scratch.by_coords = self.by_coords;
         scratch.neighbors = self.neighbors;
         S::put_bufs(scratch, self.frac, self.weight);
     }
@@ -896,8 +910,7 @@ impl<S: LaneScalar> SparseCsr<S> {
     /// return `1.0` for every neighbor and padding terms stay exact
     /// `+0.0` — but needs no neighbor gather at all, and slot-order
     /// callers stream `frac`/`weight` sequentially instead of chasing
-    /// rows through `slot_of`. This is the warm-polish pool builder's
-    /// hot loop.
+    /// rows through `slot_of`. This is [`Self::root_pass`]'s hot loop.
     #[inline]
     fn root_gain_at(&self, slot: usize) -> f64 {
         let start = self.offsets[slot] as usize;
@@ -918,6 +931,87 @@ impl<S: LaneScalar> SparseCsr<S> {
             }
         }
         total
+    }
+
+    /// The CSR root pass: calls `emit(slot, gain)` with the fresh-residual
+    /// gain ([`Self::root_gain_at`]) of every slot in `slots` that `keep`
+    /// admits, in slot order, so the `frac`/`weight` streams are read
+    /// sequentially. Polls `stop` before every [`ROOT_POLL_SLOTS`] slots
+    /// and returns early once it reads true. The CELF prime's bulk pass
+    /// ([`Self::root_gains`]) and the warm re-solve's pool builder
+    /// ([`RewardEngine::root_gains_into`]) both run on it.
+    fn root_pass(
+        &self,
+        slots: Range<usize>,
+        keep: impl Fn(usize) -> bool,
+        stop: &dyn Fn() -> bool,
+        mut emit: impl FnMut(usize, f64),
+    ) {
+        let mut start = slots.start;
+        while start < slots.end {
+            if stop() {
+                return;
+            }
+            let end = slots.end.min(start + ROOT_POLL_SLOTS);
+            for slot in start..end {
+                if keep(slot) {
+                    emit(slot, self.root_gain_at(slot));
+                }
+            }
+            start = end;
+        }
+    }
+
+    /// The bulk root pass behind [`RewardEngine::root_gains_by_slot`]:
+    /// [`Self::root_pass`] over every slot, writing slot `s`'s gain into
+    /// `out[s]`, split into `parts` contiguous slot ranges (on the rayon
+    /// pool when `parts > 1`). One part runs on the calling thread and
+    /// allocates nothing.
+    fn root_gains<T: Send>(
+        &self,
+        out: &mut [T],
+        set: impl Fn(&mut T, f64) + Sync,
+        stop: &(dyn Fn() -> bool + Sync),
+        parts: usize,
+    ) {
+        let part = |base: usize, out: &mut [T]| {
+            let slots = base..base + out.len();
+            self.root_pass(
+                slots,
+                |_| true,
+                stop,
+                |s, gain| set(&mut out[s - base], gain),
+            );
+        };
+        if parts <= 1 {
+            part(0, out);
+        } else {
+            let chunk = out.len().div_ceil(parts);
+            let tasks = out.chunks_mut(chunk).enumerate().collect();
+            run_parts(tasks, &|(p, out)| part(p * chunk, out));
+        }
+    }
+
+    /// Candidate indices sorted by coordinate bit pattern, the
+    /// copied-point lookup's permutation: sorted on the first call.
+    pub(crate) fn sorted_coords<const D: usize>(&self, inst: &Instance<D>) -> &[u32] {
+        self.by_coords.get_or_init(|| {
+            let mut by_coords: Vec<u32> = (0..inst.n() as u32).collect();
+            by_coords.sort_unstable_by_key(|&j| point_bits(inst.point(j as usize)));
+            by_coords
+        })
+    }
+
+    /// [`Self::sorted_coords`], sorted now if it is not yet, for
+    /// in-place repair.
+    pub(crate) fn sorted_coords_mut<const D: usize>(
+        &mut self,
+        inst: &Instance<D>,
+    ) -> &mut Vec<u32> {
+        self.sorted_coords(inst);
+        self.by_coords
+            .get_mut()
+            .expect("the permutation was just sorted")
     }
 
     /// Estimates the full CSR footprint by probing every `stride`-th
@@ -966,14 +1060,15 @@ pub(crate) fn busts_cap<S: LaneScalar>(est_bytes: usize, cap_bytes: usize) -> bo
     est_bytes > cap_bytes || est_bytes / SparseCsr::<S>::BYTES_PER_ENTRY >= u32::MAX as usize
 }
 
-/// Smallest instance whose occupied-cell index, CSR build, grid root
-/// pass and coreset are split across the rayon pool. Smaller ones run
-/// as one part on the calling thread, so small served solves spawn no
-/// threads. On a 2-vCPU Xeon a 2-part CSR build of a degree-48
-/// instance took 2.5 ms against 3.3 ms serial at n = 2,000, and 13 ms
-/// against 22 ms at n = 10,000: from here on the saving dwarfs the
-/// cost of spawning the workers.
-const PARALLEL_BUILD_MIN_POINTS: usize = 10_000;
+/// Smallest instance whose occupied-cell index, CSR build, root passes
+/// and coreset are split across the rayon pool. Smaller ones run as one
+/// part on the calling thread, so small served solves spawn no threads.
+/// On a 2-vCPU Xeon a 2-part CSR build of a degree-48 instance took
+/// 2.5 ms against 3.3 ms serial at n = 2,000, and 13 ms against 22 ms
+/// at n = 10,000: from here on the saving dwarfs the cost of spawning
+/// the workers. `mmph serve` keeps a solo solve's arena for the next one
+/// from the same size up.
+pub const PARALLEL_BUILD_MIN_POINTS: usize = 10_000;
 
 /// Parts a pass over `n` points splits into: one per pool thread from
 /// [`PARALLEL_BUILD_MIN_POINTS`] up, else one.
@@ -1468,23 +1563,30 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
         }
     }
 
-    /// The grid backend's bulk root pass: for every `slot`, calls
-    /// `set(&mut out[slot], gain)` with the fresh-residual gain
-    /// (`y = 1` everywhere) of candidate [`Self::eval_order`]`[slot]`,
-    /// bit-identical to [`Self::candidate_gain`] on reset residuals. One
-    /// cell sweep split across the rayon pool from 10,000 points up.
-    /// Between cells it polls `stop` and returns early when it reads
-    /// true, leaving the rest of `out` as it was. Charges no
-    /// evaluations (the caller does). Touches nothing on the other
-    /// backends, which have no bulk pass.
+    /// The bulk root pass of every backend with an [`Self::eval_order`]:
+    /// for every `slot`, calls `set(&mut out[slot], gain)` with the
+    /// fresh-residual gain (`y = 1` everywhere) of candidate
+    /// [`Self::eval_order`]`[slot]`, bit-identical to
+    /// [`Self::candidate_gain`] on reset residuals. The grid backend
+    /// sweeps its cells ([`GridCells::root_gains`]); the sparse backends
+    /// sum each CSR row with no neighbor gather ([`SparseCsr::root_gains`]).
+    /// Either pass splits across the rayon pool from 10,000 points up,
+    /// polls `stop` as it goes and returns early when it reads true,
+    /// leaving the rest of `out` as it was. Charges no evaluations (the
+    /// caller does). Touches nothing on the scan backend, which has no
+    /// bulk pass.
     pub(crate) fn root_gains_by_slot<T: Send>(
         &self,
         out: &mut [T],
         set: impl Fn(&mut T, f64) + Sync,
         stop: &(dyn Fn() -> bool + Sync),
     ) {
-        if let Backend::Grid(g) = &self.backend {
-            g.root_gains(self.inst, out, set, stop, sweep_parts(self.inst.n()));
+        let parts = sweep_parts(self.inst.n());
+        match &self.backend {
+            Backend::Grid(g) => g.root_gains(self.inst, out, set, stop, parts),
+            Backend::Sparse(csr) => csr.root_gains(out, set, stop, parts),
+            Backend::SparseF32(csr) => csr.root_gains(out, set, stop, parts),
+            Backend::Scan => {}
         }
     }
 
@@ -1600,11 +1702,16 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     /// when it *is* one of the instance's points. Two tiers: a pointer
     /// range check (catches `inst.point(i)` references for free), then
     /// a binary search over the coordinate-bits-sorted candidate
-    /// permutation (catches *copied* points, e.g. the local-search
-    /// polish loop's `*inst.point(cand)`). Bit-equal duplicates are
+    /// permutation, which `by_coords` returns only when a lookup gets
+    /// this far (catches *copied* points, e.g. the local-search polish
+    /// loop's `*inst.point(cand)`). Bit-equal duplicates are
     /// interchangeable — identical coordinates produce identical CSR
     /// rows, hence identical gains.
-    fn candidate_index(&self, c: &Point<D>, by_coords: &[u32]) -> Option<usize> {
+    fn candidate_index<'s>(
+        &'s self,
+        c: &Point<D>,
+        by_coords: impl FnOnce() -> &'s [u32],
+    ) -> Option<usize> {
         let points = self.inst.points();
         let size = std::mem::size_of::<Point<D>>();
         if size > 0 {
@@ -1617,6 +1724,7 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
                 return Some((addr - base) / size);
             }
         }
+        let by_coords = by_coords();
         let key = point_bits(c);
         by_coords
             .binary_search_by(|&j| match points.get(j as usize) {
@@ -1642,15 +1750,13 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     /// no CSR row and fall back to the dense reference scan. The grid
     /// backend gathers any point's query box in ascending index.
     pub fn gain(&self, c: &Point<D>, residuals: &Residuals) -> f64 {
-        let by_coords = match &self.backend {
-            Backend::Sparse(csr) => Some(&csr.by_coords),
-            Backend::SparseF32(csr) => Some(&csr.by_coords),
+        let index = match &self.backend {
+            Backend::Sparse(csr) => self.candidate_index(c, || csr.sorted_coords(self.inst)),
+            Backend::SparseF32(csr) => self.candidate_index(c, || csr.sorted_coords(self.inst)),
             _ => None,
         };
-        if let Some(by) = by_coords {
-            if let Some(i) = self.candidate_index(c, by) {
-                return self.candidate_gain(i, residuals);
-            }
+        if let Some(i) = index {
+            return self.candidate_gain(i, residuals);
         }
         self.note_eval();
         match &self.backend {
@@ -1681,12 +1787,12 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     }
 
     /// Appends `(gain(b | ∅), b)` for every candidate `b` with
-    /// `dirty[b]` to `out`, visiting rows in **CSR slot order** so the
-    /// `frac`/`weight` streams are read near-sequentially (index-order
-    /// iteration would chase every row through `slot_of` — random
-    /// access over the whole CSR). Each root gain is bit-identical to
-    /// [`Self::candidate_gain`] against reset residuals (see
-    /// `SparseCsr::root_gain_at`), and each charges one evaluation.
+    /// `dirty[b]` to `out`: the CSR root pass (`SparseCsr::root_pass`)
+    /// filtered by `dirty`, in **CSR slot order** so the `frac`/`weight`
+    /// streams are read near-sequentially (index-order iteration would
+    /// chase every row through `slot_of` — random access over the whole
+    /// CSR). Each root gain is bit-identical to [`Self::candidate_gain`]
+    /// against reset residuals, and each charges one evaluation.
     /// Returns `false` (appending nothing) on non-sparse backends.
     ///
     /// This is how the warm re-solve prices its CELF swap-pool bounds:
@@ -1698,15 +1804,15 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
             dirty: &[bool],
             out: &mut Vec<(f64, usize)>,
         ) -> u64 {
-            let mut evals = 0u64;
-            for slot in 0..csr.order.len() {
-                let i = csr.order[slot] as usize;
-                if dirty.get(i).copied().unwrap_or(false) {
-                    out.push((csr.root_gain_at(slot), i));
-                    evals += 1;
-                }
-            }
-            evals
+            let before = out.len();
+            let candidate = |slot: usize| csr.order[slot] as usize;
+            csr.root_pass(
+                0..csr.order.len(),
+                |slot| dirty.get(candidate(slot)).copied().unwrap_or(false),
+                &|| false,
+                |slot, gain| out.push((gain, candidate(slot))),
+            );
+            (out.len() - before) as u64
         }
         let evals = match &self.backend {
             Backend::Sparse(csr) => collect(csr, dirty, out),
@@ -2067,7 +2173,9 @@ mod tests {
         }
 
         /// Every stored array (floats as bits) and the entry statistics.
-        fn arrays(&self) -> [Vec<u64>; 9] {
+        /// The coordinate permutation is left out: a build does not sort
+        /// it.
+        fn arrays(&self) -> [Vec<u64>; 8] {
             let ints = |xs: &[u32]| xs.iter().map(|&x| u64::from(x)).collect();
             let bits = |xs: &[S]| xs.iter().map(|x| x.widen().to_bits()).collect();
             [
@@ -2075,7 +2183,6 @@ mod tests {
                 ints(&self.degrees),
                 ints(&self.slot_of),
                 ints(&self.order),
-                ints(&self.by_coords),
                 ints(&self.neighbors),
                 bits(&self.frac),
                 bits(&self.weight),
@@ -2303,6 +2410,88 @@ mod tests {
     fn grid_root_pass_matches_per_candidate_gains() {
         check_root_pass::<2>();
         check_root_pass::<3>();
+    }
+
+    /// The CSR root pass of `engine` (a sparse backend) in 1, 2, 3 and 7
+    /// parts, and the warm pool builder's filtered pass with every
+    /// candidate dirty, against per-candidate `candidate_gain` on fresh
+    /// residuals, bit for bit.
+    fn check_csr_root_pass<const D: usize>(engine: &RewardEngine<'_, D>, what: &str) {
+        let n = engine.instance().n();
+        let fresh = Residuals::new(n);
+        let order = engine.eval_order().unwrap().to_vec();
+        let gains: Vec<f64> = order
+            .iter()
+            .map(|&i| engine.candidate_gain(i as usize, &fresh))
+            .collect();
+        let want = bits(&gains);
+        for parts in [1, 2, 3, 7] {
+            let mut got = vec![f64::NAN; n];
+            let set = |o: &mut f64, g| *o = g;
+            match &engine.backend {
+                Backend::Sparse(csr) => csr.root_gains(&mut got, set, &|| false, parts),
+                Backend::SparseF32(csr) => csr.root_gains(&mut got, set, &|| false, parts),
+                _ => unreachable!("sparse engine"),
+            }
+            assert_eq!(bits(&got), want, "{what} parts={parts}: root pass");
+        }
+        let mut pool = Vec::new();
+        assert!(engine.root_gains_into(&vec![true; n], &mut pool));
+        let (pool_gains, pool_order): (Vec<f64>, Vec<usize>) = pool.into_iter().unzip();
+        assert_eq!(bits(&pool_gains), want, "{what}: pool gains");
+        assert!(pool_order
+            .iter()
+            .zip(&order)
+            .all(|(&a, &b)| a == b as usize));
+    }
+
+    /// The CSR root pass behind the sparse engines' CELF prime, for
+    /// `sparse` and `sparse-f32`: on every fill case under every norm
+    /// and kernel, and on a churn-patched CSR (rows relocated to the
+    /// tail, so slot order no longer follows the offsets).
+    #[test]
+    fn csr_root_pass_matches_per_candidate_gains() {
+        let kernels = [
+            Kernel::Linear,
+            Kernel::Step,
+            Kernel::Quadratic,
+            Kernel::Exponential { lambda: 2.5 },
+        ];
+        for norm in [Norm::L1, Norm::L2, Norm::LInf, Norm::Lp(3.0)] {
+            for kernel in kernels {
+                for (label, inst, _) in fill_cases::<2>(norm, kernel) {
+                    let what = format!("{norm} {} {label}", kernel.name());
+                    check_csr_root_pass(&RewardEngine::sparse(&inst), &what);
+                    check_csr_root_pass(&RewardEngine::sparse_f32(&inst), &format!("f32 {what}"));
+                }
+            }
+        }
+        for (label, inst, _) in fill_cases::<3>(Norm::L2, Kernel::Linear) {
+            check_csr_root_pass(&RewardEngine::sparse(&inst), &format!("D=3 {label}"));
+        }
+        use crate::incremental::IncrementalInstance;
+        use crate::instance::Delta;
+        for kind in [EngineKind::Sparse, EngineKind::SparseF32] {
+            let inst = random_instance_for_csr(17, 300);
+            let mut inc = IncrementalInstance::new(inst, kind).unwrap();
+            let deltas: Vec<Delta<2>> = (0..40)
+                .map(|i| match i % 3 {
+                    0 => Delta::Insert {
+                        point: Point::new([0.1 * (i % 40) as f64, 0.05 * i as f64]),
+                        weight: 1.5,
+                    },
+                    1 => Delta::Move {
+                        index: 7 * i,
+                        to: Point::new([3.9 - 0.08 * i as f64, 0.5]),
+                    },
+                    _ => Delta::Remove { index: 3 * i },
+                })
+                .collect();
+            inc.apply_churn(&deltas).unwrap();
+            inc.verify_against_rebuild().unwrap();
+            assert!(inc.dead_entries() > 0, "{kind}: no row was relocated");
+            inc.with_engine(|engine| check_csr_root_pass(engine, &format!("churned {kind}")));
+        }
     }
 
     /// A stop that reads true before the first cell leaves every output

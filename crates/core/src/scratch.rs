@@ -106,7 +106,7 @@ impl SolveScratch {
     /// Approximate bytes retained across solves (diagnostics).
     pub fn retained_bytes(&self) -> usize {
         self.csr.retained_bytes()
-            + self.lazy.retained_capacity() * std::mem::size_of::<usize>()
+            + self.lazy.retained_bytes()
             + (self.gains.capacity() + self.assignments.capacity() + self.round_gains.capacity())
                 * std::mem::size_of::<f64>()
             + self.picks.capacity() * std::mem::size_of::<usize>()

@@ -216,13 +216,14 @@ proptest! {
         }
     }
 
-    /// The grid engine's bulk prime cuts where a per-candidate prime
-    /// does: with the trip inside the prime (`j ≤ n`) or after it, the
-    /// lazy greedy on the grid engine returns what it returns on the
-    /// scan engine — same status, centers, gains and eval count — after
-    /// the same number of counted checks. (The sparse engine's
-    /// dirty-region skips save re-scores, and with them checks, so its
-    /// post-prime cuts land elsewhere.)
+    /// The bulk primes cut where a per-candidate prime does: with the
+    /// trip inside the prime (`j ≤ n`) or after it, the lazy greedy on
+    /// the grid engine returns what it returns on the scan engine —
+    /// same status, centers, gains and eval count — after the same
+    /// number of counted checks. So do the sparse engines' CSR primes
+    /// for a trip inside the prime. (Their dirty-region skips save
+    /// re-scores, and with them checks, so their post-prime cuts land
+    /// elsewhere.)
     #[test]
     fn grid_prime_cuts_where_the_per_candidate_prime_does(
         pts in weighted_points(30),
@@ -260,6 +261,15 @@ proptest! {
         prop_assert_eq!(&grid.solution.round_gains, &scan.solution.round_gains);
         prop_assert_eq!(grid.solution.evals, scan.solution.evals);
         prop_assert_eq!(grid_checks, scan_checks);
+        if inside {
+            for engine in [EngineKind::Sparse, EngineKind::SparseF32] {
+                let (sparse, sparse_checks) = run(engine);
+                prop_assert_eq!(&sparse.status, &scan.status, "{}", engine);
+                prop_assert!(sparse.centers().is_empty(), "{}", engine);
+                prop_assert_eq!(sparse.solution.evals, scan.solution.evals, "{}", engine);
+                prop_assert_eq!(sparse_checks, scan_checks, "{}", engine);
+            }
+        }
     }
 
     /// A token tripped before the solve starts yields an empty prefix

@@ -251,6 +251,11 @@ pub struct ServiceStats {
     /// no cold fallback).
     #[serde(default)]
     pub warm_resolves: u64,
+    /// Bytes of the solve arena kept from one big solo solve to the
+    /// next (its CSR buffers, CELF heap and residuals); 0 when none is
+    /// kept.
+    #[serde(default)]
+    pub arena_bytes: u64,
 }
 
 /// One response line. `op` is `solve_ok`, `mutate_ok`, `resolve_ok`,

@@ -12,7 +12,11 @@
 //! share an engine build and every worker keeps its
 //! [`SolveScratch`](mmph_core::SolveScratch) arena — the same
 //! amortizations `mmph batch` gets, now under sustained request
-//! traffic. Per-request deadlines ride along as [`SolveBudget`]s; a
+//! traffic. Across rounds the service keeps one arena: that of a round
+//! whose only solve is a big CSR solve, so the next such solve rewrites
+//! warm pages instead of faulting in a fresh CSR (see
+//! [`Service::stats`]'s `arena_bytes`). Any other work frees it first.
+//! Per-request deadlines ride along as [`SolveBudget`]s; a
 //! tripped budget degrades that request (prefix selection, `degraded`
 //! status), a panicking worker becomes an `error` response, and
 //! neither ever stalls the round.
@@ -33,7 +37,7 @@ use std::time::{Duration, Instant};
 use mmph_core::{
     solve_coreset, BatchReport, BatchResult, BatchRunner, CancelToken, CoresetConfig, EngineKind,
     IncrementalInstance, Instance, OracleStrategy, Pipeline, ResolveConfig, SolveBudget,
-    SolveScratch, SolveStatus, DEFAULT_SPARSE_CAP_BYTES,
+    SolveScratch, SolveStatus, DEFAULT_SPARSE_CAP_BYTES, PARALLEL_BUILD_MIN_POINTS,
 };
 use mmph_sim::{parse_spec, validate_scenario, Scenario};
 
@@ -201,6 +205,9 @@ pub struct Service {
     stats: ServiceStats,
     cache: Vec<(Scenario, Arc<Instance<2>>)>,
     tracked: Option<Tracked>,
+    /// The dispatch thread's solve arena, kept from one big solo solve
+    /// to the next (see [`Self::keeps_arena`]).
+    arena: Option<SolveScratch>,
     shutdown: bool,
 }
 
@@ -212,6 +219,7 @@ impl Service {
             stats: ServiceStats::default(),
             cache: Vec::new(),
             tracked: None,
+            arena: None,
             shutdown: false,
         }
     }
@@ -269,6 +277,19 @@ impl Service {
 
     /// The dispatch core shared by both entry points.
     fn dispatch(&mut self, parsed: Vec<ParsedItem>) -> Vec<Response> {
+        // The arena serves a round with at most one solve and no other
+        // work that allocates: a second solve, a mutate or a resolve
+        // runs after it is freed. Control ops leave it be.
+        let op_count = |op: &str| {
+            parsed
+                .iter()
+                .filter(|(item, ..)| item.as_ref().is_ok_and(|r| r.op == op))
+                .count()
+        };
+        let solo = op_count("solve") <= 1 && op_count("mutate") + op_count("resolve") == 0;
+        if !solo {
+            self.release_arena();
+        }
         let mut plans: Vec<Plan> = Vec::with_capacity(parsed.len());
         let mut solves: Vec<SolveItem> = Vec::new();
         for (item, received, cancel) in parsed {
@@ -323,7 +344,7 @@ impl Service {
             }
         }
 
-        let solved = self.run_solves(&solves);
+        let solved = self.run_solves(&solves, solo);
         let out: Vec<Response> = plans
             .into_iter()
             .map(|plan| match plan {
@@ -454,6 +475,7 @@ impl Service {
         // pipeline instead of the direct batch path.
         let pipeline = requested.for_instance(&*instance, engine, self.config.sparse_cap_bytes);
         if let Pipeline::Coreset(cells_per_radius) = pipeline {
+            self.release_arena();
             let resp = self.coreset_response(
                 req.id,
                 cells_per_radius,
@@ -691,8 +713,8 @@ impl Service {
     /// is MRU-ordered and shares *one generation* per scenario, so
     /// repeated scenarios are `==` by pointer-free structural equality
     /// and the batch layer's adjacent-identical engine reuse fires. The
-    /// points are held once: only an owner that needs its own copy (the
-    /// batch call, the tracked incremental instance) clones them.
+    /// points are held once: the batch call borrows them, and only the
+    /// tracked incremental instance, which mutates its own, clones them.
     fn instance_for(&mut self, scenario: &Scenario) -> Result<Arc<Instance<2>>> {
         if let Some(pos) = self.cache.iter().position(|(sc, _)| sc == scenario) {
             let entry = self.cache.remove(pos);
@@ -708,10 +730,39 @@ impl Service {
         Ok(inst)
     }
 
+    /// Whether `item`, the only solve of a `solo` round, runs in the
+    /// kept arena and leaves its buffers there for the next: a warm
+    /// solve of at least [`PARALLEL_BUILD_MIN_POINTS`] points whose
+    /// engine builds its CSR in the arena (`sparse`, `sparse-f32`, or
+    /// `auto` under the cap, which the batch path builds as `sparse`).
+    /// Smaller solves build in milliseconds, and a kept arena would only
+    /// grow the service's resident memory.
+    fn keeps_arena(&self, item: &SolveItem) -> bool {
+        self.config.warm
+            && item.instance.n() >= PARALLEL_BUILD_MIN_POINTS
+            && matches!(
+                item.engine,
+                EngineKind::Sparse | EngineKind::SparseF32 | EngineKind::Auto
+            )
+    }
+
+    /// Frees the kept arena, if any.
+    fn release_arena(&mut self) {
+        self.arena = None;
+        self.stats.arena_bytes = 0;
+    }
+
     /// Runs the round's solve stream through the batch pipeline.
     /// Consecutive items with the same (strategy, engine) form one
-    /// `run_budgeted` call; results come back aligned with `solves`.
-    fn run_solves(&self, solves: &[SolveItem]) -> Vec<BatchResult> {
+    /// `run_budgeted` call, which borrows the shared instances; results
+    /// come back aligned with `solves`. The only solve of a `solo` round
+    /// that [`Self::keeps_arena`] runs in the kept arena; any other
+    /// solve frees it first.
+    fn run_solves(&mut self, solves: &[SolveItem], solo: bool) -> Vec<BatchResult> {
+        let keep = solo && solves.len() == 1 && self.keeps_arena(&solves[0]);
+        if !keep && !solves.is_empty() {
+            self.release_arena();
+        }
         let mut out: Vec<BatchResult> = Vec::with_capacity(solves.len());
         let mut i = 0;
         while i < solves.len() {
@@ -721,14 +772,20 @@ impl Service {
                 j += 1;
             }
             let seg = &solves[i..j];
-            let instances: Vec<Instance<2>> =
-                seg.iter().map(|s| Instance::clone(&s.instance)).collect();
+            let instances: Vec<&Instance<2>> = seg.iter().map(|s| &*s.instance).collect();
             let budgets: Vec<SolveBudget> = seg.iter().map(|s| s.budget.clone()).collect();
             let runner = BatchRunner::new()
                 .with_strategy(strategy)
                 .with_engine(engine)
                 .with_warm(self.config.warm);
-            let report = runner.run_budgeted(&instances, &budgets);
+            let report = if keep {
+                let arena = self.arena.get_or_insert_with(SolveScratch::new);
+                let report = runner.run_budgeted_in(&instances, &budgets, arena);
+                self.stats.arena_bytes = arena.retained_bytes() as u64;
+                report
+            } else {
+                runner.run_budgeted(&instances, &budgets)
+            };
             out.extend(report.results);
             i = j;
         }

@@ -135,6 +135,7 @@ fn response() -> impl Strategy<Value = Response> {
                         cancelled: 1,
                         mutations: 3,
                         warm_resolves: 2,
+                        arena_bytes: 1 << 30,
                     });
                 }
                 r
