@@ -92,8 +92,7 @@ pub fn parse_oracle(raw: &str) -> Result<mmph_core::OracleStrategy> {
     raw.parse().map_err(CliError::Usage)
 }
 
-/// Parses a reward-engine name ("auto", "scan", "sparse", "sparse-f32",
-/// "grid").
+/// Parses a reward-engine name ("auto", "scan", "sparse", "grid").
 pub fn parse_engine(raw: &str) -> Result<mmph_core::EngineKind> {
     raw.parse().map_err(CliError::Usage)
 }
@@ -230,11 +229,12 @@ mod tests {
         assert_eq!(parse_engine("auto").unwrap(), EngineKind::Auto);
         assert_eq!(parse_engine("scan").unwrap(), EngineKind::Scan);
         assert_eq!(parse_engine("sparse").unwrap(), EngineKind::Sparse);
-        assert_eq!(parse_engine("sparse-f32").unwrap(), EngineKind::SparseF32);
         assert_eq!(parse_engine("grid").unwrap(), EngineKind::Grid);
         assert!(parse_engine("dense").is_err());
-        let err = parse_engine("kd").unwrap_err().to_string();
-        assert!(err.contains("auto|scan|sparse|sparse-f32|grid"), "{err}");
+        for gone in ["kd", "sparse-f32"] {
+            let err = parse_engine(gone).unwrap_err().to_string();
+            assert!(err.contains("auto|scan|sparse|grid"), "{err}");
+        }
         assert!(parse_engine("f32").is_err());
     }
 

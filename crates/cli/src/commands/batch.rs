@@ -29,7 +29,7 @@ OPTIONS:
                     n=10000,k=16,count=4,repeat=8,seed=0,norm=l2,weights=diff
   --solver NAME     greedy2 (sequential argmax) or lazy (CELF) [lazy]
   --oracle NAME     seq|par|lazy — overrides the solver's strategy
-  --engine NAME     auto|scan|sparse|sparse-f32|grid [sparse]; grid holds
+  --engine NAME     auto|scan|sparse|grid [sparse]; grid holds
                     no CSR, O(n) memory on input of any spread
   --threads N       worker threads (default: all cores)
   --cold            disable scratch/engine reuse (per-request baseline)
@@ -314,11 +314,13 @@ mod tests {
 
     #[test]
     fn kd_engine_is_gone() {
-        let (r, _) = run_capture(&["--scenarios", "n=40", "--engine", "kd"]);
-        let Err(CliError::Usage(msg)) = r else {
-            panic!("--engine kd must be a usage error: {r:?}");
-        };
-        assert!(msg.contains("unknown engine 'kd'"), "{msg}");
+        for engine in ["kd", "sparse-f32"] {
+            let (r, _) = run_capture(&["--scenarios", "n=40", "--engine", engine]);
+            let Err(CliError::Usage(msg)) = r else {
+                panic!("--engine {engine} must be a usage error: {r:?}");
+            };
+            assert!(msg.contains(&format!("unknown engine '{engine}'")), "{msg}");
+        }
     }
 
     #[test]

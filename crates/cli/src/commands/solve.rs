@@ -34,15 +34,13 @@ OPTIONS:
   --all          run every solver and print a comparison table
   --oracle S     candidate-scoring strategy: seq | par | lazy (default seq);
                  all three produce identical solutions
-  --engine E     reward-evaluation engine: auto | scan | sparse
-                 | sparse-f32 | grid (default auto = sparse while its CSR
-                 fits the 512 MiB cap; past it, auto escalates to the
-                 coreset path, whose reduced solve runs on grid). grid
-                 holds no CSR: it sweeps an index of the occupied cells
-                 of side r, O(n) memory on input of any spread. scan,
-                 sparse and grid are bit-identical, and the opt-in
-                 mixed-precision sparse-f32 matches them to a documented
-                 bound
+  --engine E     reward-evaluation engine: auto | scan | sparse | grid
+                 (default auto = sparse while its CSR fits the 512 MiB
+                 cap; past it, auto escalates to the coreset path, whose
+                 reduced solve runs on grid). grid holds no CSR: it
+                 sweeps an index of the occupied cells of side r, O(n)
+                 memory on input of any spread. scan, sparse and grid
+                 are bit-identical
   --threads N    size of the rayon pool behind all parallel work: --oracle
                  par, the sparse CSR build from 10,000 points up, the grid
                  engine's root sweep and the coreset pass (default: all
@@ -55,7 +53,7 @@ OPTIONS:
   --churn SxF    after the initial solve, run S churn steps each mutating
                  a fraction F of the points (e.g. 20x0.01), re-solving
                  incrementally and printing warm-vs-cold timings;
-                 requires a sparse engine (auto/sparse/sparse-f32) and
+                 requires a sparse engine (auto/sparse) and
                  excludes --coreset-cells
   --churn-seed N seed for the churn plan (default: --seed)
   --coreset-cells C  solve through the weighted coreset path: aggregate
@@ -336,7 +334,7 @@ fn run_churn(
         let t = std::time::Instant::now();
         let cold = LocalGreedy::new()
             .with_oracle(OracleStrategy::Lazy)
-            .with_engine(inc.kind())
+            .with_engine(EngineKind::Sparse)
             .solve(inc.instance())?;
         let cold_ms = t.elapsed().as_secs_f64() * 1e3;
         writeln!(
@@ -529,12 +527,14 @@ mod tests {
 
     #[test]
     fn kd_engine_is_gone() {
-        let (r, out) = run_capture(&["--n", "200", "--k", "3", "--engine", "kd"]);
-        let Err(CliError::Usage(msg)) = r else {
-            panic!("--engine kd must be a usage error: {r:?}");
-        };
-        assert!(msg.contains("unknown engine 'kd'"), "{msg}");
-        assert!(out.is_empty(), "nothing solved: {out}");
+        for engine in ["kd", "sparse-f32"] {
+            let (r, out) = run_capture(&["--n", "200", "--k", "3", "--engine", engine]);
+            let Err(CliError::Usage(msg)) = r else {
+                panic!("--engine {engine} must be a usage error: {r:?}");
+            };
+            assert!(msg.contains(&format!("unknown engine '{engine}'")), "{msg}");
+            assert!(out.is_empty(), "nothing solved: {out}");
+        }
     }
 
     #[test]

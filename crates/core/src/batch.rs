@@ -96,21 +96,18 @@ pub fn solve_rounds_within<const D: usize>(
 }
 
 /// Commits candidate `i` against `residuals` and returns the round gain.
-/// On the `f64` sparse engine this walks the candidate's CSR row and on
-/// the grid engine its query box, O(degree) and bit-identical to the
-/// dense apply ([`RewardEngine::apply_candidate`]); every other engine
-/// uses the dense O(n) [`Residuals::apply`], since the `f32` row walk is
-/// not bit-identical to it.
+/// On the sparse engine this walks the candidate's CSR row and on the
+/// grid engine its query box, O(degree) and bit-identical to the dense
+/// apply ([`RewardEngine::apply_candidate`]); the scan engine uses the
+/// dense O(n) [`Residuals::apply`].
 fn commit<const D: usize>(oracle: &GainOracle<'_, D>, residuals: &mut Residuals, i: usize) -> f64 {
-    let engine = oracle.engine();
-    let local = match engine.kind() {
-        EngineKind::Sparse | EngineKind::Grid => engine.apply_candidate(i, residuals),
-        _ => None,
-    };
-    local.unwrap_or_else(|| {
-        let inst = oracle.instance();
-        residuals.apply(inst, inst.point(i))
-    })
+    oracle
+        .engine()
+        .apply_candidate(i, residuals)
+        .unwrap_or_else(|| {
+            let inst = oracle.instance();
+            residuals.apply(inst, inst.point(i))
+        })
 }
 
 /// Returns the buffers an oracle borrowed from `scratch` (CELF heap
@@ -295,9 +292,8 @@ impl BatchRunner {
 
     /// Reward-evaluation engine. [`EngineKind::Auto`] is treated as
     /// [`EngineKind::Sparse`] here: batch serving is exactly the
-    /// workload the CSR engine exists for, and only the sparse engines
-    /// (`sparse`, and the opt-in mixed-precision `sparse-f32`)
-    /// participate in CSR-scratch reuse.
+    /// workload the CSR engine exists for, and only the sparse engine
+    /// participates in CSR-scratch reuse.
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
         self
@@ -338,7 +334,6 @@ impl BatchRunner {
             EngineKind::Sparse | EngineKind::Auto => {
                 RewardEngine::sparse_with_scratch(inst, &mut scratch.csr)
             }
-            EngineKind::SparseF32 => RewardEngine::sparse_f32_with_scratch(inst, &mut scratch.csr),
             kind => RewardEngine::with_kind(inst, kind),
         };
         // Plain CELF: dirty-region revalidation is unmeasured on the
@@ -664,21 +659,16 @@ mod tests {
         }
     }
 
-    /// The `f64` sparse engine commits each pick by its CSR row, the
-    /// grid engine by its query box and the other engines by the dense
-    /// apply; all must leave exactly the gains, total and residual
-    /// state of committing the same picks with the dense apply.
+    /// The sparse engine commits each pick by its CSR row, the grid
+    /// engine by its query box and the scan engine by the dense apply;
+    /// all must leave exactly the gains, total and residual state of
+    /// committing the same picks with the dense apply.
     #[test]
     fn sparse_commit_matches_the_dense_apply() {
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for norm in [Norm::L1, Norm::L2] {
             let inst = random_instance(83, 150, 8, norm);
-            for engine in [
-                EngineKind::Sparse,
-                EngineKind::SparseF32,
-                EngineKind::Scan,
-                EngineKind::Grid,
-            ] {
+            for engine in [EngineKind::Sparse, EngineKind::Scan, EngineKind::Grid] {
                 let mut scratch = SolveScratch::new();
                 let oracle = BatchRunner::new()
                     .with_engine(engine)

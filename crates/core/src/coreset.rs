@@ -349,9 +349,7 @@ pub fn solve_coreset<const D: usize>(
 
     let t1 = Instant::now();
     let engine = match cfg.engine {
-        EngineKind::Auto => {
-            RewardEngine::auto_with_cap_kind(&coreset.instance, cfg.cap_bytes, EngineKind::Sparse)
-        }
+        EngineKind::Auto => RewardEngine::auto_with_cap(&coreset.instance, cfg.cap_bytes),
         kind => RewardEngine::with_kind(&coreset.instance, kind),
     };
     let kind = engine.kind();
@@ -466,8 +464,8 @@ impl Pipeline {
     /// does any explicit engine kind: the caller asked for that backend
     /// by name. A direct solve on the `auto` engine escalates to the
     /// coreset path at [`DEFAULT_CORESET_CELLS`] exactly where
-    /// [`RewardEngine::auto_with_cap_kind`] would fall back to a
-    /// CSR-free backend: when the estimated `f64` CSR busts `cap_bytes`.
+    /// [`RewardEngine::auto_with_cap`] would fall back to a CSR-free
+    /// backend: when the estimated CSR busts `cap_bytes`.
     pub fn for_instance<const D: usize>(
         self,
         inst: &Instance<D>,
@@ -477,7 +475,7 @@ impl Pipeline {
         if self != Pipeline::Direct || engine != EngineKind::Auto {
             return self;
         }
-        let busts = |est| busts_cap::<f64>(est, cap_bytes);
+        let busts = |est| busts_cap(est, cap_bytes);
         // No estimate reads below the degree-1 floor, so when even that
         // busts the cap the answer needs no grid build (1.1 s at n = 10⁷).
         if busts(min_sparse_bytes(inst.n()))

@@ -24,11 +24,13 @@
 //!   keeps its standing from the previous solve.
 //! - [`IncrementalInstance::resolve`] warm-starts from the previous
 //!   selection (remapped through removals), refills missing slots
-//!   greedily, then runs a swap-based local-search polish restricted
-//!   to the dirty pool. It falls back to a cold greedy when churn
+//!   greedily, then runs one swap-based local-search pass restricted
+//!   to the dirty pool. It falls back to a cold CELF greedy when churn
 //!   since the last resolve exceeds a threshold, when there is no seed
-//!   selection, or when the polished objective regresses below the
-//!   seed (possible only under `f32` rounding).
+//!   selection, or when the polished total rounds below the seed's.
+//! - No resolve, warm or cold, looks a candidate up by a copied point,
+//!   so the CSR's coordinate permutation is not kept up: each delta
+//!   drops it, and a lookup sorts it afresh, as on a fresh build.
 //!
 //! Correctness anchor: after any delta sequence the patched CSR is
 //! **bitwise identical** to a cold rebuild of the mutated point set,
@@ -36,7 +38,7 @@
 //! the tail instead of re-sorting; the permutation stays valid, and
 //! the argmax tie-break makes selection order-independent). The
 //! `proptest_churn` suite pins this across insert/remove/move
-//! sequences, both norms, and both scalar types;
+//! sequences and both norms;
 //! [`IncrementalInstance::verify_against_rebuild`] is the checker
 //! that suite and the `churn_floor` rounds share.
 
@@ -51,8 +53,7 @@ use crate::instance::{Delta, Instance};
 use crate::kernel::PreparedKernel;
 use crate::oracle::{GainOracle, OracleStrategy};
 use crate::reward::{
-    cell_index, padded_len, point_bits, CsrScratch, EngineKind, LaneScalar, RewardEngine,
-    SparseCsr, SPARSE_LANES,
+    cell_index, padded_len, CsrScratch, EngineKind, RewardEngine, SparseCsr, SPARSE_LANES,
 };
 use crate::scratch::SolveScratch;
 use crate::{CoreError, Result};
@@ -61,13 +62,6 @@ use crate::{CoreError, Result};
 /// compaction rebuild — below this the rebuild is cheaper than the
 /// bookkeeping anyway.
 const REBUILD_MIN_ENTRIES: usize = 4096;
-
-/// Pending `by_coords` repairs accumulated before a merge repair is
-/// forced mid-batch. Each repair is `O(n + p log p)`; deferring it
-/// amortizes the linear term over many deltas while keeping the
-/// unsorted window (during which copied-point lookups may miss and
-/// fall back to the dense scan) bounded.
-const COORDS_REPAIR_THRESHOLD: usize = 4096;
 
 /// Incremental churn fraction above which [`IncrementalInstance::resolve`]
 /// abandons the warm start for a cold greedy.
@@ -172,29 +166,16 @@ impl<const D: usize> ChurnGrid<D> {
     }
 }
 
-/// The patched CSR, in whichever scalar width the engine was built.
-#[derive(Debug)]
-enum CsrState {
-    F64(SparseCsr<f64>),
-    F32(SparseCsr<f32>),
-}
-
-/// Configuration of [`IncrementalInstance::resolve`].
+/// Configuration of [`IncrementalInstance::resolve`]. The warm path
+/// runs one swap-polish pass, and the cold path a dirty-CELF greedy.
 #[derive(Debug, Clone)]
 pub struct ResolveConfig {
     /// Warm start is abandoned for a cold greedy when
     /// `deltas since last resolve / n` exceeds this. Default
     /// [`DEFAULT_CHURN_THRESHOLD`].
     pub churn_threshold: f64,
-    /// Swap-polish passes over the selection (each pass trials every
-    /// center against the dirty candidate pool; a pass with no
-    /// accepted swap ends polishing early). Default 1.
-    pub polish_passes: usize,
     /// Skip the warm path entirely.
     pub force_cold: bool,
-    /// Oracle strategy of the cold fallback solve. Default Lazy
-    /// (dirty-CELF).
-    pub cold_strategy: OracleStrategy,
     /// Cooperative cancellation; a tripped token degrades the resolve
     /// (warm: seed selection kept, polish abandoned; cold: committed
     /// prefix) exactly like the serve layer's mid-solve cancellation.
@@ -205,9 +186,7 @@ impl Default for ResolveConfig {
     fn default() -> Self {
         ResolveConfig {
             churn_threshold: DEFAULT_CHURN_THRESHOLD,
-            polish_passes: 1,
             force_cold: false,
-            cold_strategy: OracleStrategy::Lazy,
             cancel: None,
         }
     }
@@ -245,7 +224,7 @@ pub struct ResolveOutcome {
 #[derive(Debug)]
 pub struct IncrementalInstance<const D: usize> {
     inst: Instance<D>,
-    state: CsrState,
+    csr: SparseCsr,
     grid: ChurnGrid<D>,
     /// `dirty[i]` — point `i`'s coverage relation changed since the
     /// last resolve. By `d ≤ r` symmetry this is exactly the set of
@@ -265,13 +244,6 @@ pub struct IncrementalInstance<const D: usize> {
     /// churn allocates nothing once rows fit).
     row: Vec<(u32, f64)>,
     old_row: Vec<(u32, u64, u64)>,
-    /// Indices whose `by_coords` position is invalid (inserted, moved,
-    /// or renumbered by a swap-remove) since the last repair. The
-    /// permutation itself is kept live across patches — stale entries
-    /// can only cause a lookup miss (dense-scan fallback), never a
-    /// mis-route — and [`repair_coords`] merges these back in sorted
-    /// position instead of re-sorting all of `n`.
-    coords_pending: Vec<u32>,
     csr_scratch: CsrScratch,
 }
 
@@ -279,38 +251,23 @@ impl<const D: usize> IncrementalInstance<D> {
     /// Builds the CSR for `inst` (forced sparse; the cap-checked
     /// `auto` path does not apply — patching only makes sense on a
     /// materialized adjacency) and the churn index. `kind` must be
-    /// [`EngineKind::Sparse`] (or [`EngineKind::Auto`], which means
-    /// it here) or [`EngineKind::SparseF32`]; any other kind is an
-    /// error, reported before the CSR is built.
+    /// [`EngineKind::Sparse`] or [`EngineKind::Auto`], which means it
+    /// here; any other kind is an error, reported before the CSR is
+    /// built.
     pub fn new(inst: Instance<D>, kind: EngineKind) -> Result<Self> {
-        if !matches!(
-            kind,
-            EngineKind::Sparse | EngineKind::Auto | EngineKind::SparseF32
-        ) {
+        if !matches!(kind, EngineKind::Sparse | EngineKind::Auto) {
             return Err(CoreError::InvalidConfig(format!(
-                "incremental instances require a sparse engine (auto, sparse or sparse-f32), \
-                 got {kind}"
+                "incremental instances require a sparse engine (auto or sparse), got {kind}"
             )));
         }
         let mut csr_scratch = CsrScratch::new();
-        // Every CSR taken here sorts its coordinate permutation now, so
-        // the churn repairs below always have one to keep.
-        let state = if kind == EngineKind::SparseF32 {
-            let mut csr = SparseCsr::<f32>::build_with(&inst, &cell_index(&inst), &mut csr_scratch);
-            csr.offsets.pop();
-            csr.sorted_coords(&inst);
-            CsrState::F32(csr)
-        } else {
-            let mut csr = SparseCsr::<f64>::build_with(&inst, &cell_index(&inst), &mut csr_scratch);
-            csr.offsets.pop(); // drop the sentinel: row ends derive from degrees
-            csr.sorted_coords(&inst);
-            CsrState::F64(csr)
-        };
+        let mut csr = SparseCsr::build_with(&inst, &cell_index(&inst), &mut csr_scratch);
+        csr.offsets.pop(); // drop the sentinel: row ends derive from degrees
         let grid = ChurnGrid::build(inst.points(), inst.radius());
         let dirty = vec![false; inst.n()];
         Ok(IncrementalInstance {
             inst,
-            state,
+            csr,
             grid,
             dirty,
             churned: 0,
@@ -320,7 +277,6 @@ impl<const D: usize> IncrementalInstance<D> {
             prev_selection: Vec::new(),
             row: Vec::new(),
             old_row: Vec::new(),
-            coords_pending: Vec::new(),
             csr_scratch,
         })
     }
@@ -328,14 +284,6 @@ impl<const D: usize> IncrementalInstance<D> {
     /// The current (mutated) instance.
     pub fn instance(&self) -> &Instance<D> {
         &self.inst
-    }
-
-    /// The sparse scalar kind this CSR stores.
-    pub fn kind(&self) -> EngineKind {
-        match self.state {
-            CsrState::F64(_) => EngineKind::Sparse,
-            CsrState::F32(_) => EngineKind::SparseF32,
-        }
     }
 
     /// Monotone churn version (one bump per applied delta).
@@ -364,20 +312,6 @@ impl<const D: usize> IncrementalInstance<D> {
         &self.prev_selection
     }
 
-    /// Seeds the warm start explicitly (e.g. from a selection computed
-    /// before this wrapper existed). Out-of-range indices are
-    /// rejected.
-    pub fn seed_selection(&mut self, selection: &[usize]) -> Result<()> {
-        if let Some(&bad) = selection.iter().find(|&&i| i >= self.inst.n()) {
-            return Err(CoreError::InvalidConfig(format!(
-                "seed selection index {bad} out of range (n = {})",
-                self.inst.n()
-            )));
-        }
-        self.prev_selection = selection.to_vec();
-        Ok(())
-    }
-
     /// Inserts a point and patches the CSR: one grid enumeration
     /// yields the new row; by symmetry the same set of rows gains an
     /// entry for the new point. Returns the new index (always the
@@ -400,16 +334,15 @@ impl<const D: usize> IncrementalInstance<D> {
             self.dirty[j as usize] = true;
         }
         let kernel = self.inst.kernel().prepared();
-        match &mut self.state {
-            CsrState::F64(csr) => {
-                patch_insert(csr, &self.inst, &kernel, i, &row, &mut self.dead_padded)
-            }
-            CsrState::F32(csr) => {
-                patch_insert(csr, &self.inst, &kernel, i, &row, &mut self.dead_padded)
-            }
-        }
+        patch_insert(
+            &mut self.csr,
+            &self.inst,
+            &kernel,
+            i,
+            &row,
+            &mut self.dead_padded,
+        );
         self.row = row;
-        self.coords_pending.push(i as u32);
         self.note_delta();
         Ok(i)
     }
@@ -434,14 +367,13 @@ impl<const D: usize> IncrementalInstance<D> {
         if last != i {
             self.grid.relabel(last as u32, i as u32, &p_last);
         }
-        match &mut self.state {
-            CsrState::F64(csr) => {
-                patch_remove(csr, i, last, &mut self.dead_padded, &mut self.dirty)
-            }
-            CsrState::F32(csr) => {
-                patch_remove(csr, i, last, &mut self.dead_padded, &mut self.dirty)
-            }
-        }
+        patch_remove(
+            &mut self.csr,
+            i,
+            last,
+            &mut self.dead_padded,
+            &mut self.dirty,
+        );
         // dirty follows the same swap-remove renumbering as the points.
         self.dirty.swap_remove(i);
         self.prev_selection.retain(|&s| s != i);
@@ -450,11 +382,6 @@ impl<const D: usize> IncrementalInstance<D> {
                 *s = i;
             }
         }
-        // The removed point's entry and the renumbered `last` entry
-        // are both reclaimed through `i`: the repair drops stale
-        // positions for pending indices (and any index >= n) and
-        // re-inserts `i` at its new coordinate-sorted position.
-        self.coords_pending.push(i as u32);
         self.note_delta();
         Ok(())
     }
@@ -484,34 +411,21 @@ impl<const D: usize> IncrementalInstance<D> {
         row.sort_unstable_by_key(|&(j, _)| j);
         let mut old_row = std::mem::take(&mut self.old_row);
         let kernel = self.inst.kernel().prepared();
-        match &mut self.state {
-            CsrState::F64(csr) => patch_move(
-                csr,
-                &self.inst,
-                &kernel,
-                i,
-                &row,
-                &mut old_row,
-                &mut self.dead_padded,
-                &mut self.dirty,
-            ),
-            CsrState::F32(csr) => patch_move(
-                csr,
-                &self.inst,
-                &kernel,
-                i,
-                &row,
-                &mut old_row,
-                &mut self.dead_padded,
-                &mut self.dirty,
-            ),
-        }
+        patch_move(
+            &mut self.csr,
+            &self.inst,
+            &kernel,
+            i,
+            &row,
+            &mut old_row,
+            &mut self.dead_padded,
+            &mut self.dirty,
+        );
         for &(j, _) in &row {
             self.dirty[j as usize] = true;
         }
         self.row = row;
         self.old_row = old_row;
-        self.coords_pending.push(i as u32);
         self.note_delta();
         Ok(())
     }
@@ -528,53 +442,29 @@ impl<const D: usize> IncrementalInstance<D> {
                 Delta::Move { index, to } => self.move_point(index, to),
             };
             if let Err(e) = res {
-                self.repair_coords();
                 return Err(CoreError::InvalidInstance(format!(
                     "churn delta {applied}: {e}"
                 )));
             }
         }
-        self.repair_coords();
         Ok(deltas.len())
     }
 
+    /// Bookkeeping after each applied delta: bumps the counters, drops
+    /// the CSR's coordinate permutation (a copied-point lookup sorts it
+    /// afresh) and compacts when dead space calls for it.
     fn note_delta(&mut self) {
         self.churned += 1;
         self.version += 1;
+        self.csr.by_coords.take();
         self.maybe_rebuild();
-        if self.coords_pending.len() >= COORDS_REPAIR_THRESHOLD {
-            self.repair_coords();
-        }
-    }
-
-    /// Merges the pending indices back into the coordinate-sorted
-    /// `by_coords` permutation: drop every stale position (pending or
-    /// out-of-range after removals), then merge the pending indices —
-    /// sorted by their *current* coordinate bits — with the surviving
-    /// run, which is still sorted because untouched points kept their
-    /// coordinates. `O(n + p log p)` against `O(n log n)` for a full
-    /// re-sort.
-    fn repair_coords(&mut self) {
-        if self.coords_pending.is_empty() {
-            return;
-        }
-        let inst = &self.inst;
-        let pending = &mut self.coords_pending;
-        match &mut self.state {
-            CsrState::F64(csr) => repair_coords_into(csr.sorted_coords_mut(inst), inst, pending),
-            CsrState::F32(csr) => repair_coords_into(csr.sorted_coords_mut(inst), inst, pending),
-        }
-        pending.clear();
     }
 
     /// Compacts via a full cold rebuild when more than half the
     /// physical entry arrays are dead holes. Restores the pristine
-    /// spatial order and the `by_coords` permutation.
+    /// spatial order.
     fn maybe_rebuild(&mut self) {
-        let physical = match &self.state {
-            CsrState::F64(csr) => csr.neighbors.len(),
-            CsrState::F32(csr) => csr.neighbors.len(),
-        };
+        let physical = self.csr.neighbors.len();
         if physical < REBUILD_MIN_ENTRIES || self.dead_padded * 2 <= physical {
             return;
         }
@@ -585,30 +475,11 @@ impl<const D: usize> IncrementalInstance<D> {
     /// tests).
     pub fn rebuild(&mut self) {
         let grid = cell_index(&self.inst);
-        match &mut self.state {
-            CsrState::F64(csr_slot) => {
-                let old = std::mem::replace(csr_slot, SparseCsr::<f64>::empty());
-                old.recycle(&mut self.csr_scratch);
-                let mut csr =
-                    SparseCsr::<f64>::build_with(&self.inst, &grid, &mut self.csr_scratch);
-                csr.offsets.pop();
-                csr.sorted_coords(&self.inst);
-                *csr_slot = csr;
-            }
-            CsrState::F32(csr_slot) => {
-                let old = std::mem::replace(csr_slot, SparseCsr::<f32>::empty());
-                old.recycle(&mut self.csr_scratch);
-                let mut csr =
-                    SparseCsr::<f32>::build_with(&self.inst, &grid, &mut self.csr_scratch);
-                csr.offsets.pop();
-                csr.sorted_coords(&self.inst);
-                *csr_slot = csr;
-            }
-        }
+        std::mem::replace(&mut self.csr, SparseCsr::empty()).recycle(&mut self.csr_scratch);
+        self.csr = SparseCsr::build_with(&self.inst, &grid, &mut self.csr_scratch);
+        self.csr.offsets.pop();
         self.dead_padded = 0;
         self.rebuilds += 1;
-        // A fresh build carries a complete, sorted permutation.
-        self.coords_pending.clear();
     }
 
     /// Re-solves after churn. Warm path: seed the residuals with the
@@ -616,14 +487,11 @@ impl<const D: usize> IncrementalInstance<D> {
     /// any slots lost to removals, then swap-polish against the dirty
     /// candidate pool — each accepted swap strictly increases the
     /// objective (telescoping: `f(S − c + b) = f(S − c) + gain(b | S − c)`),
-    /// so for `f64` the polished objective can never regress below the
-    /// seed. Cold fallback per [`ResolveConfig`]. The selection and
-    /// per-round gains are left in `scratch` exactly like
+    /// so in exact arithmetic the polished objective can never regress
+    /// below the seed. Cold fallback per [`ResolveConfig`]. The
+    /// selection and per-round gains are left in `scratch` exactly like
     /// [`crate::batch::solve_rounds`].
     pub fn resolve(&mut self, scratch: &mut SolveScratch, cfg: &ResolveConfig) -> ResolveOutcome {
-        // Ensure the transplanted engine sees a sorted permutation, so
-        // copied-point `gain()` queries route through the CSR rows.
-        self.repair_coords();
         let n = self.inst.n();
         let churn_frac = self.churned as f64 / n.max(1) as f64;
         let cold_reason = if cfg.force_cold {
@@ -637,12 +505,8 @@ impl<const D: usize> IncrementalInstance<D> {
         };
         // Transplant the patched CSR into an engine for the solve; it
         // is moved back before returning.
-        let state = std::mem::replace(&mut self.state, CsrState::F64(SparseCsr::empty()));
-        let engine = match state {
-            CsrState::F64(csr) => RewardEngine::from_csr(&self.inst, csr),
-            CsrState::F32(csr) => RewardEngine::from_csr32(&self.inst, csr),
-        };
-        let is_f32 = matches!(engine.kind(), EngineKind::SparseF32);
+        let csr = std::mem::replace(&mut self.csr, SparseCsr::empty());
+        let engine = RewardEngine::from_csr(&self.inst, csr);
         let evals0 = engine.evals();
         let mut outcome = ResolveOutcome {
             selection: Vec::new(),
@@ -663,9 +527,9 @@ impl<const D: usize> IncrementalInstance<D> {
             outcome.swaps = swaps;
             outcome.cancelled = cancelled;
             if regressed {
-                // Only reachable under f32 rounding: the polish is
-                // monotone in exact arithmetic. Fall back to cold.
-                debug_assert!(is_f32, "f64 warm polish regressed");
+                // The polish is monotone in exact arithmetic, but the
+                // replayed total is a rounded sum in another order. A
+                // total that rounds below the seed's recovers cold.
                 outcome.warm = false;
                 outcome.cold_reason = Some("polished objective regressed");
             } else {
@@ -678,11 +542,9 @@ impl<const D: usize> IncrementalInstance<D> {
                 None => SolveBudget::default(),
             };
             let clock = budget.start();
-            // The cold fallback runs the configured strategy through
-            // the shared round loop (dirty-CELF by default) — for f64
-            // this is bit-identical to a from-scratch CELF
-            // `LocalGreedy`.
-            oracle.set_strategy(cfg.cold_strategy);
+            // The cold fallback runs dirty-CELF through the shared round
+            // loop — bit-identical to a from-scratch CELF `LocalGreedy`.
+            oracle.set_strategy(OracleStrategy::Lazy);
             let (total, reason) = solve_rounds_within(&oracle, scratch, &clock);
             outcome.reward = total;
             outcome.cancelled = matches!(reason, Some(DegradeReason::Cancelled));
@@ -693,11 +555,10 @@ impl<const D: usize> IncrementalInstance<D> {
             engine_evals - evals0
         };
         scratch.put_lazy(oracle.take_lazy_scratch());
-        let engine = oracle.into_engine();
-        self.state = match engine.kind() {
-            EngineKind::SparseF32 => CsrState::F32(engine.take_csr32().expect("f32 backend")),
-            _ => CsrState::F64(engine.take_csr().expect("f64 backend")),
-        };
+        self.csr = oracle
+            .into_engine()
+            .take_csr()
+            .expect("the transplanted engine is sparse");
         if !outcome.cancelled {
             self.prev_selection = outcome.selection.clone();
             self.dirty.iter_mut().for_each(|d| *d = false);
@@ -708,16 +569,11 @@ impl<const D: usize> IncrementalInstance<D> {
 
     /// In-binary correctness anchor: checks the patched CSR against a
     /// cold rebuild of the current point set — per-candidate padded
-    /// rows bitwise equal (neighbors, `frac`, `weight`, degree),
-    /// `order`/`slot_of` a consistent permutation, and `by_coords` a
-    /// complete coordinate-sorted permutation once no repairs are
-    /// pending (between repairs only the surviving subsequence must
-    /// stay sorted). Used by the proptests and the `churn_floor` rounds.
+    /// rows bitwise equal (neighbors, `frac`, `weight`, degree) and
+    /// `order`/`slot_of` a consistent permutation. Used by the
+    /// proptests and the `churn_floor` rounds.
     pub fn verify_against_rebuild(&self) -> std::result::Result<(), String> {
-        match &self.state {
-            CsrState::F64(csr) => verify_csr(csr, &self.inst, &self.coords_pending),
-            CsrState::F32(csr) => verify_csr(csr, &self.inst, &self.coords_pending),
-        }
+        verify_csr(&self.csr, &self.inst)
     }
 }
 
@@ -726,15 +582,10 @@ impl<const D: usize> IncrementalInstance<D> {
     /// Runs `f` on an engine over the patched CSR, transplanted as
     /// [`Self::resolve`] does and moved back afterward.
     pub(crate) fn with_engine<R>(&mut self, f: impl FnOnce(&RewardEngine<'_, D>) -> R) -> R {
-        let engine = match std::mem::replace(&mut self.state, CsrState::F64(SparseCsr::empty())) {
-            CsrState::F64(csr) => RewardEngine::from_csr(&self.inst, csr),
-            CsrState::F32(csr) => RewardEngine::from_csr32(&self.inst, csr),
-        };
+        let csr = std::mem::replace(&mut self.csr, SparseCsr::empty());
+        let engine = RewardEngine::from_csr(&self.inst, csr);
         let out = f(&engine);
-        self.state = match engine.kind() {
-            EngineKind::SparseF32 => CsrState::F32(engine.take_csr32().expect("f32 backend")),
-            _ => CsrState::F64(engine.take_csr().expect("f64 backend")),
-        };
+        self.csr = engine.take_csr().expect("sparse backend");
         out
     }
 }
@@ -748,7 +599,7 @@ impl<const D: usize> IncrementalInstance<D> {
 /// per-row work instead of serializing with it. Purely a hint — a
 /// no-op off x86_64 — and never changes observable state.
 #[inline]
-fn prefetch_rows<S: LaneScalar>(csr: &SparseCsr<S>, neighbors: impl Iterator<Item = u32>) {
+fn prefetch_rows(csr: &SparseCsr, neighbors: impl Iterator<Item = u32>) {
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
@@ -774,7 +625,7 @@ fn prefetch_rows<S: LaneScalar>(csr: &SparseCsr<S>, neighbors: impl Iterator<Ite
                 for off in (0..len * 4).step_by(LINE) {
                     _mm_prefetch(nb.add(off), _MM_HINT_T0);
                 }
-                let span = len * std::mem::size_of::<S>();
+                let span = len * std::mem::size_of::<f64>();
                 let fr = csr.frac.as_ptr().add(start) as *const i8;
                 let wt = csr.weight.as_ptr().add(start) as *const i8;
                 for off in (0..span).step_by(LINE) {
@@ -794,8 +645,8 @@ fn prefetch_rows<S: LaneScalar>(csr: &SparseCsr<S>, neighbors: impl Iterator<Ite
 /// the new candidate `i`'s slot and splices an `i` entry into every
 /// neighbor row. `i` is always the largest index, so neighbor-row
 /// insertion lands after the last real entry.
-fn patch_insert<S: LaneScalar, const D: usize>(
-    csr: &mut SparseCsr<S>,
+fn patch_insert<const D: usize>(
+    csr: &mut SparseCsr,
     inst: &Instance<D>,
     kernel: &PreparedKernel,
     i: usize,
@@ -814,8 +665,8 @@ fn patch_insert<S: LaneScalar, const D: usize>(
         let f = kernel.frac(d, r);
         if f > 0.0 {
             csr.neighbors.push(j);
-            csr.frac.push(S::narrow(f));
-            csr.weight.push(S::narrow(inst.weight(j as usize)));
+            csr.frac.push(f);
+            csr.weight.push(inst.weight(j as usize));
         }
     }
     let deg = csr.neighbors.len() - start;
@@ -845,13 +696,7 @@ fn patch_insert<S: LaneScalar, const D: usize>(
 /// reposition `last`'s entries under their new index (always the last
 /// real entry of each containing row, since `last` is the max index);
 /// (B) swap-remove the slot-axis metadata and fix `slot_of`.
-fn patch_remove<S: LaneScalar>(
-    csr: &mut SparseCsr<S>,
-    rm: usize,
-    last: usize,
-    dead: &mut usize,
-    dirty: &mut [bool],
-) {
+fn patch_remove(csr: &mut SparseCsr, rm: usize, last: usize, dead: &mut usize, dirty: &mut [bool]) {
     // Phase A: rm's row is the exact set of rows containing rm.
     let rm_range = csr.real_row(rm);
     let rm_neighbors: Vec<u32> = csr.neighbors[rm_range].to_vec();
@@ -899,8 +744,8 @@ fn patch_remove<S: LaneScalar>(
 /// rows entry-wise; `m`'s own row is rewritten in place when the
 /// padded span still fits, else relocated to the tail.
 #[allow(clippy::too_many_arguments)]
-fn patch_move<S: LaneScalar, const D: usize>(
-    csr: &mut SparseCsr<S>,
+fn patch_move<const D: usize>(
+    csr: &mut SparseCsr,
     inst: &Instance<D>,
     kernel: &PreparedKernel,
     m: usize,
@@ -916,8 +761,8 @@ fn patch_move<S: LaneScalar, const D: usize>(
     for idx in csr.real_row(m) {
         old_row.push((
             csr.neighbors[idx],
-            csr.frac[idx].widen().to_bits(),
-            csr.weight[idx].widen().to_bits(),
+            csr.frac[idx].to_bits(),
+            csr.weight[idx].to_bits(),
         ));
         dirty[csr.neighbors[idx] as usize] = true;
     }
@@ -979,9 +824,8 @@ fn patch_move<S: LaneScalar, const D: usize>(
         let tail = csr.neighbors.len();
         csr.offsets[slot] = tail as u32;
         csr.neighbors.resize(tail + padded_len(new_deg), 0);
-        csr.frac.resize(tail + padded_len(new_deg), S::narrow(0.0));
-        csr.weight
-            .resize(tail + padded_len(new_deg), S::narrow(0.0));
+        csr.frac.resize(tail + padded_len(new_deg), 0.0);
+        csr.weight.resize(tail + padded_len(new_deg), 0.0);
         tail
     };
     let mut at = start;
@@ -989,8 +833,8 @@ fn patch_move<S: LaneScalar, const D: usize>(
         let f = kernel.frac(d, r);
         if f > 0.0 {
             csr.neighbors[at] = j;
-            csr.frac[at] = S::narrow(f);
-            csr.weight[at] = S::narrow(inst.weight(j as usize));
+            csr.frac[at] = f;
+            csr.weight[at] = inst.weight(j as usize);
             at += 1;
         }
     }
@@ -1003,42 +847,35 @@ fn patch_move<S: LaneScalar, const D: usize>(
 /// ending at the array tail) out to the next lane boundary by
 /// appending replicas of the last real neighbor with exact-zero
 /// `frac`/`weight` (bit-transparent to the blocked kernel).
-fn pad_tail<S: LaneScalar>(csr: &mut SparseCsr<S>, start: usize) {
+fn pad_tail(csr: &mut SparseCsr, start: usize) {
     let deg = csr.neighbors.len() - start;
     debug_assert!(deg > 0);
     let pad = csr.neighbors[csr.neighbors.len() - 1];
     let target = start + padded_len(deg);
     while csr.neighbors.len() < target {
         csr.neighbors.push(pad);
-        csr.frac.push(S::narrow(0.0));
-        csr.weight.push(S::narrow(0.0));
+        csr.frac.push(0.0);
+        csr.weight.push(0.0);
     }
 }
 
 /// Rewrites the padding of the row at `start` with `deg` real entries:
 /// replicas of the (possibly changed) last real neighbor, zero
 /// `frac`/`weight`.
-fn repad<S: LaneScalar>(csr: &mut SparseCsr<S>, start: usize, deg: usize) {
+fn repad(csr: &mut SparseCsr, start: usize, deg: usize) {
     debug_assert!(deg > 0);
     let pad = csr.neighbors[start + deg - 1];
     for t in start + deg..start + padded_len(deg) {
         csr.neighbors[t] = pad;
-        csr.frac[t] = S::narrow(0.0);
-        csr.weight[t] = S::narrow(0.0);
+        csr.frac[t] = 0.0;
+        csr.weight[t] = 0.0;
     }
 }
 
 /// Splices entry `(nb, frac, weight)` into row `j` at its sorted
 /// position. Grows into the padding lane when one is free; otherwise
 /// relocates the row to the tail (the old span becomes a dead hole).
-fn insert_entry<S: LaneScalar>(
-    csr: &mut SparseCsr<S>,
-    j: usize,
-    nb: u32,
-    frac: f64,
-    weight: f64,
-    dead: &mut usize,
-) {
+fn insert_entry(csr: &mut SparseCsr, j: usize, nb: u32, frac: f64, weight: f64, dead: &mut usize) {
     let slot = csr.slot_of[j] as usize;
     let start = csr.offsets[slot] as usize;
     let deg = csr.degrees[slot] as usize;
@@ -1056,8 +893,8 @@ fn insert_entry<S: LaneScalar>(
         shift_right(&mut csr.frac, start + pos, deg - pos);
         shift_right(&mut csr.weight, start + pos, deg - pos);
         csr.neighbors[start + pos] = nb;
-        csr.frac[start + pos] = S::narrow(frac);
-        csr.weight[start + pos] = S::narrow(weight);
+        csr.frac[start + pos] = frac;
+        csr.weight[start + pos] = weight;
         csr.degrees[slot] = (deg + 1) as u32;
         repad(csr, start, deg + 1);
     } else {
@@ -1068,8 +905,8 @@ fn insert_entry<S: LaneScalar>(
         csr.frac.extend_from_within(start..start + pos);
         csr.weight.extend_from_within(start..start + pos);
         csr.neighbors.push(nb);
-        csr.frac.push(S::narrow(frac));
-        csr.weight.push(S::narrow(weight));
+        csr.frac.push(frac);
+        csr.weight.push(weight);
         csr.neighbors.extend_from_within(start + pos..start + deg);
         csr.frac.extend_from_within(start + pos..start + deg);
         csr.weight.extend_from_within(start + pos..start + deg);
@@ -1078,8 +915,8 @@ fn insert_entry<S: LaneScalar>(
         let pad = csr.neighbors[tail + new_deg - 1];
         while csr.neighbors.len() < target {
             csr.neighbors.push(pad);
-            csr.frac.push(S::narrow(0.0));
-            csr.weight.push(S::narrow(0.0));
+            csr.frac.push(0.0);
+            csr.weight.push(0.0);
         }
         csr.offsets[slot] = tail as u32;
         csr.degrees[slot] = new_deg as u32;
@@ -1088,7 +925,7 @@ fn insert_entry<S: LaneScalar>(
 
 /// Removes neighbor `nb` from row `j` (must exist): shift the suffix
 /// left; a lane freed in place becomes dead space.
-fn remove_entry<S: LaneScalar>(csr: &mut SparseCsr<S>, j: usize, nb: u32, dead: &mut usize) {
+fn remove_entry(csr: &mut SparseCsr, j: usize, nb: u32, dead: &mut usize) {
     let slot = csr.slot_of[j] as usize;
     let start = csr.offsets[slot] as usize;
     let deg = csr.degrees[slot] as usize;
@@ -1111,14 +948,14 @@ fn remove_entry<S: LaneScalar>(csr: &mut SparseCsr<S>, j: usize, nb: u32, dead: 
 /// Updates the `frac` of the existing entry `nb` in row `j` (the
 /// moved point stayed in coverage but its distance changed). The
 /// stored weight is the covered point's and does not change.
-fn update_entry<S: LaneScalar>(csr: &mut SparseCsr<S>, j: usize, nb: u32, frac: f64) {
+fn update_entry(csr: &mut SparseCsr, j: usize, nb: u32, frac: f64) {
     let slot = csr.slot_of[j] as usize;
     let start = csr.offsets[slot] as usize;
     let deg = csr.degrees[slot] as usize;
     let pos = csr.neighbors[start..start + deg]
         .binary_search(&nb)
         .expect("entry to update is present");
-    csr.frac[start + pos] = S::narrow(frac);
+    csr.frac[start + pos] = frac;
 }
 
 /// Renumbers the entry for `old_nb` (the instance's former last index
@@ -1126,7 +963,7 @@ fn update_entry<S: LaneScalar>(csr: &mut SparseCsr<S>, j: usize, nb: u32, frac: 
 /// `new_nb`, repositioning it to keep the row sorted. Degree and
 /// stored bits are unchanged; padding replicas are rewritten since the
 /// last real neighbor may have changed.
-fn rename_last_entry<S: LaneScalar>(csr: &mut SparseCsr<S>, j: usize, old_nb: u32, new_nb: u32) {
+fn rename_last_entry(csr: &mut SparseCsr, j: usize, old_nb: u32, new_nb: u32) {
     let slot = csr.slot_of[j] as usize;
     let start = csr.offsets[slot] as usize;
     let deg = csr.degrees[slot] as usize;
@@ -1159,51 +996,6 @@ fn shift_right<S: Copy>(v: &mut [S], start: usize, len: usize) {
 #[inline]
 fn shift_left<S: Copy>(v: &mut [S], start: usize, len: usize) {
     v.copy_within(start + 1..start + 1 + len, start);
-}
-
-/// The `by_coords` merge repair (see
-/// [`IncrementalInstance::repair_coords`]). Safe to defer: between
-/// repairs the permutation may hold out-of-order or out-of-range
-/// entries, but [`RewardEngine::gain`]'s lookup only accepts a probe
-/// on exact bit-equality (out-of-range entries compare as
-/// never-equal), so a stale window can only cause a miss and the
-/// bit-identical dense fallback — never a mis-route.
-fn repair_coords_into<const D: usize>(
-    by_coords: &mut Vec<u32>,
-    inst: &Instance<D>,
-    pending: &mut Vec<u32>,
-) {
-    let n = inst.n();
-    pending.sort_unstable();
-    pending.dedup();
-    // Pending indices still alive after removals, keyed by their
-    // current coordinates.
-    let mut fresh: Vec<u32> = pending
-        .iter()
-        .copied()
-        .filter(|&j| (j as usize) < n)
-        .collect();
-    fresh.sort_unstable_by_key(|&j| point_bits(inst.point(j as usize)));
-    // Untouched survivors kept their coordinates, so after dropping
-    // the stale positions the remainder is still sorted.
-    by_coords.retain(|&j| (j as usize) < n && pending.binary_search(&j).is_err());
-    let survivors = std::mem::take(by_coords);
-    by_coords.reserve(survivors.len() + fresh.len());
-    let (mut a, mut b) = (0, 0);
-    while a < survivors.len() && b < fresh.len() {
-        let ka = point_bits(inst.point(survivors[a] as usize));
-        let kb = point_bits(inst.point(fresh[b] as usize));
-        if ka <= kb {
-            by_coords.push(survivors[a]);
-            a += 1;
-        } else {
-            by_coords.push(fresh[b]);
-            b += 1;
-        }
-    }
-    by_coords.extend_from_slice(&survivors[a..]);
-    by_coords.extend_from_slice(&fresh[b..]);
-    debug_assert_eq!(by_coords.len(), n, "repaired by_coords must be complete");
 }
 
 /// The warm solve: seed → refill → swap polish. Returns
@@ -1291,68 +1083,63 @@ fn warm_solve<const D: usize>(
         for &c in scratch.picks.iter() {
             selected[c] = true;
         }
-        'passes: for _ in 0..cfg.polish_passes.max(1) {
-            let mut improved = false;
-            for ci in 0..scratch.picks.len() {
-                if cancelled() {
-                    was_cancelled = true;
-                    break 'passes;
-                }
-                let c = scratch.picks[ci];
-                // Residual state of S − c.
-                scratch.residuals.reset(n);
-                for (cj, &other) in scratch.picks.iter().enumerate() {
-                    if cj != ci {
-                        engine
-                            .apply_candidate(other, &mut scratch.residuals)
-                            .expect("incremental engines are sparse");
-                    }
-                }
-                // The swap in hand starts as "keep c"; a pool
-                // candidate replaces it only on a strict improvement,
-                // so the pruned scan stops once the sorted bounds
-                // cannot strictly beat the best gain so far.
-                let incumbent = engine.candidate_gain(c, &scratch.residuals);
-                let mut best_gain = incumbent;
-                let mut best_b = None;
-                let mut trial = 0usize;
-                while trial < pool.len() {
-                    if trial == sorted_upto {
-                        // Ran off the sorted prefix with the break
-                        // still open: order the tail (once) so the
-                        // descending-bound early exit stays exact.
-                        pool[sorted_upto..].sort_unstable_by(by_bound);
-                        sorted_upto = pool.len();
-                    }
-                    let (ub, b) = pool[trial];
-                    trial += 1;
-                    if ub <= best_gain {
-                        break;
-                    }
-                    if selected[b] {
-                        continue;
-                    }
-                    if trial.is_multiple_of(256) && cancelled() {
-                        // Discard the half-scanned trial.
-                        was_cancelled = true;
-                        break 'passes;
-                    }
-                    let gain = engine.candidate_gain(b, &scratch.residuals);
-                    if gain > best_gain {
-                        best_gain = gain;
-                        best_b = Some(b);
-                    }
-                }
-                if let Some(b) = best_b {
-                    selected[c] = false;
-                    selected[b] = true;
-                    scratch.picks[ci] = b;
-                    swaps += 1;
-                    improved = true;
+        // One polish pass: each center in turn is trialled against the
+        // pool.
+        'centers: for ci in 0..scratch.picks.len() {
+            if cancelled() {
+                was_cancelled = true;
+                break;
+            }
+            let c = scratch.picks[ci];
+            // Residual state of S − c.
+            scratch.residuals.reset(n);
+            for (cj, &other) in scratch.picks.iter().enumerate() {
+                if cj != ci {
+                    engine
+                        .apply_candidate(other, &mut scratch.residuals)
+                        .expect("incremental engines are sparse");
                 }
             }
-            if !improved {
-                break;
+            // The swap in hand starts as "keep c"; a pool candidate
+            // replaces it only on a strict improvement, so the pruned
+            // scan stops once the sorted bounds cannot strictly beat
+            // the best gain so far.
+            let incumbent = engine.candidate_gain(c, &scratch.residuals);
+            let mut best_gain = incumbent;
+            let mut best_b = None;
+            let mut trial = 0usize;
+            while trial < pool.len() {
+                if trial == sorted_upto {
+                    // Ran off the sorted prefix with the break still
+                    // open: order the tail (once) so the
+                    // descending-bound early exit stays exact.
+                    pool[sorted_upto..].sort_unstable_by(by_bound);
+                    sorted_upto = pool.len();
+                }
+                let (ub, b) = pool[trial];
+                trial += 1;
+                if ub <= best_gain {
+                    break;
+                }
+                if selected[b] {
+                    continue;
+                }
+                if trial.is_multiple_of(256) && cancelled() {
+                    // Discard the half-scanned trial.
+                    was_cancelled = true;
+                    break 'centers;
+                }
+                let gain = engine.candidate_gain(b, &scratch.residuals);
+                if gain > best_gain {
+                    best_gain = gain;
+                    best_b = Some(b);
+                }
+            }
+            if let Some(b) = best_b {
+                selected[c] = false;
+                selected[b] = true;
+                scratch.picks[ci] = b;
+                swaps += 1;
             }
         }
     }
@@ -1389,10 +1176,9 @@ fn round_total(scratch: &SolveScratch) -> f64 {
 
 /// Bitwise comparison of a patched CSR against a cold rebuild (see
 /// [`IncrementalInstance::verify_against_rebuild`]).
-fn verify_csr<S: LaneScalar, const D: usize>(
-    patched: &SparseCsr<S>,
+fn verify_csr<const D: usize>(
+    patched: &SparseCsr,
     inst: &Instance<D>,
-    coords_pending: &[u32],
 ) -> std::result::Result<(), String> {
     let n = inst.n();
     if patched.order.len() != n || patched.slot_of.len() != n {
@@ -1409,7 +1195,7 @@ fn verify_csr<S: LaneScalar, const D: usize>(
             return Err(format!("slot_of/order mismatch at candidate {i}"));
         }
     }
-    let cold = SparseCsr::<S>::build(inst, &cell_index(inst));
+    let cold = SparseCsr::build(inst, &cell_index(inst));
     for i in 0..n {
         let p_range = patched.padded_row(i);
         let c_range = cold.padded_row(i);
@@ -1434,67 +1220,21 @@ fn verify_csr<S: LaneScalar, const D: usize>(
                     patched.neighbors[pi], cold.neighbors[ci]
                 ));
             }
-            if patched.frac[pi].widen().to_bits() != cold.frac[ci].widen().to_bits() {
+            if patched.frac[pi].to_bits() != cold.frac[ci].to_bits() {
                 return Err(format!(
                     "candidate {i} entry {off}: frac bits {:#x} != rebuilt {:#x}",
-                    patched.frac[pi].widen().to_bits(),
-                    cold.frac[ci].widen().to_bits()
+                    patched.frac[pi].to_bits(),
+                    cold.frac[ci].to_bits()
                 ));
             }
-            if patched.weight[pi].widen().to_bits() != cold.weight[ci].widen().to_bits() {
+            if patched.weight[pi].to_bits() != cold.weight[ci].to_bits() {
                 return Err(format!(
                     "candidate {i} entry {off}: weight bits {:#x} != rebuilt {:#x}",
-                    patched.weight[pi].widen().to_bits(),
-                    cold.weight[ci].widen().to_bits()
+                    patched.weight[pi].to_bits(),
+                    cold.weight[ci].to_bits()
                 ));
             }
         }
-    }
-    // The maintained permutation need not equal the cold rebuild's
-    // entry-for-entry — `sort_unstable` arbitrates bit-equal duplicate
-    // coordinates arbitrarily, and duplicates are interchangeable for
-    // gain routing — but the surviving (non-pending, in-range)
-    // subsequence must be sorted by coordinate bits, and with no
-    // repairs pending the whole thing must be a complete sorted
-    // permutation of `0..n`.
-    let mut pending_sorted: Vec<u32> = coords_pending.to_vec();
-    pending_sorted.sort_unstable();
-    let by_coords = patched
-        .by_coords
-        .get()
-        .ok_or("the incremental CSR lost its coordinate permutation")?;
-    let live: Vec<u32> = by_coords
-        .iter()
-        .copied()
-        .filter(|&j| (j as usize) < n && pending_sorted.binary_search(&j).is_err())
-        .collect();
-    for w in live.windows(2) {
-        if point_bits(inst.point(w[0] as usize)) > point_bits(inst.point(w[1] as usize)) {
-            return Err("by_coords survivors out of coordinate order".into());
-        }
-    }
-    if pending_sorted.is_empty() {
-        if by_coords.len() != n {
-            return Err(format!(
-                "repaired by_coords length {} != n {n}",
-                by_coords.len()
-            ));
-        }
-        let mut seen = vec![false; n];
-        for &j in by_coords {
-            if (j as usize) >= n || std::mem::replace(&mut seen[j as usize], true) {
-                return Err(format!(
-                    "repaired by_coords is not a permutation (index {j})"
-                ));
-            }
-        }
-    }
-    // The permutation must never mis-route: spot-check that sorting
-    // candidates by coordinate bits reproduces cold's.
-    let mut sorted: Vec<u32> = (0..n as u32).collect();
-    sorted.sort_unstable_by_key(|&j| point_bits(inst.point(j as usize)));
-    if sorted != cold.sorted_coords(inst) {
-        return Err("rebuilt by_coords is not the coordinate sort".into());
     }
     Ok(())
 }
@@ -1503,6 +1243,7 @@ fn verify_csr<S: LaneScalar, const D: usize>(
 mod tests {
     use super::*;
     use crate::instance::InstanceBuilder;
+    use crate::reward::Residuals;
     use crate::solver::Solver;
     use crate::solvers::LocalGreedy;
 
@@ -1530,49 +1271,41 @@ mod tests {
 
     #[test]
     fn fresh_build_matches_rebuild() {
-        for kind in [EngineKind::Sparse, EngineKind::SparseF32] {
-            let inc = incr(6, 1.7, 3, kind);
-            inc.verify_against_rebuild().unwrap();
-        }
+        let inc = incr(6, 1.7, 3, EngineKind::Sparse);
+        inc.verify_against_rebuild().unwrap();
     }
 
     #[test]
     fn insert_patches_to_rebuild_equality() {
-        for kind in [EngineKind::Sparse, EngineKind::SparseF32] {
-            let mut inc = incr(6, 1.7, 3, kind);
-            inc.insert_point(Point::new([2.5, 2.5]), 4.0).unwrap();
-            inc.verify_against_rebuild().unwrap();
-            inc.insert_point(Point::new([-3.0, -3.0]), 1.0).unwrap(); // isolated
-            inc.verify_against_rebuild().unwrap();
-        }
+        let mut inc = incr(6, 1.7, 3, EngineKind::Sparse);
+        inc.insert_point(Point::new([2.5, 2.5]), 4.0).unwrap();
+        inc.verify_against_rebuild().unwrap();
+        inc.insert_point(Point::new([-3.0, -3.0]), 1.0).unwrap(); // isolated
+        inc.verify_against_rebuild().unwrap();
     }
 
     #[test]
     fn remove_patches_to_rebuild_equality() {
-        for kind in [EngineKind::Sparse, EngineKind::SparseF32] {
-            let mut inc = incr(6, 1.7, 3, kind);
-            inc.remove_point(7).unwrap(); // interior: renumbers the last index
-            inc.verify_against_rebuild().unwrap();
-            let n = inc.instance().n();
-            inc.remove_point(n - 1).unwrap(); // last index: no renumbering
-            inc.verify_against_rebuild().unwrap();
-        }
+        let mut inc = incr(6, 1.7, 3, EngineKind::Sparse);
+        inc.remove_point(7).unwrap(); // interior: renumbers the last index
+        inc.verify_against_rebuild().unwrap();
+        let n = inc.instance().n();
+        inc.remove_point(n - 1).unwrap(); // last index: no renumbering
+        inc.verify_against_rebuild().unwrap();
     }
 
     #[test]
     fn move_patches_to_rebuild_equality() {
-        for kind in [EngineKind::Sparse, EngineKind::SparseF32] {
-            let mut inc = incr(6, 1.7, 3, kind);
-            // Small wiggle (row shape mostly unchanged).
-            inc.move_point(14, Point::new([2.1, 2.3])).unwrap();
-            inc.verify_against_rebuild().unwrap();
-            // Large jump (row replaced wholesale).
-            inc.move_point(0, Point::new([5.5, 5.5])).unwrap();
-            inc.verify_against_rebuild().unwrap();
-            // Jump out of everyone's range (degree collapses to 1).
-            inc.move_point(3, Point::new([40.0, 40.0])).unwrap();
-            inc.verify_against_rebuild().unwrap();
-        }
+        let mut inc = incr(6, 1.7, 3, EngineKind::Sparse);
+        // Small wiggle (row shape mostly unchanged).
+        inc.move_point(14, Point::new([2.1, 2.3])).unwrap();
+        inc.verify_against_rebuild().unwrap();
+        // Large jump (row replaced wholesale).
+        inc.move_point(0, Point::new([5.5, 5.5])).unwrap();
+        inc.verify_against_rebuild().unwrap();
+        // Jump out of everyone's range (degree collapses to 1).
+        inc.move_point(3, Point::new([40.0, 40.0])).unwrap();
+        inc.verify_against_rebuild().unwrap();
     }
 
     #[test]
@@ -1681,18 +1414,6 @@ mod tests {
     }
 
     #[test]
-    fn compaction_rebuild_restores_by_coords() {
-        let mut inc = incr(6, 1.7, 3, EngineKind::Sparse);
-        // Hammer one point back and forth to strand dead lanes.
-        for step in 0..400 {
-            let t = (step % 7) as f64;
-            inc.move_point(10, Point::new([t, 0.5 * t])).unwrap();
-        }
-        inc.verify_against_rebuild().unwrap();
-        assert!(inc.rebuilds() > 0 || inc.dead_entries() * 2 <= 4096);
-    }
-
-    #[test]
     fn cancelled_resolve_keeps_churn_pending() {
         let mut inc = incr(5, 1.3, 2, EngineKind::Sparse);
         let mut scratch = SolveScratch::new();
@@ -1719,68 +1440,73 @@ mod tests {
         assert_eq!(inc.churned_since_resolve(), 0);
     }
 
+    /// Copied-point lookups on a churned CSR: after inserts, removes
+    /// and moves (a bit-equal duplicate among them) and the compaction
+    /// rebuild that the stranded lanes force, and again after more
+    /// churn, every live point's copy prices as its own row — the bits
+    /// of its `candidate_gain` for one eval. Each delta drops the
+    /// permutation; the lookup sorts it.
     #[test]
-    fn churn_maintains_by_coords_permutation() {
-        let mut inc = incr(6, 1.7, 3, EngineKind::Sparse);
-        let deltas = vec![
-            Delta::Insert {
-                point: Point::new([0.55, 0.55]),
-                weight: 2.0,
-            },
-            Delta::Move {
-                index: 3,
-                to: Point::new([2.2, 0.4]),
-            },
-            Delta::Remove { index: 1 },
-            // Bit-equal duplicate of an existing coordinate: routing
-            // may resolve either index — both are interchangeable.
-            Delta::Insert {
-                point: Point::new([0.55, 0.55]),
-                weight: 1.0,
-            },
-        ];
-        inc.apply_churn(&deltas).unwrap();
-        inc.verify_against_rebuild().unwrap();
-        // The permutation is maintained across churn (it was cleared
-        // wholesale before), complete and sorted after the repair.
-        let by_coords = match &inc.state {
-            CsrState::F64(csr) => csr.by_coords.get().unwrap(),
-            CsrState::F32(_) => unreachable!(),
+    fn copied_point_gains_match_rows_after_churn() {
+        let check = |inc: &mut IncrementalInstance<2>| {
+            assert!(inc.csr.by_coords.get().is_none(), "churn drops it");
+            inc.with_engine(|engine| {
+                let inst = engine.instance();
+                let mut residuals = Residuals::new(inst.n());
+                engine.apply_candidate(4, &mut residuals).unwrap();
+                for i in 0..inst.n() {
+                    let copy = *inst.point(i);
+                    let before = engine.evals();
+                    let got = engine.gain(&copy, &residuals);
+                    assert_eq!(engine.evals(), before + 1, "point {i}: one eval");
+                    let want = engine.candidate_gain(i, &residuals);
+                    assert_eq!(got.to_bits(), want.to_bits(), "point {i}");
+                }
+            });
+            assert!(inc.csr.by_coords.get().is_some(), "the lookup sorts it");
+            inc.verify_against_rebuild().unwrap();
         };
-        assert_eq!(by_coords.len(), inc.inst.n());
-        assert!(inc.coords_pending.is_empty());
-        for w in by_coords.windows(2) {
-            assert!(
-                point_bits(inc.inst.point(w[0] as usize))
-                    <= point_bits(inc.inst.point(w[1] as usize))
-            );
+        let mut inc = incr(6, 1.7, 3, EngineKind::Sparse);
+        let churn = |at: f64| {
+            vec![
+                Delta::Insert {
+                    point: Point::new([at, 0.55]),
+                    weight: 2.0,
+                },
+                Delta::Move {
+                    index: 3,
+                    to: Point::new([2.2, at]),
+                },
+                Delta::Remove { index: 1 },
+                Delta::Insert {
+                    point: Point::new([at, 0.55]),
+                    weight: 1.0,
+                },
+            ]
+        };
+        inc.apply_churn(&churn(0.55)).unwrap();
+        // Hammer one point back and forth until the stranded lanes
+        // force a compaction.
+        for step in 0.. {
+            assert!(step < 5000, "no compaction after {step} moves");
+            let t = (step % 7) as f64;
+            inc.move_point(10, Point::new([t, 0.5 * t])).unwrap();
+            if inc.rebuilds() > 0 {
+                break;
+            }
         }
-    }
-
-    #[test]
-    fn pending_window_verifies_between_repairs() {
-        let mut inc = incr(5, 1.3, 2, EngineKind::Sparse);
-        // Single-delta mutators defer the repair; the verifier must
-        // accept the pending window after every step.
-        inc.insert_point(Point::new([1.1, 2.3]), 1.5).unwrap();
-        inc.verify_against_rebuild().unwrap();
-        assert!(!inc.coords_pending.is_empty());
-        inc.remove_point(0).unwrap();
-        inc.verify_against_rebuild().unwrap();
-        inc.move_point(2, Point::new([3.3, 0.2])).unwrap();
-        inc.verify_against_rebuild().unwrap();
-        // An (empty) churn batch forces the repair.
-        inc.apply_churn(&[]).unwrap();
-        assert!(inc.coords_pending.is_empty());
-        inc.verify_against_rebuild().unwrap();
+        check(&mut inc);
+        inc.apply_churn(&churn(3.05)).unwrap();
+        check(&mut inc);
     }
 
     #[test]
     fn non_sparse_kind_is_rejected() {
         let inst = grid_instance(3, 1.0, 1);
-        assert!(matches!(
-            IncrementalInstance::new(inst, EngineKind::Scan),
-            Err(CoreError::InvalidConfig(_))
-        ));
+        let Err(CoreError::InvalidConfig(msg)) = IncrementalInstance::new(inst, EngineKind::Scan)
+        else {
+            panic!("scan must be refused");
+        };
+        assert!(msg.contains("(auto or sparse)"), "{msg}");
     }
 }

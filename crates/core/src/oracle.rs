@@ -557,8 +557,8 @@ impl<'a, const D: usize> GainOracle<'a, D> {
     /// ([`RewardEngine::root_gains_by_slot`]), in eval order, against
     /// fresh residuals (version 0 means `y = 1` everywhere). Returns
     /// `false`, leaving `entries` empty, when the engine has no such
-    /// pass: every engine with an eval order (sparse, sparse-f32, grid)
-    /// has one, and the scan engine has neither.
+    /// pass: every engine with an eval order (sparse, grid) has one,
+    /// and the scan engine has neither.
     ///
     /// The outcome is the per-candidate prime's: the sweep polls the
     /// cancel token uncounted and stops early once it reads tripped,

@@ -294,13 +294,6 @@ pub enum EngineKind {
     Scan,
     /// Precomputed CSR neighbor lists (forced, ignoring the memory cap).
     Sparse,
-    /// The sparse CSR engine with `frac`/`weight` stored as `f32`
-    /// (accumulation stays `f64`). Roughly halves the CSR footprint and
-    /// doubles kernel memory bandwidth at the cost of the bit-identical
-    /// guarantee: gains carry a documented relative error bound (see
-    /// DESIGN.md "Kernel layout & precision"). Opt-in only — never
-    /// selected by [`EngineKind::Auto`].
-    SparseF32,
     /// CSR-free cell sweep over the occupied-cell index
     /// ([`GridIndex`]) at cell side `r`: O(n) memory, whatever the
     /// spread, and no precomputed rows. Every gain and commit sums its
@@ -312,7 +305,7 @@ pub enum EngineKind {
 
 impl EngineKind {
     /// All parseable names, for CLI help strings.
-    pub const NAMES: &'static [&'static str] = &["auto", "scan", "sparse", "sparse-f32", "grid"];
+    pub const NAMES: &'static [&'static str] = &["auto", "scan", "sparse", "grid"];
 
     /// Parses a CLI name.
     pub fn parse(s: &str) -> Result<Self, String> {
@@ -320,7 +313,6 @@ impl EngineKind {
             "auto" => Ok(EngineKind::Auto),
             "scan" => Ok(EngineKind::Scan),
             "sparse" => Ok(EngineKind::Sparse),
-            "sparse-f32" => Ok(EngineKind::SparseF32),
             "grid" => Ok(EngineKind::Grid),
             other => Err(format!(
                 "unknown engine '{other}' (expected {})",
@@ -335,7 +327,6 @@ impl EngineKind {
             EngineKind::Auto => "auto",
             EngineKind::Scan => "scan",
             EngineKind::Sparse => "sparse",
-            EngineKind::SparseF32 => "sparse-f32",
             EngineKind::Grid => "grid",
         }
     }
@@ -386,73 +377,6 @@ pub struct SparseStats {
 /// fixed-width chunks the compiler can vectorize.
 pub const SPARSE_LANES: usize = 8;
 
-/// Storage scalar of the sparse CSR `frac`/`weight` streams: `f64` for
-/// the bit-identical reference engine, `f32` for the mixed-precision
-/// variant. Accumulation is always `f64` — a lane term widens its
-/// operands exactly before the multiply, so the only rounding the `f32`
-/// engine introduces is the one narrowing at build time.
-pub(crate) trait LaneScalar: Copy + std::fmt::Debug + Send + Sync + 'static {
-    /// Bytes per stored value.
-    const BYTES: usize;
-    /// Build-time narrowing from the exact `f64` kernel math.
-    fn narrow(x: f64) -> Self;
-    /// Exact widening back to `f64` (lossless for both scalars).
-    fn widen(self) -> f64;
-    /// Takes this scalar's `(frac, weight)` buffers from the scratch and
-    /// frees the other scalar's, which a build of this one never reads.
-    fn take_bufs(scratch: &mut CsrScratch) -> (Vec<Self>, Vec<Self>);
-    /// Returns buffers taken with [`Self::take_bufs`].
-    fn put_bufs(scratch: &mut CsrScratch, frac: Vec<Self>, weight: Vec<Self>);
-}
-
-impl LaneScalar for f64 {
-    const BYTES: usize = 8;
-    #[inline(always)]
-    fn narrow(x: f64) -> Self {
-        x
-    }
-    #[inline(always)]
-    fn widen(self) -> f64 {
-        self
-    }
-    fn take_bufs(scratch: &mut CsrScratch) -> (Vec<Self>, Vec<Self>) {
-        scratch.frac32 = Vec::new();
-        scratch.weight32 = Vec::new();
-        (
-            std::mem::take(&mut scratch.frac),
-            std::mem::take(&mut scratch.weight),
-        )
-    }
-    fn put_bufs(scratch: &mut CsrScratch, frac: Vec<Self>, weight: Vec<Self>) {
-        scratch.frac = frac;
-        scratch.weight = weight;
-    }
-}
-
-impl LaneScalar for f32 {
-    const BYTES: usize = 4;
-    #[inline(always)]
-    fn narrow(x: f64) -> Self {
-        x as f32
-    }
-    #[inline(always)]
-    fn widen(self) -> f64 {
-        f64::from(self)
-    }
-    fn take_bufs(scratch: &mut CsrScratch) -> (Vec<Self>, Vec<Self>) {
-        scratch.frac = Vec::new();
-        scratch.weight = Vec::new();
-        (
-            std::mem::take(&mut scratch.frac32),
-            std::mem::take(&mut scratch.weight32),
-        )
-    }
-    fn put_bufs(scratch: &mut CsrScratch, frac: Vec<Self>, weight: Vec<Self>) {
-        scratch.frac32 = frac;
-        scratch.weight32 = weight;
-    }
-}
-
 /// The coordinate bit pattern of a point — the lexicographic sort key
 /// behind the copied-point candidate lookup ([`RewardEngine::gain`]).
 /// Bitwise equality (not `==`) is the right relation: bit-equal points
@@ -490,7 +414,7 @@ pub(crate) fn point_bits<const D: usize>(p: &Point<D>) -> [u64; D] {
 /// reverse index (row `i` = which candidates cover point `i`) the
 /// dirty-region test needs.
 #[derive(Debug)]
-pub(crate) struct SparseCsr<S> {
+pub(crate) struct SparseCsr {
     /// Padded row *start* of each storage slot (not candidate index);
     /// every start is a multiple of [`SPARSE_LANES`]. A freshly built
     /// CSR is dense (each row ends where the next begins, and a final
@@ -509,11 +433,11 @@ pub(crate) struct SparseCsr<S> {
     /// copied-point lookup behind [`RewardEngine::gain`]. Sorted on the
     /// first such lookup ([`Self::sorted_coords`]): a greedy never makes
     /// one, so a build does not pay for the sort. The incremental layer
-    /// forces it on every CSR it takes and then repairs it in place.
+    /// drops it at every delta, so the next lookup sorts it afresh.
     pub(crate) by_coords: OnceLock<Vec<u32>>,
     pub(crate) neighbors: Vec<u32>,
-    pub(crate) frac: Vec<S>,
-    pub(crate) weight: Vec<S>,
+    pub(crate) frac: Vec<f64>,
+    pub(crate) weight: Vec<f64>,
     pub(crate) stats: SparseStats,
 }
 
@@ -525,16 +449,14 @@ pub(crate) fn cell_index<const D: usize>(inst: &Instance<D>) -> GridIndex<D> {
 }
 
 /// Reusable buffers for the sparse CSR adjacency: the flat CSR arrays,
-/// including the lane-padded layout vectors and the `f32` streams of
-/// the mixed-precision engine. A [`RewardEngine::sparse_with_scratch`] or
-/// [`RewardEngine::sparse_f32_with_scratch`] build *takes* the vectors
-/// it needs (an O(1) move), refills them in place, and
-/// [`RewardEngine::reclaim`] puts them back after the solve — so a
-/// warm batch pipeline rebuilds the CSR for each new instance without
-/// fresh heap allocations once capacities have grown to the workload's
-/// steady state. A build frees what it cannot use before it allocates:
-/// the other scalar's `frac`/`weight` streams, and any buffer too small
-/// for this build, so a kept buffer never sits beside its replacement.
+/// including the lane-padded layout vectors. A
+/// [`RewardEngine::sparse_with_scratch`] build *takes* the vectors (an
+/// O(1) move), refills them in place, and [`RewardEngine::reclaim`]
+/// puts them back after the solve — so a warm batch pipeline rebuilds
+/// the CSR for each new instance without fresh heap allocations once
+/// capacities have grown to the workload's steady state. A build frees
+/// any buffer too small for it before it allocates, so a kept buffer
+/// never sits beside its replacement.
 #[derive(Debug, Default)]
 pub struct CsrScratch {
     offsets: Vec<u32>,
@@ -544,8 +466,6 @@ pub struct CsrScratch {
     neighbors: Vec<u32>,
     frac: Vec<f64>,
     weight: Vec<f64>,
-    frac32: Vec<f32>,
-    weight32: Vec<f32>,
 }
 
 impl CsrScratch {
@@ -563,7 +483,6 @@ impl CsrScratch {
             + self.neighbors.capacity())
             * 4
             + (self.frac.capacity() + self.weight.capacity()) * 8
-            + (self.frac32.capacity() + self.weight32.capacity()) * 4
     }
 }
 
@@ -591,8 +510,8 @@ fn reserve_fresh<T>(buf: &mut Vec<T>, len: usize) {
 /// Slots a CSR root pass scores between two polls of its stop flag.
 const ROOT_POLL_SLOTS: usize = 256;
 
-impl<S: LaneScalar> SparseCsr<S> {
-    const BYTES_PER_ENTRY: usize = 4 + 2 * S::BYTES; // neighbor + frac + weight
+impl SparseCsr {
+    const BYTES_PER_ENTRY: usize = 4 + 2 * 8; // neighbor + frac + weight
 
     /// A zero-point CSR — the placeholder the incremental layer swaps
     /// in while its real CSR is transplanted into an engine.
@@ -624,7 +543,7 @@ impl<S: LaneScalar> SparseCsr<S> {
     }
 
     /// Builds the CSR into the buffers taken from `scratch` (leaving
-    /// this scalar's buffers empty; see [`RewardEngine::reclaim`]),
+    /// them empty; see [`RewardEngine::reclaim`]),
     /// cell by cell ([`Self::fill_cells`]), split across the rayon pool
     /// from [`PARALLEL_BUILD_MIN_POINTS`] points up.
     pub(crate) fn build_with<const D: usize>(
@@ -653,15 +572,14 @@ impl<S: LaneScalar> SparseCsr<S> {
     /// A CSR over the buffers taken from `scratch`, as they are: the
     /// fill empties each one ([`reserve_fresh`]) before it writes it.
     fn from_scratch(scratch: &mut CsrScratch) -> Self {
-        let (frac, weight) = S::take_bufs(scratch);
         SparseCsr {
             offsets: std::mem::take(&mut scratch.offsets),
             degrees: std::mem::take(&mut scratch.degrees),
             slot_of: std::mem::take(&mut scratch.slot_of),
             order: std::mem::take(&mut scratch.order),
             neighbors: std::mem::take(&mut scratch.neighbors),
-            frac,
-            weight,
+            frac: std::mem::take(&mut scratch.frac),
+            weight: std::mem::take(&mut scratch.weight),
             ..Self::empty()
         }
     }
@@ -791,7 +709,8 @@ impl<S: LaneScalar> SparseCsr<S> {
         scratch.slot_of = self.slot_of;
         scratch.order = self.order;
         scratch.neighbors = self.neighbors;
-        S::put_bufs(scratch, self.frac, self.weight);
+        scratch.frac = self.frac;
+        scratch.weight = self.weight;
     }
 
     /// The half-open *padded* entry range of candidate `i`'s row — what
@@ -817,13 +736,12 @@ impl<S: LaneScalar> SparseCsr<S> {
     }
 
     /// Coverage reward of candidate `i` via the blocked lane kernel:
-    /// fixed-width chunks of branchless
-    /// `widen(w) · min(widen(frac), y[neighbor])` terms, each chunk's
-    /// terms computed independently (the compiler vectorizes this) and
-    /// then added to the accumulator *in entry order* — the same `f64`
-    /// association as the scalar reference walk.
+    /// fixed-width chunks of branchless `w · min(frac, y[neighbor])`
+    /// terms, each chunk's terms computed independently (the compiler
+    /// vectorizes this) and then added to the accumulator *in entry
+    /// order* — the same association as the scalar reference walk.
     ///
-    /// Bit-identity with the reference for `S = f64` rests on three
+    /// Bit-identity with the reference rests on three
     /// invariants: residuals are never negative (`y − min(frac, y) ≥ 0`
     /// exactly in IEEE arithmetic), so a `y = 0` entry contributes
     /// `w · 0.0 = +0.0`; padding and zero-weight terms are exact
@@ -849,7 +767,7 @@ impl<S: LaneScalar> SparseCsr<S> {
                 // instance's own points, and padding repeats a real
                 // entry of the same row.
                 let yv = unsafe { *y.get_unchecked(nb8[l] as usize) };
-                terms[l] = wt8[l].widen() * fr8[l].widen().min(yv);
+                terms[l] = wt8[l] * fr8[l].min(yv);
             }
             for t in terms {
                 total += t;
@@ -862,8 +780,8 @@ impl<S: LaneScalar> SparseCsr<S> {
     /// real entry's claimed assignment and return the round gain — the
     /// O(degree) sparse twin of [`Residuals::apply`]. The real row is
     /// exactly the dense loop's post-guard visit set (positive-`frac`
-    /// points, ascending index), so for `S = f64` the gain bits and the
-    /// mutated residuals match the dense apply exactly.
+    /// points, ascending index), so the gain bits and the mutated
+    /// residuals match the dense apply exactly.
     fn apply_row(&self, i: usize, residuals: &mut Residuals) -> f64 {
         residuals.version += 1;
         let version = residuals.version;
@@ -874,9 +792,9 @@ impl<S: LaneScalar> SparseCsr<S> {
             if y <= 0.0 {
                 continue;
             }
-            let z = self.frac[idx].widen().min(y);
+            let z = self.frac[idx].min(y);
             if z > 0.0 {
-                gain += self.weight[idx].widen() * z;
+                gain += self.weight[idx] * z;
                 residuals.y[j] = y - z;
                 residuals.touched[j] = version;
             }
@@ -895,9 +813,9 @@ impl<S: LaneScalar> SparseCsr<S> {
             if yv <= 0.0 {
                 continue;
             }
-            let f = self.frac[idx].widen();
+            let f = self.frac[idx];
             if f > 0.0 {
-                total += self.weight[idx].widen() * f.min(yv);
+                total += self.weight[idx] * f.min(yv);
             }
         }
         total
@@ -924,7 +842,7 @@ impl<S: LaneScalar> SparseCsr<S> {
         {
             let mut terms = [0.0f64; SPARSE_LANES];
             for l in 0..SPARSE_LANES {
-                terms[l] = wt8[l].widen() * fr8[l].widen().min(1.0);
+                terms[l] = wt8[l] * fr8[l].min(1.0);
             }
             for t in terms {
                 total += t;
@@ -1002,18 +920,6 @@ impl<S: LaneScalar> SparseCsr<S> {
         })
     }
 
-    /// [`Self::sorted_coords`], sorted now if it is not yet, for
-    /// in-place repair.
-    pub(crate) fn sorted_coords_mut<const D: usize>(
-        &mut self,
-        inst: &Instance<D>,
-    ) -> &mut Vec<u32> {
-        self.sorted_coords(inst);
-        self.by_coords
-            .get_mut()
-            .expect("the permutation was just sorted")
-    }
-
     /// Estimates the full CSR footprint by probing every `stride`-th
     /// row's degree — cheap relative to the build, accurate on the
     /// near-uniform inputs the grid targets. Includes the layout
@@ -1042,22 +948,22 @@ impl<S: LaneScalar> SparseCsr<S> {
     }
 }
 
-/// The least [`RewardEngine::estimated_sparse_bytes`] can report for an
-/// `f64` CSR over `n` points: every row holds at least its own point, so
-/// the estimate is never below the degree-1 footprint, `120·n + 4`
-/// bytes. Checking it first decides a cap that even it busts without
-/// building the index the estimate samples.
+/// The least [`RewardEngine::estimated_sparse_bytes`] can report for a
+/// CSR over `n` points: every row holds at least its own point, so the
+/// estimate is never below the degree-1 footprint, `120·n + 4` bytes.
+/// Checking it first decides a cap that even it busts without building
+/// the index the estimate samples.
 pub(crate) fn min_sparse_bytes(n: usize) -> usize {
-    SparseCsr::<f64>::footprint(n, 1.0)
+    SparseCsr::footprint(n, 1.0)
 }
 
-/// Whether an `S`-valued CSR estimated at `est_bytes` busts `cap_bytes`,
-/// or would hold more entries than its `u32` offsets address. This one
-/// test decides both where [`RewardEngine::auto_with_cap_kind`] falls
-/// back to a CSR-free backend and where [`crate::Pipeline::for_instance`]
+/// Whether a CSR estimated at `est_bytes` busts `cap_bytes`, or would
+/// hold more entries than its `u32` offsets address. This one test
+/// decides both where [`RewardEngine::auto_with_cap`] falls back to a
+/// CSR-free backend and where [`crate::Pipeline::for_instance`]
 /// escalates an `auto` solve to the coreset.
-pub(crate) fn busts_cap<S: LaneScalar>(est_bytes: usize, cap_bytes: usize) -> bool {
-    est_bytes > cap_bytes || est_bytes / SparseCsr::<S>::BYTES_PER_ENTRY >= u32::MAX as usize
+pub(crate) fn busts_cap(est_bytes: usize, cap_bytes: usize) -> bool {
+    est_bytes > cap_bytes || est_bytes / SparseCsr::BYTES_PER_ENTRY >= u32::MAX as usize
 }
 
 /// Smallest instance whose occupied-cell index, CSR build, root passes
@@ -1333,16 +1239,16 @@ impl<const D: usize> PairPass<D> for CountPass<'_, '_, D> {
 /// Pass 2 of [`SparseCsr::fill_cells`]: writes every row, padding
 /// included, at its offset, into each part's slices of the
 /// not-yet-initialized entry buffers.
-struct WritePass<'f, 'a, const D: usize, S> {
+struct WritePass<'f, 'a, const D: usize> {
     fill: &'f CellFill<'a, D>,
     offsets: &'f [u32],
     degrees: &'f [u32],
     neighbors: Vec<&'f mut [MaybeUninit<u32>]>,
-    frac: Vec<&'f mut [MaybeUninit<S>]>,
-    weight: Vec<&'f mut [MaybeUninit<S>]>,
+    frac: Vec<&'f mut [MaybeUninit<f64>]>,
+    weight: Vec<&'f mut [MaybeUninit<f64>]>,
 }
 
-impl<const D: usize, S: LaneScalar> PairPass<D> for WritePass<'_, '_, D, S> {
+impl<const D: usize> PairPass<D> for WritePass<'_, '_, D> {
     type Output = ();
     fn run(self, pair: impl Fn(&Point<D>, &Point<D>) -> f64 + Copy + Send + Sync) {
         let (fill, offsets, degrees) = (self.fill, self.offsets, self.degrees);
@@ -1373,8 +1279,8 @@ impl<const D: usize, S: LaneScalar> PairPass<D> for WritePass<'_, '_, D, S> {
                     for (k, &(p, f)) in (start..).zip(&kept[..deg]) {
                         let c = &cands[p as usize];
                         nb[k].write(c.index);
-                        fr[k].write(S::narrow(f));
-                        wt[k].write(S::narrow(c.weight));
+                        fr[k].write(f);
+                        wt[k].write(c.weight);
                     }
                     if deg > 0 {
                         // Padding repeats the last real neighbor with
@@ -1384,8 +1290,8 @@ impl<const D: usize, S: LaneScalar> PairPass<D> for WritePass<'_, '_, D, S> {
                         let pad = cands[kept[deg - 1].0 as usize].index;
                         for k in start + deg..start + padded_len(deg) {
                             nb[k].write(pad);
-                            fr[k].write(S::narrow(0.0));
-                            wt[k].write(S::narrow(0.0));
+                            fr[k].write(0.0);
+                            wt[k].write(0.0);
                         }
                     }
                 }
@@ -1415,8 +1321,7 @@ pub struct RewardEngine<'a, const D: usize> {
 #[derive(Debug)]
 pub(crate) enum Backend<const D: usize> {
     Scan,
-    Sparse(SparseCsr<f64>),
-    SparseF32(SparseCsr<f32>),
+    Sparse(SparseCsr),
     Grid(GridCells<D>),
 }
 
@@ -1430,31 +1335,18 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
         }
     }
 
-    /// Engine wrapping an already-built `f64` CSR — the incremental
-    /// layer transplants its delta-patched adjacency in without a
-    /// rebuild ([`crate::incremental`]).
-    pub(crate) fn from_csr(inst: &'a Instance<D>, csr: SparseCsr<f64>) -> Self {
+    /// Engine wrapping an already-built CSR — the incremental layer
+    /// transplants its delta-patched adjacency in without a rebuild
+    /// ([`crate::incremental`]).
+    pub(crate) fn from_csr(inst: &'a Instance<D>, csr: SparseCsr) -> Self {
         Self::with_backend(inst, Backend::Sparse(csr))
     }
 
-    /// [`Self::from_csr`] for the mixed-precision `f32` streams.
-    pub(crate) fn from_csr32(inst: &'a Instance<D>, csr: SparseCsr<f32>) -> Self {
-        Self::with_backend(inst, Backend::SparseF32(csr))
-    }
-
-    /// Takes the `f64` CSR back out of a sparse engine (the inverse of
+    /// Takes the CSR back out of a sparse engine (the inverse of
     /// [`Self::from_csr`]); `None` for other backends.
-    pub(crate) fn take_csr(self) -> Option<SparseCsr<f64>> {
+    pub(crate) fn take_csr(self) -> Option<SparseCsr> {
         match self.backend {
             Backend::Sparse(csr) => Some(csr),
-            _ => None,
-        }
-    }
-
-    /// Takes the `f32` CSR back out ([`Self::from_csr32`]'s inverse).
-    pub(crate) fn take_csr32(self) -> Option<SparseCsr<f32>> {
-        match self.backend {
-            Backend::SparseF32(csr) => Some(csr),
             _ => None,
         }
     }
@@ -1493,41 +1385,17 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
         )
     }
 
-    /// The mixed-precision sparse engine: same CSR build and blocked
-    /// kernel as [`Self::sparse`], but `frac`/`weight` are narrowed to
-    /// `f32` at build time (accumulation stays `f64`). Gains carry a
-    /// documented relative error bound instead of the bit-identical
-    /// guarantee — see DESIGN.md "Kernel layout & precision".
-    pub fn sparse_f32(inst: &'a Instance<D>) -> Self {
-        Self::with_backend(
-            inst,
-            Backend::SparseF32(SparseCsr::build(inst, &cell_index(inst))),
-        )
-    }
-
-    /// [`Self::sparse_f32`] over scratch-borrowed buffers, mirroring
-    /// [`Self::sparse_with_scratch`].
-    pub fn sparse_f32_with_scratch(inst: &'a Instance<D>, scratch: &mut CsrScratch) -> Self {
-        Self::with_backend(
-            inst,
-            Backend::SparseF32(SparseCsr::build_with(inst, &cell_index(inst), scratch)),
-        )
-    }
-
     /// Returns the CSR buffers of a sparse engine to `scratch` so the
-    /// next [`Self::sparse_with_scratch`] (or
-    /// [`Self::sparse_f32_with_scratch`]) build reuses their capacity.
+    /// next [`Self::sparse_with_scratch`] build reuses their capacity.
     /// A no-op for the other backends.
     pub fn reclaim(self, scratch: &mut CsrScratch) {
-        match self.backend {
-            Backend::Sparse(csr) => csr.recycle(scratch),
-            Backend::SparseF32(csr) => csr.recycle(scratch),
-            _ => {}
+        if let Backend::Sparse(csr) = self.backend {
+            csr.recycle(scratch);
         }
     }
 
     /// Raw CSR arrays `(offsets, degrees, neighbors, frac, weight)` of
-    /// the `f64` sparse backend (offsets are padded and indexed by
+    /// the sparse backend (offsets are padded and indexed by
     /// storage slot; see [`Self::eval_order`] for the slot → candidate
     /// map) — exposed so tests can compare builds byte for byte.
     #[doc(hidden)]
@@ -1557,7 +1425,6 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     pub fn eval_order(&self) -> Option<&[u32]> {
         match &self.backend {
             Backend::Sparse(csr) => Some(&csr.order),
-            Backend::SparseF32(csr) => Some(&csr.order),
             Backend::Grid(g) => Some(g.order()),
             _ => None,
         }
@@ -1568,8 +1435,8 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     /// fresh-residual gain (`y = 1` everywhere) of candidate
     /// [`Self::eval_order`]`[slot]`, bit-identical to
     /// [`Self::candidate_gain`] on reset residuals. The grid backend
-    /// sweeps its cells ([`GridCells::root_gains`]); the sparse backends
-    /// sum each CSR row with no neighbor gather ([`SparseCsr::root_gains`]).
+    /// sweeps its cells ([`GridCells::root_gains`]); the sparse backend
+    /// sums each CSR row with no neighbor gather ([`SparseCsr::root_gains`]).
     /// Either pass splits across the rayon pool from 10,000 points up,
     /// polls `stop` as it goes and returns early when it reads true,
     /// leaving the rest of `out` as it was. Charges no evaluations (the
@@ -1585,7 +1452,6 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
         match &self.backend {
             Backend::Grid(g) => g.root_gains(self.inst, out, set, stop, parts),
             Backend::Sparse(csr) => csr.root_gains(out, set, stop, parts),
-            Backend::SparseF32(csr) => csr.root_gains(out, set, stop, parts),
             Backend::Scan => {}
         }
     }
@@ -1597,61 +1463,43 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
         Self::auto_with_cap(inst, DEFAULT_SPARSE_CAP_BYTES)
     }
 
-    /// [`Self::auto`] with an explicit cap in bytes.
+    /// [`Self::auto`] with an explicit cap in bytes. Past the cap the
+    /// engine is the grid backend over the index the estimate already
+    /// built.
     pub fn auto_with_cap(inst: &'a Instance<D>, cap_bytes: usize) -> Self {
-        Self::auto_with_cap_kind(inst, cap_bytes, EngineKind::Sparse)
-    }
-
-    /// Cap-checked sparse engine for an explicit sparse scalar `kind`
-    /// ([`EngineKind::Sparse`] or [`EngineKind::SparseF32`]; anything
-    /// else is treated as `Sparse`). The footprint estimate uses the
-    /// kind's *real* per-entry cost — 20 B for the `f64` streams,
-    /// 12 B for `f32` — so under the same cap the mixed-precision
-    /// engine stays sparse to roughly 1.67× more entries instead of
-    /// falling back at the `f64` threshold. Past the cap the engine is
-    /// the grid backend over the index the estimate already built.
-    pub fn auto_with_cap_kind(inst: &'a Instance<D>, cap_bytes: usize, kind: EngineKind) -> Self {
         let grid = cell_index(inst);
-        let f32_kind = matches!(kind, EngineKind::SparseF32);
-        let busts = if f32_kind {
-            busts_cap::<f32>(SparseCsr::<f32>::estimate_bytes(inst, &grid), cap_bytes)
-        } else {
-            busts_cap::<f64>(SparseCsr::<f64>::estimate_bytes(inst, &grid), cap_bytes)
-        };
-        let backend = if busts {
+        let backend = if busts_cap(SparseCsr::estimate_bytes(inst, &grid), cap_bytes) {
             Backend::Grid(GridCells::new(inst, grid))
-        } else if f32_kind {
-            Backend::SparseF32(SparseCsr::build(inst, &grid))
         } else {
             Backend::Sparse(SparseCsr::build(inst, &grid))
         };
         Self::with_backend(inst, backend)
     }
 
-    /// The estimated CSR footprint in bytes that [`Self::auto_with_cap_kind`]
-    /// would compare against the cap for `kind` (sampled row degrees ×
-    /// the kind's per-entry bytes). `None` for non-sparse kinds.
+    /// [`Self::auto_with_cap`]; `kind` is ignored, since the CSR has one
+    /// scalar type.
+    pub fn auto_with_cap_kind(inst: &'a Instance<D>, cap_bytes: usize, _kind: EngineKind) -> Self {
+        Self::auto_with_cap(inst, cap_bytes)
+    }
+
+    /// The estimated CSR footprint in bytes that [`Self::auto_with_cap`]
+    /// compares against the cap (sampled row degrees × the per-entry
+    /// bytes). `None` for kinds that build no CSR.
     pub fn estimated_sparse_bytes(inst: &Instance<D>, kind: EngineKind) -> Option<usize> {
         match kind {
             EngineKind::Sparse | EngineKind::Auto => {
-                Some(SparseCsr::<f64>::estimate_bytes(inst, &cell_index(inst)))
-            }
-            EngineKind::SparseF32 => {
-                Some(SparseCsr::<f32>::estimate_bytes(inst, &cell_index(inst)))
+                Some(SparseCsr::estimate_bytes(inst, &cell_index(inst)))
             }
             _ => None,
         }
     }
 
-    /// Engine for an [`EngineKind`] selection. [`EngineKind::Auto`]
-    /// only ever chooses between the bit-identical backends; the
-    /// approximate [`EngineKind::SparseF32`] must be named explicitly.
+    /// Engine for an [`EngineKind`] selection.
     pub fn with_kind(inst: &'a Instance<D>, kind: EngineKind) -> Self {
         match kind {
             EngineKind::Auto => Self::auto(inst),
             EngineKind::Scan => Self::scan(inst),
             EngineKind::Sparse => Self::sparse(inst),
-            EngineKind::SparseF32 => Self::sparse_f32(inst),
             EngineKind::Grid => Self::grid(inst),
         }
     }
@@ -1661,16 +1509,14 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
         match self.backend {
             Backend::Scan => EngineKind::Scan,
             Backend::Sparse(_) => EngineKind::Sparse,
-            Backend::SparseF32(_) => EngineKind::SparseF32,
             Backend::Grid(_) => EngineKind::Grid,
         }
     }
 
-    /// CSR build statistics when a sparse backend is active.
+    /// CSR build statistics when the sparse backend is active.
     pub fn sparse_stats(&self) -> Option<SparseStats> {
         match &self.backend {
             Backend::Sparse(csr) => Some(csr.stats),
-            Backend::SparseF32(csr) => Some(csr.stats),
             _ => None,
         }
     }
@@ -1704,9 +1550,10 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     /// a binary search over the coordinate-bits-sorted candidate
     /// permutation, which `by_coords` returns only when a lookup gets
     /// this far (catches *copied* points, e.g. the local-search polish
-    /// loop's `*inst.point(cand)`). Bit-equal duplicates are
-    /// interchangeable — identical coordinates produce identical CSR
-    /// rows, hence identical gains.
+    /// loop's `*inst.point(cand)`). The permutation covers the current
+    /// points: the incremental layer drops it at every delta. Bit-equal
+    /// duplicates are interchangeable — identical coordinates produce
+    /// identical CSR rows, hence identical gains.
     fn candidate_index<'s>(
         &'s self,
         c: &Point<D>,
@@ -1727,23 +1574,14 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
         let by_coords = by_coords();
         let key = point_bits(c);
         by_coords
-            .binary_search_by(|&j| match points.get(j as usize) {
-                Some(p) => point_bits(p).cmp(&key),
-                // A stale out-of-range entry (incremental churn keeps
-                // the permutation live between repairs): never a
-                // match. Any consistent non-Equal answer is safe —
-                // `Ok` requires bit-equality at the probed entry, so a
-                // disordered probe path can only cause a miss, and a
-                // miss falls back to the dense scan.
-                None => std::cmp::Ordering::Greater,
-            })
+            .binary_search_by(|&j| point_bits(&points[j as usize]).cmp(&key))
             .ok()
             .map(|pos| by_coords[pos] as usize)
     }
 
     /// Coverage reward of `c` against `residuals` (Eq. 13's inner
     /// objective), via the configured evaluation strategy. On the
-    /// sparse backends a query point that is (bit-equal to) one of the
+    /// sparse backend a query point that is (bit-equal to) one of the
     /// instance's points routes through [`Self::candidate_gain`]'s
     /// O(degree) row walk — non-greedy callers like the local-search
     /// polish get the sparse path too. Genuinely arbitrary points have
@@ -1752,7 +1590,6 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     pub fn gain(&self, c: &Point<D>, residuals: &Residuals) -> f64 {
         let index = match &self.backend {
             Backend::Sparse(csr) => self.candidate_index(c, || csr.sorted_coords(self.inst)),
-            Backend::SparseF32(csr) => self.candidate_index(c, || csr.sorted_coords(self.inst)),
             _ => None,
         };
         if let Some(i) = index {
@@ -1766,19 +1603,15 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     }
 
     /// Coverage reward of candidate point `i` — the hot path of every
-    /// point-candidate greedy. On the sparse backends this is the
+    /// point-candidate greedy. On the sparse backend this is the
     /// blocked O(degree) lane kernel over the precomputed row, with the
-    /// same `f64` accumulation order as the dense scan (hence
-    /// bit-identical on the `f64` backend); other backends delegate to
+    /// same accumulation order as the dense scan (hence bit-identical
+    /// to it); other backends delegate to
     /// [`Self::gain`], which on the grid backend is the same sum over
     /// the candidate's query box. Charges one evaluation.
     pub fn candidate_gain(&self, i: usize, residuals: &Residuals) -> f64 {
         match &self.backend {
             Backend::Sparse(csr) => {
-                self.note_eval();
-                csr.gain_blocked(i, residuals.as_slice())
-            }
-            Backend::SparseF32(csr) => {
                 self.note_eval();
                 csr.gain_blocked(i, residuals.as_slice())
             }
@@ -1793,39 +1626,29 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     /// chase every row through `slot_of` — random access over the whole
     /// CSR). Each root gain is bit-identical to [`Self::candidate_gain`]
     /// against reset residuals, and each charges one evaluation.
-    /// Returns `false` (appending nothing) on non-sparse backends.
+    /// Returns `false` (appending nothing) on the other backends.
     ///
     /// This is how the warm re-solve prices its CELF swap-pool bounds:
     /// at 1% churn on n = 10⁶ the dirty set is ~half the instance, so
     /// the pool build dominates the warm resolve unless it streams.
     pub fn root_gains_into(&self, dirty: &[bool], out: &mut Vec<(f64, usize)>) -> bool {
-        fn collect<S: LaneScalar>(
-            csr: &SparseCsr<S>,
-            dirty: &[bool],
-            out: &mut Vec<(f64, usize)>,
-        ) -> u64 {
-            let before = out.len();
-            let candidate = |slot: usize| csr.order[slot] as usize;
-            csr.root_pass(
-                0..csr.order.len(),
-                |slot| dirty.get(candidate(slot)).copied().unwrap_or(false),
-                &|| false,
-                |slot, gain| out.push((gain, candidate(slot))),
-            );
-            (out.len() - before) as u64
-        }
-        let evals = match &self.backend {
-            Backend::Sparse(csr) => collect(csr, dirty, out),
-            Backend::SparseF32(csr) => collect(csr, dirty, out),
-            _ => return false,
+        let Backend::Sparse(csr) = &self.backend else {
+            return false;
         };
-        self.evals
-            .fetch_add(evals, std::sync::atomic::Ordering::Relaxed);
+        let before = out.len();
+        let candidate = |slot: usize| csr.order[slot] as usize;
+        csr.root_pass(
+            0..csr.order.len(),
+            |slot| dirty.get(candidate(slot)).copied().unwrap_or(false),
+            &|| false,
+            |slot, gain| out.push((gain, candidate(slot))),
+        );
+        self.note_evals((out.len() - before) as u64);
         true
     }
 
     /// The scalar (unblocked) reference walk of candidate `i`'s CSR
-    /// row: per-entry branches, padding excluded. `None` on non-sparse
+    /// row: per-entry branches, padding excluded. `None` on the other
     /// backends. Exposed as the bit-identity witness for
     /// [`Self::candidate_gain`]'s blocked kernel: `kernel_layout`
     /// checks the two agree to the bit, and `kernel_floor` times them.
@@ -1834,10 +1657,6 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     pub fn candidate_gain_unblocked(&self, i: usize, residuals: &Residuals) -> Option<f64> {
         match &self.backend {
             Backend::Sparse(csr) => {
-                self.note_eval();
-                Some(csr.gain_unblocked(i, residuals.as_slice()))
-            }
-            Backend::SparseF32(csr) => {
                 self.note_eval();
                 Some(csr.gain_unblocked(i, residuals.as_slice()))
             }
@@ -1852,20 +1671,16 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     /// commit is bit-identical to the dense apply too. `None` on the
     /// other backends.
     ///
-    /// Bit-identity with the dense apply on the `f64` backend: the real
-    /// row is exactly the set of points with positive kernel fraction,
-    /// in ascending index order (the dense loop's visit order after its
-    /// `z > 0` guard), each entry's `frac`/`weight` carry the same bits
-    /// the dense path recomputes, and per-point updates are independent
-    /// — so both the returned gain and the mutated residuals match the
-    /// dense apply bit for bit. On the `f32` backend the row streams
-    /// are narrowed, so the apply is self-consistent with
-    /// [`Self::candidate_gain`] rather than with the dense reference
-    /// (same documented error bound as every other f32 gain).
+    /// Bit-identity with the dense apply: the real row is exactly the
+    /// set of points with positive kernel fraction, in ascending index
+    /// order (the dense loop's visit order after its `z > 0` guard),
+    /// each entry's `frac`/`weight` carry the same bits the dense path
+    /// recomputes, and per-point updates are independent — so both the
+    /// returned gain and the mutated residuals match the dense apply
+    /// bit for bit.
     pub fn apply_candidate(&self, i: usize, residuals: &mut Residuals) -> Option<f64> {
         match &self.backend {
             Backend::Sparse(csr) => Some(csr.apply_row(i, residuals)),
-            Backend::SparseF32(csr) => Some(csr.apply_row(i, residuals)),
             Backend::Grid(g) => {
                 Some(g.apply(self.inst, &self.kernel, self.inst.point(i), residuals))
             }
@@ -1875,20 +1690,18 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
 
     /// Dirty-region test for the CELF lazy oracle: has candidate `i`'s
     /// gain provably not changed since residual version `version`? Only
-    /// the sparse backends can answer (`None` otherwise). `Some(true)`
+    /// the sparse backend can answer (`None` otherwise). `Some(true)`
     /// means every point the candidate can touch last shrank at or
     /// before `version`, so a gain computed then is still exact — the
     /// oracle may reuse it without charging an evaluation. Free: an
     /// O(degree) integer compare against the real (unpadded) CSR row,
     /// no kernel math.
     pub fn unchanged_since(&self, i: usize, residuals: &Residuals, version: u64) -> Option<bool> {
-        let (neighbors, range) = match &self.backend {
-            Backend::Sparse(csr) => (&csr.neighbors, csr.real_row(i)),
-            Backend::SparseF32(csr) => (&csr.neighbors, csr.real_row(i)),
-            _ => return None,
+        let Backend::Sparse(csr) = &self.backend else {
+            return None;
         };
         Some(
-            neighbors[range]
+            csr.neighbors[csr.real_row(i)]
                 .iter()
                 .all(|&j| residuals.touched(j as usize) <= version),
         )
@@ -2099,7 +1912,7 @@ mod tests {
         });
     }
 
-    impl<S: LaneScalar> SparseCsr<S> {
+    impl SparseCsr {
         /// The per-row reference build over the index `grid`: rows in
         /// [`spatial_order`] at the index's cell side, each one
         /// enumerated through the index's radius query, sorted,
@@ -2156,8 +1969,8 @@ mod tests {
                 let f = kernel.frac(d, r);
                 if f > 0.0 {
                     csr.neighbors.push(j);
-                    csr.frac.push(S::narrow(f));
-                    csr.weight.push(S::narrow(inst.weight(j as usize)));
+                    csr.frac.push(f);
+                    csr.weight.push(inst.weight(j as usize));
                 }
             }
             let deg = csr.neighbors.len() - before;
@@ -2165,8 +1978,8 @@ mod tests {
                 let pad = *csr.neighbors.last().expect("deg > 0");
                 while csr.neighbors.len() < before + padded_len(deg) {
                     csr.neighbors.push(pad);
-                    csr.frac.push(S::narrow(0.0));
-                    csr.weight.push(S::narrow(0.0));
+                    csr.frac.push(0.0);
+                    csr.weight.push(0.0);
                 }
             }
             deg
@@ -2177,7 +1990,7 @@ mod tests {
         /// it.
         fn arrays(&self) -> [Vec<u64>; 8] {
             let ints = |xs: &[u32]| xs.iter().map(|&x| u64::from(x)).collect();
-            let bits = |xs: &[S]| xs.iter().map(|x| x.widen().to_bits()).collect();
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect();
             [
                 ints(&self.offsets),
                 ints(&self.degrees),
@@ -2316,7 +2129,7 @@ mod tests {
             .collect()
     }
 
-    fn check_cell_fill<const D: usize, S: LaneScalar>() {
+    fn check_cell_fill<const D: usize>() {
         let kernels = [
             Kernel::Linear,
             Kernel::Step,
@@ -2332,10 +2145,10 @@ mod tests {
                         at_r,
                         "{label}: cell side"
                     );
-                    let want = SparseCsr::<S>::build_rowwise(&inst, &grid).arrays();
+                    let want = SparseCsr::build_rowwise(&inst, &grid).arrays();
                     let mut scratch = CsrScratch::new();
                     for parts in [1, 2, 3, 7] {
-                        let got = SparseCsr::<S>::build_in_parts(&inst, &grid, &mut scratch, parts);
+                        let got = SparseCsr::build_in_parts(&inst, &grid, &mut scratch, parts);
                         assert_eq!(
                             got.arrays(),
                             want,
@@ -2352,9 +2165,8 @@ mod tests {
 
     #[test]
     fn cell_fill_is_byte_identical_to_the_row_reference() {
-        check_cell_fill::<2, f64>();
-        check_cell_fill::<3, f64>();
-        check_cell_fill::<2, f32>();
+        check_cell_fill::<2>();
+        check_cell_fill::<3>();
     }
 
     fn bits(xs: &[f64]) -> Vec<u64> {
@@ -2412,7 +2224,7 @@ mod tests {
         check_root_pass::<3>();
     }
 
-    /// The CSR root pass of `engine` (a sparse backend) in 1, 2, 3 and 7
+    /// The CSR root pass of `engine` (the sparse backend) in 1, 2, 3 and 7
     /// parts, and the warm pool builder's filtered pass with every
     /// candidate dirty, against per-candidate `candidate_gain` on fresh
     /// residuals, bit for bit.
@@ -2428,11 +2240,10 @@ mod tests {
         for parts in [1, 2, 3, 7] {
             let mut got = vec![f64::NAN; n];
             let set = |o: &mut f64, g| *o = g;
-            match &engine.backend {
-                Backend::Sparse(csr) => csr.root_gains(&mut got, set, &|| false, parts),
-                Backend::SparseF32(csr) => csr.root_gains(&mut got, set, &|| false, parts),
-                _ => unreachable!("sparse engine"),
-            }
+            let Backend::Sparse(csr) = &engine.backend else {
+                unreachable!("sparse engine");
+            };
+            csr.root_gains(&mut got, set, &|| false, parts);
             assert_eq!(bits(&got), want, "{what} parts={parts}: root pass");
         }
         let mut pool = Vec::new();
@@ -2445,10 +2256,10 @@ mod tests {
             .all(|(&a, &b)| a == b as usize));
     }
 
-    /// The CSR root pass behind the sparse engines' CELF prime, for
-    /// `sparse` and `sparse-f32`: on every fill case under every norm
-    /// and kernel, and on a churn-patched CSR (rows relocated to the
-    /// tail, so slot order no longer follows the offsets).
+    /// The CSR root pass behind the sparse engine's CELF prime: on every
+    /// fill case under every norm and kernel, and on a churn-patched CSR
+    /// (rows relocated to the tail, so slot order no longer follows the
+    /// offsets).
     #[test]
     fn csr_root_pass_matches_per_candidate_gains() {
         let kernels = [
@@ -2462,7 +2273,6 @@ mod tests {
                 for (label, inst, _) in fill_cases::<2>(norm, kernel) {
                     let what = format!("{norm} {} {label}", kernel.name());
                     check_csr_root_pass(&RewardEngine::sparse(&inst), &what);
-                    check_csr_root_pass(&RewardEngine::sparse_f32(&inst), &format!("f32 {what}"));
                 }
             }
         }
@@ -2471,27 +2281,25 @@ mod tests {
         }
         use crate::incremental::IncrementalInstance;
         use crate::instance::Delta;
-        for kind in [EngineKind::Sparse, EngineKind::SparseF32] {
-            let inst = random_instance_for_csr(17, 300);
-            let mut inc = IncrementalInstance::new(inst, kind).unwrap();
-            let deltas: Vec<Delta<2>> = (0..40)
-                .map(|i| match i % 3 {
-                    0 => Delta::Insert {
-                        point: Point::new([0.1 * (i % 40) as f64, 0.05 * i as f64]),
-                        weight: 1.5,
-                    },
-                    1 => Delta::Move {
-                        index: 7 * i,
-                        to: Point::new([3.9 - 0.08 * i as f64, 0.5]),
-                    },
-                    _ => Delta::Remove { index: 3 * i },
-                })
-                .collect();
-            inc.apply_churn(&deltas).unwrap();
-            inc.verify_against_rebuild().unwrap();
-            assert!(inc.dead_entries() > 0, "{kind}: no row was relocated");
-            inc.with_engine(|engine| check_csr_root_pass(engine, &format!("churned {kind}")));
-        }
+        let inst = random_instance_for_csr(17, 300);
+        let mut inc = IncrementalInstance::new(inst, EngineKind::Sparse).unwrap();
+        let deltas: Vec<Delta<2>> = (0..40)
+            .map(|i| match i % 3 {
+                0 => Delta::Insert {
+                    point: Point::new([0.1 * (i % 40) as f64, 0.05 * i as f64]),
+                    weight: 1.5,
+                },
+                1 => Delta::Move {
+                    index: 7 * i,
+                    to: Point::new([3.9 - 0.08 * i as f64, 0.5]),
+                },
+                _ => Delta::Remove { index: 3 * i },
+            })
+            .collect();
+        inc.apply_churn(&deltas).unwrap();
+        inc.verify_against_rebuild().unwrap();
+        assert!(inc.dead_entries() > 0, "no row was relocated");
+        inc.with_engine(|engine| check_csr_root_pass(engine, "churned"));
     }
 
     /// A stop that reads true before the first cell leaves every output
@@ -2630,7 +2438,7 @@ mod tests {
         // The CSR vectors were moved into the engine.
         assert_eq!(scratch.retained_bytes(), 0);
         engine.reclaim(&mut scratch);
-        assert!(scratch.retained_bytes() >= entries * SparseCsr::<f64>::BYTES_PER_ENTRY);
+        assert!(scratch.retained_bytes() >= entries * SparseCsr::BYTES_PER_ENTRY);
         // A rebuild through the warm scratch matches a fresh build.
         let warm = RewardEngine::sparse_with_scratch(&inst, &mut scratch);
         let cold = RewardEngine::sparse(&inst);
@@ -2655,44 +2463,29 @@ mod tests {
         assert!((f - 1.0).abs() < 1e-12);
     }
 
-    /// The auto-cap estimate uses each kind's *real* per-entry cost:
-    /// a cap wedged between the f32 (12 B/entry) and f64 (20 B/entry)
-    /// footprints keeps `SparseF32` sparse while `Sparse` falls back
-    /// to the grid engine.
+    /// The auto cap compares the estimated CSR footprint (20 B an
+    /// entry): a cap just under the estimate falls back to the grid
+    /// engine, a generous one builds the CSR, and no estimate reads
+    /// below the degree-1 floor.
     #[test]
-    fn auto_cap_uses_f32_footprint_for_sparse_f32() {
+    fn auto_cap_compares_the_csr_estimate() {
         let mut b = InstanceBuilder::new();
         for i in 0..64 {
             b = b.point([(i % 8) as f64, (i / 8) as f64], 1.0);
         }
         let inst = b.radius(1.5).k(4).build().unwrap();
-        let est64 = RewardEngine::estimated_sparse_bytes(&inst, EngineKind::Sparse).unwrap();
-        let est32 = RewardEngine::estimated_sparse_bytes(&inst, EngineKind::SparseF32).unwrap();
-        assert!(
-            est32 < est64,
-            "f32 estimate {est32} !< f64 estimate {est64}"
-        );
-        // exact per-entry ratio: 4 + 2*BYTES (index u32 + frac + weight)
-        assert_eq!(SparseCsr::<f64>::BYTES_PER_ENTRY, 20);
-        assert_eq!(SparseCsr::<f32>::BYTES_PER_ENTRY, 12);
-        let cap = (est32 + est64) / 2;
-        let e64 = RewardEngine::auto_with_cap_kind(&inst, cap, EngineKind::Sparse);
-        let e32 = RewardEngine::auto_with_cap_kind(&inst, cap, EngineKind::SparseF32);
+        let est = RewardEngine::estimated_sparse_bytes(&inst, EngineKind::Sparse).unwrap();
+        // index u32 + frac f64 + weight f64
+        assert_eq!(SparseCsr::BYTES_PER_ENTRY, 20);
+        let over = RewardEngine::auto_with_cap_kind(&inst, est - 1, EngineKind::Sparse);
         assert_eq!(
-            e64.kind(),
+            over.kind(),
             EngineKind::Grid,
-            "f64 over cap must fall to grid"
+            "over the cap must fall to grid"
         );
-        assert_eq!(
-            e32.kind(),
-            EngineKind::SparseF32,
-            "f32 fits under the same cap"
-        );
-        // Same cap, generous: both stay sparse in their own scalar.
-        let e64 = RewardEngine::auto_with_cap_kind(&inst, est64 + 1, EngineKind::Sparse);
-        assert_eq!(e64.kind(), EngineKind::Sparse);
-        // No estimate reads below the degree-1 floor.
-        assert!(min_sparse_bytes(inst.n()) <= est64);
+        let under = RewardEngine::auto_with_cap(&inst, est + 1);
+        assert_eq!(under.kind(), EngineKind::Sparse);
+        assert!(min_sparse_bytes(inst.n()) <= est);
         assert_eq!(min_sparse_bytes(inst.n()), 120 * inst.n() + 4);
     }
 

@@ -33,9 +33,8 @@ use crate::reward::{CsrScratch, Residuals};
 pub struct SolveScratch {
     /// Residual satisfaction state (`y_i`, touched versions).
     pub(crate) residuals: Residuals,
-    /// CSR build scratch (row buffers + the flat blocked-CSR arrays —
-    /// lane-padded entry streams, layout vectors, and the `f32`
-    /// streams of the mixed-precision engine — between solves).
+    /// CSR build scratch (the flat blocked-CSR arrays — lane-padded
+    /// entry streams and layout vectors — between solves).
     pub(crate) csr: CsrScratch,
     /// CELF heap storage for the lazy oracle strategy.
     pub(crate) lazy: LazyScratch,

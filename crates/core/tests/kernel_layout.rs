@@ -1,25 +1,19 @@
-//! Pins the blocked CSR kernel layout and the mixed-precision engine.
+//! Pins the blocked CSR kernel layout.
 //!
-//! Three contracts from DESIGN.md "Kernel layout & precision":
+//! Two contracts from DESIGN.md "Kernel layout":
 //!
 //! 1. The blocked lane kernel is **bit-identical** (`to_bits`) to the
-//!    scalar per-entry reference walk on the `f64` backend — across all
-//!    four kernels, both norms, and arbitrary mid-solve residual
-//!    states. Lane padding and dropped zero-`frac` entries are exact
-//!    `+0.0` terms, so they can never perturb the accumulator.
-//! 2. The `f32` engine's per-eval error obeys the documented bound
-//!    `|g32 - g64| <= 2^-22 * m` where `m` is the candidate's fresh
-//!    `f64` gain (its row mass: every stored `frac <= 1`).
-//! 3. The storage layout invariants hold: `eval_order` is a permutation
+//!    scalar per-entry reference walk — across all four kernels, both
+//!    norms, and arbitrary mid-solve residual states. Lane padding and
+//!    dropped zero-`frac` entries are exact `+0.0` terms, so they can
+//!    never perturb the accumulator.
+//! 2. The storage layout invariants hold: `eval_order` is a permutation
 //!    of `0..n`, every row's padded extent is a multiple of
 //!    [`SPARSE_LANES`], degrees never exceed the padded extent, and
 //!    entries whose kernel value is exactly zero are dropped at build
 //!    time.
 
-use mmph_core::solvers::LocalGreedy;
-use mmph_core::{
-    objective, EngineKind, Instance, Kernel, Residuals, RewardEngine, Solver, SPARSE_LANES,
-};
+use mmph_core::{Instance, Kernel, Residuals, RewardEngine, SPARSE_LANES};
 use mmph_geom::{Norm, Point};
 use proptest::prelude::*;
 
@@ -42,72 +36,31 @@ const KERNELS: [Kernel; 4] = [
     Kernel::Exponential { lambda: 3.0 },
 ];
 
-/// Documented per-eval relative error of the `f32` engine: each stored
-/// `frac`/`weight` narrows with at most half-ulp (`2^-24`) relative
-/// error, the `min` is 1-Lipschitz, and accumulation stays `f64`, so a
-/// row of mass `m` can drift by at most `~2^-23 * m`; `2^-22` gives 2x
-/// headroom for the accumulator's own rounding.
-const F32_PER_EVAL_REL: f64 = 1.0 / (1u64 << 22) as f64;
-
 /// Walks the greedy to every mid-solve residual state and checks, at
-/// each state, (a) blocked == unblocked bits on the f64 backend,
-/// (b) blocked == unblocked bits on the f32 backend, and (c) the f32
-/// gain within the documented bound of the f64 gain.
+/// each state, that the blocked kernel and the unblocked reference walk
+/// agree to the bit.
 fn check_blocked_kernel(pts: Vec<(Point<2>, f64)>, k: usize, r: f64, norm: Norm) {
     let (points, weights): (Vec<_>, Vec<_>) = pts.into_iter().unzip();
     let base = Instance::new(points, weights, r, k, norm).unwrap();
     for kernel in KERNELS {
         let inst = base.with_kernel(kernel).unwrap();
         let sparse = RewardEngine::sparse(&inst);
-        let sparse32 = RewardEngine::sparse_f32(&inst);
-        prop_assert_eq!(sparse32.kind(), EngineKind::SparseF32);
-        let fresh = Residuals::new(inst.n());
-        // Row masses: every frac <= 1, so the fresh f64 gain bounds the
-        // row mass the error model is stated against.
-        let masses: Vec<f64> = (0..inst.n())
-            .map(|i| sparse.candidate_gain(i, &fresh))
-            .collect();
         let mut residuals = Residuals::new(inst.n());
         for _round in 0..=inst.k() {
             let mut best = 0usize;
             let mut best_gain = f64::NEG_INFINITY;
-            for (i, &mass) in masses.iter().enumerate() {
+            for i in 0..inst.n() {
                 let blocked = sparse.candidate_gain(i, &residuals);
                 let scalar = sparse.candidate_gain_unblocked(i, &residuals).unwrap();
                 prop_assert_eq!(
                     blocked.to_bits(),
                     scalar.to_bits(),
-                    "f64 candidate {} under {:?}/{}: blocked {} vs scalar {}",
+                    "candidate {} under {:?}/{}: blocked {} vs scalar {}",
                     i,
                     kernel,
                     norm,
                     blocked,
                     scalar
-                );
-                let b32 = sparse32.candidate_gain(i, &residuals);
-                let s32 = sparse32.candidate_gain_unblocked(i, &residuals).unwrap();
-                prop_assert_eq!(
-                    b32.to_bits(),
-                    s32.to_bits(),
-                    "f32 candidate {} under {:?}/{}: blocked {} vs scalar {}",
-                    i,
-                    kernel,
-                    norm,
-                    b32,
-                    s32
-                );
-                let err = (b32 - blocked).abs();
-                let bound = F32_PER_EVAL_REL * mass + 1e-12;
-                prop_assert!(
-                    err <= bound,
-                    "f32 candidate {} under {:?}/{}: |{} - {}| = {:e} > bound {:e}",
-                    i,
-                    kernel,
-                    norm,
-                    b32,
-                    blocked,
-                    err,
-                    bound
                 );
                 if blocked > best_gain {
                     best_gain = blocked;
@@ -228,52 +181,4 @@ fn zero_frac_entries_dropped_at_build() {
             sparse.candidate_gain(i, &residuals).to_bits()
         );
     }
-}
-
-/// End-to-end mixed precision: the f32 engine steers the argmax but
-/// rewards are applied in exact f64, so the reported total must match
-/// the true f64 objective of whatever centers it picked, and each pick
-/// must be within the documented per-eval error of that round's true
-/// best gain.
-#[test]
-fn f32_solve_objective_within_documented_bound() {
-    // Deterministic pseudo-random instance (no RNG dependency): low-
-    // discrepancy lattice points with cycling weights.
-    let n = 600;
-    let points: Vec<Point<2>> = (0..n)
-        .map(|i| {
-            let t = i as f64;
-            Point::new([(t * 0.754_877_666) % 8.0, (t * 0.569_840_291) % 8.0])
-        })
-        .collect();
-    let weights: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
-    let inst = Instance::new(points, weights, 0.9, 8, Norm::L2).unwrap();
-
-    let r64 = LocalGreedy::new()
-        .with_engine(EngineKind::Sparse)
-        .solve(&inst)
-        .unwrap();
-    let r32 = LocalGreedy::new()
-        .with_engine(EngineKind::SparseF32)
-        .solve(&inst)
-        .unwrap();
-
-    // Reported rewards come from exact f64 residual application, so
-    // they equal the true objective up to summation-order rounding.
-    let true64 = objective(&inst, &r64.centers);
-    let true32 = objective(&inst, &r32.centers);
-    assert!((r64.total_reward - true64).abs() <= 1e-9 * true64.max(1.0));
-    assert!((r32.total_reward - true32).abs() <= 1e-9 * true32.max(1.0));
-
-    // k picks, each steered by a gain within 2^-22 of exact: the two
-    // engines' objectives agree to k * 2^-20 relative (DESIGN.md's
-    // end-to-end bound, far looser than the per-pick drift).
-    let k = inst.k() as f64;
-    let bound = k * true64 / (1u64 << 20) as f64 + 1e-9;
-    assert!(
-        (true64 - true32).abs() <= bound,
-        "f32 objective {true32} vs f64 {true64}: gap {:e} > bound {:e}",
-        (true64 - true32).abs(),
-        bound
-    );
 }

@@ -220,9 +220,9 @@ proptest! {
     /// trip inside the prime (`j ≤ n`) or after it, the lazy greedy on
     /// the grid engine returns what it returns on the scan engine —
     /// same status, centers, gains and eval count — after the same
-    /// number of counted checks. So do the sparse engines' CSR primes
-    /// for a trip inside the prime. (Their dirty-region skips save
-    /// re-scores, and with them checks, so their post-prime cuts land
+    /// number of counted checks. So does the sparse engine's CSR prime
+    /// for a trip inside the prime. (Its dirty-region skips save
+    /// re-scores, and with them checks, so its post-prime cuts land
     /// elsewhere.)
     #[test]
     fn grid_prime_cuts_where_the_per_candidate_prime_does(
@@ -262,13 +262,11 @@ proptest! {
         prop_assert_eq!(grid.solution.evals, scan.solution.evals);
         prop_assert_eq!(grid_checks, scan_checks);
         if inside {
-            for engine in [EngineKind::Sparse, EngineKind::SparseF32] {
-                let (sparse, sparse_checks) = run(engine);
-                prop_assert_eq!(&sparse.status, &scan.status, "{}", engine);
-                prop_assert!(sparse.centers().is_empty(), "{}", engine);
-                prop_assert_eq!(sparse.solution.evals, scan.solution.evals, "{}", engine);
-                prop_assert_eq!(sparse_checks, scan_checks, "{}", engine);
-            }
+            let (sparse, sparse_checks) = run(EngineKind::Sparse);
+            prop_assert_eq!(&sparse.status, &scan.status);
+            prop_assert!(sparse.centers().is_empty());
+            prop_assert_eq!(sparse.solution.evals, scan.solution.evals);
+            prop_assert_eq!(sparse_checks, scan_checks);
         }
     }
 

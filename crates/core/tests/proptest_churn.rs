@@ -6,10 +6,10 @@
 //! identical* to a cold rebuild of the mutated point set — per
 //! candidate: neighbors, `frac` bits, `weight` bits, degree, and lane
 //! padding — modulo the documented spatial permutation of row storage
-//! order. Pinned across both norms and both scalar types, plus:
+//! order. Pinned across both norms, plus:
 //!
 //! - the sparse `apply_candidate` commit path is bit-identical to the
-//!   dense [`Residuals::apply`] on the `f64` engine,
+//!   dense [`Residuals::apply`],
 //! - warm re-solves never return a worse objective than the cold
 //!   greedy on the same mutated instance,
 //! - churn edge cases: removing the last remaining point fails
@@ -89,24 +89,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The tentpole pin: delta-patched CSR ≡ cold-rebuilt CSR, bitwise,
-    /// across insert/remove/move sequences × both norms × f64/f32.
+    /// across insert/remove/move sequences × both norms.
     #[test]
     fn patched_csr_equals_cold_rebuild(
         points in prop::collection::vec((point2(), weight()), 1..24),
         ops in prop::collection::vec(op(), 1..20),
         norm_l1 in (0u8..2).prop_map(|b| b == 1),
-        f32_engine in (0u8..2).prop_map(|b| b == 1),
     ) {
         let norm = if norm_l1 { Norm::L1 } else { Norm::L2 };
-        let kind = if f32_engine { EngineKind::SparseF32 } else { EngineKind::Sparse };
         let inst = base_instance(points, norm);
-        let mut inc = IncrementalInstance::new(inst, kind).unwrap();
+        let mut inc = IncrementalInstance::new(inst, EngineKind::Sparse).unwrap();
         apply_ops(&mut inc, &ops);
         inc.verify_against_rebuild().unwrap();
     }
 
     /// The sparse O(degree) commit path is bit-identical to the dense
-    /// O(n) reference on the f64 engine — gains and mutated residuals.
+    /// O(n) reference — gains and mutated residuals.
     #[test]
     fn apply_candidate_matches_dense_apply(
         points in prop::collection::vec((point2(), weight()), 1..24),

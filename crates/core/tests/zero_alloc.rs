@@ -59,14 +59,10 @@ fn instance(seed: u64, n: usize, k: usize) -> Instance<2> {
 #[test]
 fn steady_state_solve_allocates_nothing() {
     // Par is excluded: the vendored thread-pool shim materializes
-    // per-call vectors. Seq and Lazy are the serving-path strategies;
-    // the mixed-precision engine rides the same scratch arena (its f32
-    // streams recycle through `CsrScratch` like the f64 ones), so its
-    // blocked-layout steady state must be equally silent.
+    // per-call vectors. Seq and Lazy are the serving-path strategies.
     for (strategy, engine) in [
         (OracleStrategy::Seq, EngineKind::Sparse),
         (OracleStrategy::Lazy, EngineKind::Sparse),
-        (OracleStrategy::Lazy, EngineKind::SparseF32),
     ] {
         let inst = instance(7, 400, 8);
         let runner = BatchRunner::new()

@@ -82,7 +82,7 @@ pub struct Request {
     /// Solver override: `greedy2` (eager) or `lazy` (CELF).
     #[serde(default)]
     pub solver: Option<String>,
-    /// Engine override: `auto|scan|sparse|sparse-f32|grid`.
+    /// Engine override: `auto|scan|sparse|grid`.
     #[serde(default)]
     pub engine: Option<String>,
     /// Per-request wall-clock deadline in milliseconds.

@@ -733,17 +733,14 @@ impl Service {
     /// Whether `item`, the only solve of a `solo` round, runs in the
     /// kept arena and leaves its buffers there for the next: a warm
     /// solve of at least [`PARALLEL_BUILD_MIN_POINTS`] points whose
-    /// engine builds its CSR in the arena (`sparse`, `sparse-f32`, or
-    /// `auto` under the cap, which the batch path builds as `sparse`).
+    /// engine builds its CSR in the arena (`sparse`, or `auto` under the
+    /// cap, which the batch path builds as `sparse`).
     /// Smaller solves build in milliseconds, and a kept arena would only
     /// grow the service's resident memory.
     fn keeps_arena(&self, item: &SolveItem) -> bool {
         self.config.warm
             && item.instance.n() >= PARALLEL_BUILD_MIN_POINTS
-            && matches!(
-                item.engine,
-                EngineKind::Sparse | EngineKind::SparseF32 | EngineKind::Auto
-            )
+            && matches!(item.engine, EngineKind::Sparse | EngineKind::Auto)
     }
 
     /// Frees the kept arena, if any.
@@ -1098,7 +1095,7 @@ mod tests {
         assert!(out[0].error.as_deref().unwrap().contains("unknown solver"));
         assert_eq!(out[1].op, "error");
         let msg = out[1].error.as_deref().unwrap();
-        assert!(msg.contains("auto|scan|sparse|sparse-f32|grid"), "{msg}");
+        assert!(msg.contains("auto|scan|sparse|grid"), "{msg}");
     }
 
     #[test]
@@ -1139,14 +1136,16 @@ mod tests {
     #[test]
     fn kd_engine_is_refused() {
         let mut svc = Service::new(ServiceConfig::default());
-        let mut req = Request::solve(7, scenario(35));
-        req.engine = Some("kd".into());
-        let out = svc.handle_lines(&lines(&[req]));
-        assert_eq!(out[0].op, "error");
-        assert_eq!(out[0].in_reply_to, Some(7));
-        let msg = out[0].error.as_deref().unwrap();
-        assert!(msg.contains("unknown engine 'kd'"), "{msg}");
-        assert!(svc.cache.is_empty(), "refused before generating points");
+        for engine in ["kd", "sparse-f32"] {
+            let mut req = Request::solve(7, scenario(35));
+            req.engine = Some(engine.into());
+            let out = svc.handle_lines(&lines(&[req]));
+            assert_eq!(out[0].op, "error");
+            assert_eq!(out[0].in_reply_to, Some(7));
+            let msg = out[0].error.as_deref().unwrap();
+            assert!(msg.contains(&format!("unknown engine '{engine}'")), "{msg}");
+            assert!(svc.cache.is_empty(), "refused before generating points");
+        }
     }
 
     #[test]

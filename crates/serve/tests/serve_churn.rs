@@ -199,11 +199,14 @@ fn bad_delta_reports_its_position_in_the_batch() {
 #[test]
 fn non_sparse_engine_rejected_for_mutate() {
     let mut svc = Service::new(ServiceConfig::default());
-    let mut req = Request::mutate(0, Some(scenario(10, 2, 3)), None);
-    req.engine = Some("grid".into());
-    let out = svc.handle_lines(&[Incoming::now(req.to_line())]);
-    assert_eq!(out[0].op, "error");
-    assert!(out[0].error.as_deref().unwrap().contains("sparse engine"));
+    for (engine, why) in [("grid", "sparse engine"), ("sparse-f32", "unknown engine")] {
+        let mut req = Request::mutate(0, Some(scenario(10, 2, 3)), None);
+        req.engine = Some(engine.into());
+        let out = svc.handle_lines(&[Incoming::now(req.to_line())]);
+        assert_eq!(out[0].op, "error", "{engine}");
+        let msg = out[0].error.as_deref().unwrap();
+        assert!(msg.contains(why), "{engine}: {msg}");
+    }
 }
 
 #[test]
