@@ -307,10 +307,12 @@ fn run_churn(
         fraction,
         churn_seed
     )?;
+    // Like each step's cold column, the initial solve's time includes
+    // the CSR build.
+    let t0 = std::time::Instant::now();
     let mut inc = IncrementalInstance::new(inst, engine)
         .map_err(|e| CliError::Usage(format!("--churn: {e}")))?;
     let mut scratch = SolveScratch::new();
-    let t0 = std::time::Instant::now();
     let initial = inc.resolve(&mut scratch, &ResolveConfig::default());
     writeln!(
         out,

@@ -452,11 +452,14 @@ impl<const D: usize> IncrementalInstance<D> {
 
     /// Bookkeeping after each applied delta: bumps the counters, drops
     /// the CSR's coordinate permutation (a copied-point lookup sorts it
-    /// afresh) and compacts when dead space calls for it.
+    /// afresh) and its recorded root gains (a prime runs the root pass
+    /// over the patched rows instead), and compacts when dead space
+    /// calls for it.
     fn note_delta(&mut self) {
         self.churned += 1;
         self.version += 1;
         self.csr.by_coords.take();
+        self.csr.root_sums.clear();
         self.maybe_rebuild();
     }
 

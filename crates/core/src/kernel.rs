@@ -116,7 +116,45 @@ pub struct PreparedKernel {
 /// pass branches on the kernel once instead of once per distance.
 pub(crate) trait FracPass {
     type Output;
+    /// Runs with a kernel whose fraction is positive at exactly the
+    /// distances `support` names, so the pass can tell `frac(d, r) > 0`
+    /// from `d` alone.
+    fn run_cut(
+        self,
+        frac: impl Fn(f64, f64) -> f64 + Copy + Send + Sync,
+        support: Support,
+    ) -> Self::Output;
+    /// Runs with a kernel whose positive distances only its value tells.
     fn run(self, frac: impl Fn(f64, f64) -> f64 + Copy + Send + Sync) -> Self::Output;
+}
+
+/// The distances at which a kernel's fraction is positive, for kernels
+/// where that is a plain comparison with the radius.
+///
+/// `Linear` and `Quadratic` are positive exactly at `d < r`. At `d = r`
+/// both read 0. For doubles `0 ≤ d < r`, `d ≤ r.next_down()`, so
+/// `d / r ≤ 1 − 2⁻⁵³` and `fl(d / r) ≤ 1 − 2⁻⁵³`: then `1 − t > 0`, and
+/// `fl(t · t) ≤ fl((1 − 2⁻⁵³)²) = 1 − 2⁻⁵² < 1`, so `1 − t² > 0` too.
+/// `Step` is 1 exactly at `d ≤ r`. `Exponential` has none: whether
+/// `e^{−λt}` rounds above `e^{−λ}` depends on how `exp` rounds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Support {
+    /// Positive exactly at `d < r`.
+    Below,
+    /// Positive exactly at `d ≤ r`.
+    Within,
+}
+
+impl Support {
+    /// The largest distance at which the fraction is positive for radius
+    /// `r`: the fraction is positive exactly at `d ≤ max_dist(r)`.
+    #[inline]
+    pub(crate) fn max_dist(self, r: f64) -> f64 {
+        match self {
+            Support::Below => r.next_down(),
+            Support::Within => r,
+        }
+    }
 }
 
 /// The rim cut every kernel shares: 0 beyond the radius, else the
@@ -173,14 +211,15 @@ impl PreparedKernel {
     }
 
     /// Runs `pass` with this kernel's fraction formula: [`Self::frac`]
-    /// with the variant matched once, up front.
+    /// with the variant matched once, up front, and its [`Support`]
+    /// where it has one.
     #[inline]
     pub(crate) fn dispatch<P: FracPass>(&self, pass: P) -> P::Output {
         let (e_r, denom) = (self.e_r, self.denom);
         match self.kernel {
-            Kernel::Linear => pass.run(|d, r| cut(d, r, linear)),
-            Kernel::Step => pass.run(|d, r| cut(d, r, step)),
-            Kernel::Quadratic => pass.run(|d, r| cut(d, r, quadratic)),
+            Kernel::Linear => pass.run_cut(|d, r| cut(d, r, linear), Support::Below),
+            Kernel::Step => pass.run_cut(|d, r| cut(d, r, step), Support::Within),
+            Kernel::Quadratic => pass.run_cut(|d, r| cut(d, r, quadratic), Support::Below),
             Kernel::Exponential { lambda } => {
                 pass.run(move |d, r| cut(d, r, |t| exponential(t, lambda, e_r, denom)))
             }

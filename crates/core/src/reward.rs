@@ -22,7 +22,7 @@ use mmph_geom::{Norm, Point};
 
 use crate::cells::{CellBox, GridIndex};
 use crate::instance::Instance;
-use crate::kernel::{FracPass, PreparedKernel};
+use crate::kernel::{FracPass, PreparedKernel, Support};
 
 mod grid;
 
@@ -355,10 +355,9 @@ pub const DEFAULT_SPARSE_CAP_BYTES: usize = 512 << 20;
 /// the reports and by perfbench's `reward.*` layer metrics.
 #[derive(Debug, Clone, Copy)]
 pub struct SparseStats {
-    /// Wall time of the CSR build (including the occupied-cell index).
-    pub build_nanos: u64,
-    /// Bytes held by the CSR buffers. The coordinate permutation that a
-    /// copied-point lookup sorts on demand (4 B a point) is not counted.
+    /// Bytes held by the CSR buffers, the recorded root gains (8 B a
+    /// row) included. The coordinate permutation that a copied-point
+    /// lookup sorts on demand (4 B a point) is not counted.
     pub bytes: usize,
     /// Total neighbor entries (sum of row degrees, after dropping
     /// zero-`frac` entries; excludes lane padding).
@@ -388,9 +387,9 @@ pub(crate) fn point_bits<const D: usize>(p: &Point<D>) -> [u64; D] {
 }
 
 /// Precomputed fixed-radius adjacency in blocked CSR form: row `i`
-/// holds the ascending-index neighbors `j` with `d(x_i, x_j) ≤ r` and
-/// `frac(d_ij, r) > 0`, alongside the kernel fraction and the weight
-/// `w_j`, in flat structure-of-arrays buffers. `frac` and `weight` are
+/// holds the ascending-index neighbors `j` in `x_i`'s query box with
+/// `frac(d_ij, r) > 0` (so `d_ij ≤ r`), alongside the kernel fraction
+/// and the weight `w_j`, in flat structure-of-arrays buffers. `frac` and `weight` are
 /// kept separate (not premultiplied) because a gain term is
 /// `w_j · min(frac, y_j)` — the min must see the raw fraction for
 /// bit-identical scan semantics.
@@ -438,6 +437,11 @@ pub(crate) struct SparseCsr {
     pub(crate) neighbors: Vec<u32>,
     pub(crate) frac: Vec<f64>,
     pub(crate) weight: Vec<f64>,
+    /// Each slot's root gain (its row's gain at fresh residuals, what
+    /// [`Self::root_gain_at`] computes), summed by the build as it
+    /// writes the row. Empty once the rows may have changed: the
+    /// incremental layer empties it at every delta.
+    pub(crate) root_sums: Vec<f64>,
     pub(crate) stats: SparseStats,
 }
 
@@ -449,7 +453,7 @@ pub(crate) fn cell_index<const D: usize>(inst: &Instance<D>) -> GridIndex<D> {
 }
 
 /// Reusable buffers for the sparse CSR adjacency: the flat CSR arrays,
-/// including the lane-padded layout vectors. A
+/// including the lane-padded layout vectors, and the root gains. A
 /// [`RewardEngine::sparse_with_scratch`] build *takes* the vectors (an
 /// O(1) move), refills them in place, and [`RewardEngine::reclaim`]
 /// puts them back after the solve — so a warm batch pipeline rebuilds
@@ -466,6 +470,7 @@ pub struct CsrScratch {
     neighbors: Vec<u32>,
     frac: Vec<f64>,
     weight: Vec<f64>,
+    root_sums: Vec<f64>,
 }
 
 impl CsrScratch {
@@ -482,7 +487,7 @@ impl CsrScratch {
             + self.order.capacity()
             + self.neighbors.capacity())
             * 4
-            + (self.frac.capacity() + self.weight.capacity()) * 8
+            + (self.frac.capacity() + self.weight.capacity() + self.root_sums.capacity()) * 8
     }
 }
 
@@ -525,8 +530,8 @@ impl SparseCsr {
             neighbors: Vec::new(),
             frac: Vec::new(),
             weight: Vec::new(),
+            root_sums: Vec::new(),
             stats: SparseStats {
-                build_nanos: 0,
                 bytes: 0,
                 entries: 0,
                 padded_entries: 0,
@@ -562,10 +567,9 @@ impl SparseCsr {
         scratch: &mut CsrScratch,
         parts: usize,
     ) -> Self {
-        let started = std::time::Instant::now();
         let mut csr = Self::from_scratch(scratch);
         let max_degree = csr.fill_cells(inst, grid, parts);
-        csr.finish(inst, max_degree, started);
+        csr.finish(inst, max_degree);
         csr
     }
 
@@ -580,18 +584,14 @@ impl SparseCsr {
             neighbors: std::mem::take(&mut scratch.neighbors),
             frac: std::mem::take(&mut scratch.frac),
             weight: std::mem::take(&mut scratch.weight),
+            root_sums: std::mem::take(&mut scratch.root_sums),
             ..Self::empty()
         }
     }
 
     /// Derives `slot_of` from the filled rows and records the build
     /// statistics.
-    fn finish<const D: usize>(
-        &mut self,
-        inst: &Instance<D>,
-        max_degree: usize,
-        started: std::time::Instant,
-    ) {
+    fn finish<const D: usize>(&mut self, inst: &Instance<D>, max_degree: usize) {
         let n = inst.n();
         reserve_fresh(&mut self.slot_of, n);
         self.slot_of.resize(n, 0);
@@ -601,13 +601,13 @@ impl SparseCsr {
         let entries = self.degrees.iter().map(|&d| d as usize).sum::<usize>();
         let padded_entries = self.neighbors.len();
         self.stats = SparseStats {
-            build_nanos: started.elapsed().as_nanos() as u64,
             bytes: (self.offsets.len()
                 + self.degrees.len()
                 + self.slot_of.len()
                 + self.order.len())
                 * 4
-                + padded_entries * Self::BYTES_PER_ENTRY,
+                + padded_entries * Self::BYTES_PER_ENTRY
+                + self.root_sums.len() * 8,
             entries,
             padded_entries,
             avg_degree: entries as f64 / n as f64,
@@ -616,17 +616,23 @@ impl SparseCsr {
     }
 
     /// The cell fill. Rows are stored in the grid's slot order, the
-    /// points sorted by (cell, index). Each occupied cell gathers its
-    /// candidates once — every point in the union of its members'
-    /// query boxes, in ascending index — and each member's row is one
-    /// scan of that list (see [`scan_row`]), so rows come out sorted
-    /// with no per-row sort.
+    /// points sorted by (cell, index). Whether a candidate is a row
+    /// entry is decided by the pair pass's exact positivity test
+    /// ([`with_pair_frac`]), which on the cut kernels compares the
+    /// distance with a threshold and evaluates no kernel.
     ///
     /// Two passes over `parts` contiguous cell ranges balanced by point
-    /// count (on the rayon pool when `parts > 1`): the first counts
-    /// each row's degree, a prefix sum turns degrees into offsets, and
-    /// the second writes every row into its exact place through
-    /// disjoint slices of the final buffers. Returns the largest degree.
+    /// count (on the rayon pool when `parts > 1`). The first counts each
+    /// row's degree over the union of its cell's query boxes, read in
+    /// slot order ([`count_row`]). A prefix sum turns degrees into
+    /// offsets. The second gathers each occupied cell's candidates once,
+    /// in ascending index, compacts each member's row from that list
+    /// ([`scan_row`]), so rows come out sorted with no per-row sort,
+    /// evaluates the kernel for the entries alone (or, on a kernel
+    /// tested by value, keeps the value it tested), and writes every row
+    /// into its exact place through disjoint slices of the final
+    /// buffers, summing its root gain as it goes. Returns the largest
+    /// degree.
     fn fill_cells<const D: usize>(
         &mut self,
         inst: &Instance<D>,
@@ -678,6 +684,8 @@ impl SparseCsr {
                 (self.offsets[slots.end] - self.offsets[slots.start]) as usize
             })
         };
+        reserve_fresh(&mut self.root_sums, n);
+        self.root_sums.resize(n, 0.0);
         with_pair_frac(
             inst,
             WritePass {
@@ -687,6 +695,10 @@ impl SparseCsr {
                 neighbors: split_by_lens(&mut self.neighbors.spare_capacity_mut()[..total], lens()),
                 frac: split_by_lens(&mut self.frac.spare_capacity_mut()[..total], lens()),
                 weight: split_by_lens(&mut self.weight.spare_capacity_mut()[..total], lens()),
+                root_sums: split_by_lens(
+                    &mut self.root_sums,
+                    fill.parts.iter().map(|c| fill.slots(c).len()),
+                ),
             },
         );
         // SAFETY: the write pass initialized every entry below `total`.
@@ -711,6 +723,7 @@ impl SparseCsr {
         scratch.neighbors = self.neighbors;
         scratch.frac = self.frac;
         scratch.weight = self.weight;
+        scratch.root_sums = self.root_sums;
     }
 
     /// The half-open *padded* entry range of candidate `i`'s row — what
@@ -880,11 +893,12 @@ impl SparseCsr {
         }
     }
 
-    /// The bulk root pass behind [`RewardEngine::root_gains_by_slot`]:
-    /// [`Self::root_pass`] over every slot, writing slot `s`'s gain into
-    /// `out[s]`, split into `parts` contiguous slot ranges (on the rayon
-    /// pool when `parts > 1`). One part runs on the calling thread and
-    /// allocates nothing.
+    /// The bulk root pass behind [`RewardEngine::root_gains_by_slot`]
+    /// on a CSR without [`Self::root_sums`]: [`Self::root_pass`] over
+    /// every slot, writing slot `s`'s gain into `out[s]`, split into
+    /// `parts` contiguous slot ranges (on the rayon pool when
+    /// `parts > 1`). One part runs on the calling thread and allocates
+    /// nothing.
     fn root_gains<T: Send>(
         &self,
         out: &mut [T],
@@ -989,15 +1003,35 @@ pub(crate) fn sweep_parts(n: usize) -> usize {
 /// A CSR pass generic over the pair fraction: [`with_pair_frac`]
 /// resolves the norm and the kernel once and runs the pass with
 /// `pair(center, other)`, the kernel fraction of `other` seen from
-/// `center`, so the pass's inner loop carries no per-pair `match`.
-trait PairPass<const D: usize> {
+/// `center`, and `positive(center, other)`, which is exactly
+/// `pair(center, other) > 0.0`, so the pass's inner loop carries no
+/// per-pair `match`.
+trait PairPass<const D: usize>: Sized {
     type Output;
-    fn run(self, pair: impl Fn(&Point<D>, &Point<D>) -> f64 + Copy + Send + Sync) -> Self::Output;
+    fn run(
+        self,
+        pair: impl Fn(&Point<D>, &Point<D>) -> f64 + Copy + Send + Sync,
+        positive: impl Fn(&Point<D>, &Point<D>) -> bool + Copy + Send + Sync,
+    ) -> Self::Output;
+    /// [`Self::run`] for a `pair` whose positivity only its value tells
+    /// (`Exponential`, `Lp`), testing `pair > 0.0`. The write pass
+    /// keeps the value it tested instead of evaluating it twice.
+    fn run_by_value(
+        self,
+        pair: impl Fn(&Point<D>, &Point<D>) -> f64 + Copy + Send + Sync,
+    ) -> Self::Output {
+        self.run(pair, move |a, b| pair(a, b) > 0.0)
+    }
 }
 
 /// Runs `pass` with `inst`'s pair fraction `frac(dist(center, other),
 /// r)`, built from the same `Point::dist_*` calls as [`Norm::dist`] and
-/// the same kernel formula as [`PreparedKernel::frac`].
+/// the same kernel formula as [`PreparedKernel::frac`], and with its
+/// positivity test. On L1, L2 and L∞, a kernel with a [`Support`] is
+/// tested by a comparison with the largest positive distance (on L2, of
+/// the squared distance with [`max_dist_sq`] of it), with no square
+/// root, division or kernel; `Exponential` and `Lp` test the fraction
+/// ([`PairPass::run_by_value`]).
 fn with_pair_frac<const D: usize, P: PairPass<D>>(inst: &Instance<D>, pass: P) -> P::Output {
     struct ByNorm<const D: usize, P> {
         norm: Norm,
@@ -1006,13 +1040,39 @@ fn with_pair_frac<const D: usize, P: PairPass<D>>(inst: &Instance<D>, pass: P) -
     }
     impl<const D: usize, P: PairPass<D>> FracPass for ByNorm<D, P> {
         type Output = P::Output;
-        fn run(self, frac: impl Fn(f64, f64) -> f64 + Copy + Send + Sync) -> P::Output {
+        fn run_cut(
+            self,
+            frac: impl Fn(f64, f64) -> f64 + Copy + Send + Sync,
+            support: Support,
+        ) -> P::Output {
             let (norm, r) = (self.norm, self.r);
+            let t = support.max_dist(r);
             match norm {
-                Norm::L1 => self.pass.run(move |a, b| frac(a.dist_l1(b), r)),
-                Norm::L2 => self.pass.run(move |a, b| frac(a.dist_l2(b), r)),
-                Norm::LInf => self.pass.run(move |a, b| frac(a.dist_linf(b), r)),
-                Norm::Lp(_) => self.pass.run(move |a, b| frac(norm.dist(a, b), r)),
+                Norm::L1 => self.pass.run(
+                    move |a, b| frac(a.dist_l1(b), r),
+                    move |a, b| a.dist_l1(b) <= t,
+                ),
+                Norm::L2 => {
+                    let t_sq = max_dist_sq(t);
+                    self.pass.run(
+                        move |a, b| frac(a.dist_l2(b), r),
+                        move |a, b| a.dist_sq(b) <= t_sq,
+                    )
+                }
+                Norm::LInf => self.pass.run(
+                    move |a, b| frac(a.dist_linf(b), r),
+                    move |a, b| a.dist_linf(b) <= t,
+                ),
+                Norm::Lp(_) => self.pass.run_by_value(move |a, b| frac(norm.dist(a, b), r)),
+            }
+        }
+        fn run(self, frac: impl Fn(f64, f64) -> f64 + Copy + Send + Sync) -> P::Output {
+            let (norm, r, pass) = (self.norm, self.r, self.pass);
+            match norm {
+                Norm::L1 => pass.run_by_value(move |a, b| frac(a.dist_l1(b), r)),
+                Norm::L2 => pass.run_by_value(move |a, b| frac(a.dist_l2(b), r)),
+                Norm::LInf => pass.run_by_value(move |a, b| frac(a.dist_linf(b), r)),
+                Norm::Lp(_) => pass.run_by_value(move |a, b| frac(norm.dist(a, b), r)),
             }
         }
     }
@@ -1023,6 +1083,26 @@ fn with_pair_frac<const D: usize, P: PairPass<D>>(inst: &Instance<D>, pass: P) -
     })
 }
 
+/// The largest `s ≥ 0` whose square root rounds to at most `d ≥ 0`, so
+/// that `s.sqrt() ≤ d` exactly when `s ≤ max_dist_sq(d)`. IEEE `sqrt` is
+/// correctly rounded, hence monotone in `s`, and non-negative doubles
+/// are ordered as their bit patterns, so this bisects the patterns
+/// between 0 (`sqrt` 0) and `∞` (`sqrt` `∞`): 63 steps, once per pass.
+/// Computed, not `d · d`, which rounds either way of the edge, and
+/// underflows or overflows where the radius is extreme.
+fn max_dist_sq(d: f64) -> f64 {
+    let (mut lo, mut hi) = (0u64, f64::INFINITY.to_bits());
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if f64::from_bits(mid).sqrt() <= d {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    f64::from_bits(lo)
+}
+
 /// A candidate gathered for one cell block: index, coordinates, weight.
 #[derive(Debug, Clone, Copy)]
 struct Cand<const D: usize> {
@@ -1030,6 +1110,11 @@ struct Cand<const D: usize> {
     point: Point<D>,
     weight: f64,
 }
+
+/// The per-cell callback of [`CellFill::for_each_cell`]; `Break` ends
+/// the walk early.
+type CellRows<'b, const D: usize> =
+    dyn FnMut(Range<usize>, &CellBox<D>, &[Range<usize>]) -> ControlFlow<()> + 'b;
 
 /// The per-cell callback of [`CellFill::sweep`]; `Break` ends the
 /// sweep early.
@@ -1087,15 +1172,16 @@ impl<'a, const D: usize> CellFill<'a, D> {
         starts[cells.start] as usize..starts[cells.end] as usize
     }
 
-    /// Calls `block(members, union, candidates)` for every occupied cell
-    /// in `cells`: its member slots, the union of their query boxes and
-    /// every point in that union, in ascending index, until `block`
-    /// breaks. `block` is a trait object so the sweep is compiled once,
+    /// Calls `block(members, union, rows)` for every occupied cell in
+    /// `cells` with a member whose query box meets the grid: its member
+    /// slots, the union of their query boxes and the slot range of every
+    /// row of occupied cells in that union, in key order, until `block`
+    /// breaks. `block` is a trait object so the walk is compiled once,
     /// not once per pass.
-    fn sweep(&self, cells: Range<usize>, block: &mut CellBlock<'_, D>) {
+    fn for_each_cell(&self, cells: Range<usize>, block: &mut CellRows<'_, D>) {
         let (grid, r) = (self.grid, self.inst.radius());
-        let (entries, points) = (grid.entries(), grid.slot_points());
-        let (mut keys, mut cands, mut hints) = (Vec::new(), Vec::new(), Vec::new());
+        let points = grid.slot_points();
+        let (mut rows, mut hints) = (Vec::new(), Vec::new());
         for c in cells {
             let members = self.slots(&(c..c + 1));
             let Some(union) = members
@@ -1105,12 +1191,31 @@ impl<'a, const D: usize> CellFill<'a, D> {
             else {
                 continue;
             };
+            rows.clear();
+            grid.for_each_row_near(&union, &mut hints, |slots| rows.push(slots));
+            if block(members, &union, &rows).is_break() {
+                return;
+            }
+        }
+    }
+
+    /// Calls `block(members, union, candidates)` for every cell
+    /// [`Self::for_each_cell`] visits, with every point in the union, in
+    /// ascending index, until `block` breaks.
+    fn sweep(&self, cells: Range<usize>, block: &mut CellBlock<'_, D>) {
+        let (entries, points) = (self.grid.entries(), self.grid.slot_points());
+        let (mut keys, mut cands) = (Vec::new(), Vec::new());
+        self.for_each_cell(cells, &mut |members, union, rows| {
             // (index, slot) keys: one integer sort merges the cells'
             // ascending runs into ascending index.
             keys.clear();
-            grid.for_each_row_near(&union, &mut hints, |slots| {
-                keys.extend(slots.map(|s| (u64::from(entries[s]) << 32) | s as u64));
-            });
+            for slots in rows {
+                keys.extend(
+                    slots
+                        .clone()
+                        .map(|s| (u64::from(entries[s]) << 32) | s as u64),
+                );
+            }
             keys.sort_unstable();
             cands.clear();
             cands.extend(keys.iter().map(|&key| {
@@ -1121,57 +1226,99 @@ impl<'a, const D: usize> CellFill<'a, D> {
                     weight: self.weights[s],
                 }
             }));
-            if block(members, &union, &cands).is_break() {
-                return;
-            }
-        }
+            block(members, union, &cands)
+        });
     }
 }
 
-/// Scans the row of `x` and returns its degree. The row's entries are
-/// the candidates with positive `frac = pair(x, ·)` that lie in `x`'s
-/// own query box — exactly the pairs [`GridIndex::for_each_within`]
-/// reports with a positive fraction, since that implies `d ≤ r`. A
-/// zero-`frac` pair (a point exactly on the rim) adds an exact `+0.0`
-/// to every gain, so dropping it is bit-transparent. Float rounding at a cell edge can make a
-/// member's box narrower than the block's union; only then does a
+/// Calls `visit(p)` for the position `p` of every candidate in `cands`
+/// that lies in `x`'s own query box, in order. A row's entries are the
+/// candidates in that box with a positive `frac` — exactly the pairs
+/// [`GridIndex::for_each_within`] reports with a positive fraction,
+/// since that implies `d ≤ r`. Float rounding at a cell edge can make a
+/// member's box narrower than the block's `union`; only then does a
 /// candidate's cell need checking.
-///
-/// `emit(m, position, frac)` sees every scanned candidate with the
-/// number `m` of entries before it, and only entries advance `m`: a
-/// sink that stores at `m` compacts the row, in ascending index, with
-/// no data-dependent branch.
 #[inline(always)]
-fn scan_row<const D: usize>(
+fn for_each_in_box<const D: usize>(
     grid: &GridIndex<D>,
     r: f64,
     x: &Point<D>,
     union: &CellBox<D>,
     cands: &[Cand<D>],
-    pair: impl Fn(&Point<D>, &Point<D>) -> f64,
-    mut emit: impl FnMut(usize, usize, f64),
-) -> usize {
-    let mut m = 0;
+    mut visit: impl FnMut(usize),
+) {
     match grid.query_box(x, r) {
-        Some(own) if own == *union => {
-            for (p, c) in cands.iter().enumerate() {
-                let f = pair(x, &c.point);
-                emit(m, p, f);
-                m += usize::from(f > 0.0);
-            }
-        }
+        Some(own) if own == *union => (0..cands.len()).for_each(visit),
         Some(own) => {
             for (p, c) in cands.iter().enumerate() {
                 if own.contains(&grid.cell_of(&c.point)) {
-                    let f = pair(x, &c.point);
-                    emit(m, p, f);
-                    m += usize::from(f > 0.0);
+                    visit(p);
                 }
             }
         }
         None => {}
     }
+}
+
+/// Compacts the row of `x` and returns its degree: every in-box
+/// candidate `c` whose `test(x, c)` reads `(true, v)`, an entry, goes to
+/// `kept` as `(position, v)`, in ascending index, with no
+/// data-dependent branch (every in-box candidate is stored at the next
+/// free place, and only entries advance it). A zero-`frac` pair (a
+/// point exactly on the rim) adds an exact `+0.0` to every gain, so
+/// dropping it is bit-transparent.
+#[inline(always)]
+fn scan_row<const D: usize, V>(
+    grid: &GridIndex<D>,
+    r: f64,
+    x: &Point<D>,
+    union: &CellBox<D>,
+    cands: &[Cand<D>],
+    test: impl Fn(&Point<D>, &Point<D>) -> (bool, V),
+    kept: &mut [(u32, V)],
+) -> usize {
+    let mut m = 0;
+    for_each_in_box(grid, r, x, union, cands, |p| {
+        let (entry, v) = test(x, &cands[p].point);
+        kept[m] = (p as u32, v);
+        m += usize::from(entry);
+    });
     m
+}
+
+/// The degree of the row of `x`: the points in `rows` (the slot ranges
+/// of its cell's union) that lie in its own query box with
+/// `positive(x, ·)` — the entries [`scan_row`] keeps from the sorted
+/// candidates of the same union. A count does not depend on their
+/// order, so this reads the points in slot order, with no gather and
+/// no sort.
+#[inline(always)]
+fn count_row<const D: usize>(
+    grid: &GridIndex<D>,
+    r: f64,
+    x: &Point<D>,
+    union: &CellBox<D>,
+    rows: &[Range<usize>],
+    positive: impl Fn(&Point<D>, &Point<D>) -> bool,
+) -> usize {
+    let points = grid.slot_points();
+    match grid.query_box(x, r) {
+        Some(own) if own == *union => rows
+            .iter()
+            .map(|slots| {
+                points[slots.clone()]
+                    .iter()
+                    .filter(|c| positive(x, c))
+                    .count()
+            })
+            .sum(),
+        Some(own) => rows
+            .iter()
+            .flat_map(|slots| &points[slots.clone()])
+            .filter(|c| own.contains(&grid.cell_of(c)) && positive(x, c))
+            .count(),
+        None => 0,
+    }
 }
 
 /// Splits `buf` into consecutive disjoint slices of the given lengths.
@@ -1218,16 +1365,20 @@ struct CountPass<'f, 'a, const D: usize> {
 
 impl<const D: usize> PairPass<D> for CountPass<'_, '_, D> {
     type Output = ();
-    fn run(self, pair: impl Fn(&Point<D>, &Point<D>) -> f64 + Copy + Send + Sync) {
+    fn run(
+        self,
+        _pair: impl Fn(&Point<D>, &Point<D>) -> f64 + Copy + Send + Sync,
+        positive: impl Fn(&Point<D>, &Point<D>) -> bool + Copy + Send + Sync,
+    ) {
         let fill = self.fill;
         let (grid, r) = (fill.grid, fill.inst.radius());
         let tasks: Vec<_> = fill.parts.iter().cloned().zip(self.degrees).collect();
         run_parts(tasks, &|(cells, degrees)| {
             let base = fill.slots(&cells).start;
-            fill.sweep(cells, &mut |members, union, cands| {
+            fill.for_each_cell(cells, &mut |members, union, rows| {
                 for slot in members {
                     let x = &grid.slot_points()[slot];
-                    let deg = scan_row(grid, r, x, union, cands, pair, |_, _, _| {});
+                    let deg = count_row(grid, r, x, union, rows, positive);
                     degrees[slot - base] = deg as u32;
                 }
                 ControlFlow::Continue(())
@@ -1238,7 +1389,8 @@ impl<const D: usize> PairPass<D> for CountPass<'_, '_, D> {
 
 /// Pass 2 of [`SparseCsr::fill_cells`]: writes every row, padding
 /// included, at its offset, into each part's slices of the
-/// not-yet-initialized entry buffers.
+/// not-yet-initialized entry buffers, and each row's root gain into the
+/// part's slice of the root sums.
 struct WritePass<'f, 'a, const D: usize> {
     fill: &'f CellFill<'a, D>,
     offsets: &'f [u32],
@@ -1246,11 +1398,42 @@ struct WritePass<'f, 'a, const D: usize> {
     neighbors: Vec<&'f mut [MaybeUninit<u32>]>,
     frac: Vec<&'f mut [MaybeUninit<f64>]>,
     weight: Vec<&'f mut [MaybeUninit<f64>]>,
+    root_sums: Vec<&'f mut [f64]>,
 }
 
 impl<const D: usize> PairPass<D> for WritePass<'_, '_, D> {
     type Output = ();
-    fn run(self, pair: impl Fn(&Point<D>, &Point<D>) -> f64 + Copy + Send + Sync) {
+    /// Compacts each row on `positive` and evaluates `pair` for its
+    /// entries alone.
+    fn run(
+        self,
+        pair: impl Fn(&Point<D>, &Point<D>) -> f64 + Copy + Send + Sync,
+        positive: impl Fn(&Point<D>, &Point<D>) -> bool + Copy + Send + Sync,
+    ) {
+        self.write(move |x, c| (positive(x, c), ()), move |x, c, ()| pair(x, c));
+    }
+
+    /// Compacts each row on `pair > 0.0`, keeping every entry's value.
+    fn run_by_value(self, pair: impl Fn(&Point<D>, &Point<D>) -> f64 + Copy + Send + Sync) {
+        self.write(
+            move |x, c| {
+                let f = pair(x, c);
+                (f > 0.0, f)
+            },
+            |_, _, f| f,
+        );
+    }
+}
+
+impl<const D: usize> WritePass<'_, '_, D> {
+    /// Writes every row: the row of `x` holds the in-box candidates `c`
+    /// whose `test(x, c)` reads `(true, v)` ([`scan_row`]), and
+    /// `frac(x, c, v)` is the fraction of each.
+    fn write<V: Copy + Default + Send>(
+        self,
+        test: impl Fn(&Point<D>, &Point<D>) -> (bool, V) + Sync,
+        frac: impl Fn(&Point<D>, &Point<D>, V) -> f64 + Sync,
+    ) {
         let (fill, offsets, degrees) = (self.fill, self.offsets, self.degrees);
         let (grid, r) = (fill.grid, fill.inst.radius());
         let tasks: Vec<_> = fill
@@ -1260,28 +1443,35 @@ impl<const D: usize> PairPass<D> for WritePass<'_, '_, D> {
             .zip(self.neighbors)
             .zip(self.frac)
             .zip(self.weight)
+            .zip(self.root_sums)
             .collect();
-        run_parts(tasks, &|(((cells, nb), fr), wt)| {
-            let base = offsets[fill.slots(&cells).start] as usize;
+        run_parts(tasks, &|((((cells, nb), fr), wt), sums)| {
+            let first = fill.slots(&cells).start;
+            let base = offsets[first] as usize;
             let mut kept = Vec::new();
             fill.sweep(cells, &mut |members, union, cands| {
-                kept.resize(kept.len().max(cands.len()), (0, 0.0));
+                kept.resize(kept.len().max(cands.len()), (0, V::default()));
                 for slot in members {
                     let x = &grid.slot_points()[slot];
-                    let deg = scan_row(grid, r, x, union, cands, pair, |m, p, f| {
-                        kept[m] = (p as u32, f);
-                    });
+                    let deg = scan_row(grid, r, x, union, cands, &test, &mut kept);
                     assert_eq!(
                         deg, degrees[slot] as usize,
                         "CSR write pass disagrees with its count"
                     );
                     let start = offsets[slot] as usize - base;
-                    for (k, &(p, f)) in (start..).zip(&kept[..deg]) {
+                    // The root gain adds `w · min(frac, 1)` in entry
+                    // order, as `root_gain_at` does; its padding terms
+                    // are exact `+0.0`.
+                    let mut sum = 0.0;
+                    for (k, &(p, v)) in (start..).zip(&kept[..deg]) {
                         let c = &cands[p as usize];
+                        let f = frac(x, &c.point, v);
                         nb[k].write(c.index);
                         fr[k].write(f);
                         wt[k].write(c.weight);
+                        sum += c.weight * f.min(1.0);
                     }
+                    sums[slot - first] = sum;
                     if deg > 0 {
                         // Padding repeats the last real neighbor with
                         // zero frac and weight, so the kernel's
@@ -1434,14 +1624,16 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
     /// for every `slot`, calls `set(&mut out[slot], gain)` with the
     /// fresh-residual gain (`y = 1` everywhere) of candidate
     /// [`Self::eval_order`]`[slot]`, bit-identical to
-    /// [`Self::candidate_gain`] on reset residuals. The grid backend
-    /// sweeps its cells ([`GridCells::root_gains`]); the sparse backend
-    /// sums each CSR row with no neighbor gather ([`SparseCsr::root_gains`]).
-    /// Either pass splits across the rayon pool from 10,000 points up,
-    /// polls `stop` as it goes and returns early when it reads true,
-    /// leaving the rest of `out` as it was. Charges no evaluations (the
-    /// caller does). Touches nothing on the scan backend, which has no
-    /// bulk pass.
+    /// [`Self::candidate_gain`] on reset residuals. A freshly built CSR
+    /// copies the gains its build summed ([`SparseCsr::root_sums`]), on
+    /// the calling thread. Otherwise the grid backend sweeps its cells
+    /// ([`GridCells::root_gains`]), and the sparse backend sums each CSR
+    /// row with no neighbor gather ([`SparseCsr::root_gains`]); either
+    /// pass splits across the rayon pool from 10,000 points up, polls
+    /// `stop` as it goes and returns early when it reads true, leaving
+    /// the rest of `out` as it was. Charges no evaluations (the caller
+    /// does). Touches nothing on the scan backend, which has no bulk
+    /// pass.
     pub(crate) fn root_gains_by_slot<T: Send>(
         &self,
         out: &mut [T],
@@ -1451,6 +1643,11 @@ impl<'a, const D: usize> RewardEngine<'a, D> {
         let parts = sweep_parts(self.inst.n());
         match &self.backend {
             Backend::Grid(g) => g.root_gains(self.inst, out, set, stop, parts),
+            Backend::Sparse(csr) if !csr.root_sums.is_empty() => {
+                for (o, &gain) in out.iter_mut().zip(&csr.root_sums) {
+                    set(o, gain);
+                }
+            }
             Backend::Sparse(csr) => csr.root_gains(out, set, stop, parts),
             Backend::Scan => {}
         }
@@ -1916,12 +2113,13 @@ mod tests {
         /// The per-row reference build over the index `grid`: rows in
         /// [`spatial_order`] at the index's cell side, each one
         /// enumerated through the index's radius query, sorted,
-        /// appended and padded on its own.
+        /// appended and padded on its own, and the root gains from the
+        /// root pass over the finished rows.
         fn build_rowwise<const D: usize>(inst: &Instance<D>, grid: &GridIndex<D>) -> Self {
-            let started = std::time::Instant::now();
             let mut csr = Self::from_scratch(&mut CsrScratch::default());
             let max_degree = csr.fill_rows(inst, grid);
-            csr.finish(inst, max_degree, started);
+            csr.root_sums = (0..inst.n()).map(|s| csr.root_gain_at(s)).collect();
+            csr.finish(inst, max_degree);
             csr
         }
 
@@ -1988,7 +2186,7 @@ mod tests {
         /// Every stored array (floats as bits) and the entry statistics.
         /// The coordinate permutation is left out: a build does not sort
         /// it.
-        fn arrays(&self) -> [Vec<u64>; 8] {
+        fn arrays(&self) -> [Vec<u64>; 9] {
             let ints = |xs: &[u32]| xs.iter().map(|&x| u64::from(x)).collect();
             let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect();
             [
@@ -1999,6 +2197,7 @@ mod tests {
                 ints(&self.neighbors),
                 bits(&self.frac),
                 bits(&self.weight),
+                bits(&self.root_sums),
                 vec![
                     self.stats.entries as u64,
                     self.stats.padded_entries as u64,
@@ -2136,7 +2335,7 @@ mod tests {
             Kernel::Quadratic,
             Kernel::Exponential { lambda: 2.5 },
         ];
-        for norm in [Norm::L1, Norm::L2, Norm::LInf] {
+        for norm in [Norm::L1, Norm::L2, Norm::LInf, Norm::Lp(3.0)] {
             for kernel in kernels {
                 for (label, inst, at_r) in fill_cases::<D>(norm, kernel) {
                     let grid = cell_index(&inst);
@@ -2167,6 +2366,123 @@ mod tests {
     fn cell_fill_is_byte_identical_to_the_row_reference() {
         check_cell_fill::<2>();
         check_cell_fill::<3>();
+    }
+
+    /// Reads a pair pass's `pair` and `positive` on every pair.
+    struct Probe<'p, const D: usize>(&'p [(Point<D>, Point<D>)]);
+
+    impl<const D: usize> PairPass<D> for Probe<'_, D> {
+        type Output = Vec<(f64, bool)>;
+        fn run(
+            self,
+            pair: impl Fn(&Point<D>, &Point<D>) -> f64 + Copy + Send + Sync,
+            positive: impl Fn(&Point<D>, &Point<D>) -> bool + Copy + Send + Sync,
+        ) -> Self::Output {
+            self.0
+                .iter()
+                .map(|(x, c)| (pair(x, c), positive(x, c)))
+                .collect()
+        }
+    }
+
+    /// `positive(x, c) == (pair(x, c) > 0.0)` under every norm and kernel
+    /// at radius `r`, on pairs whose distance is `r` and a few ulps either
+    /// side: from the origin along the first axis (where the computed
+    /// distance is exactly that), from a random point along it and in a
+    /// random direction (where it rounds a little either way), plus a
+    /// pair at distance 0 and one far outside.
+    fn check_positive<const D: usize>(r: f64, seed: u64) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let origin = Point::new([0.0; D]);
+        let axis = |t: f64| Point::new(std::array::from_fn(|d| if d == 0 { t } else { 0.0 }));
+        let mut pairs = vec![(origin, origin), (origin, axis(3.0 * r))];
+        for _ in 0..8 {
+            let x = Point::new(std::array::from_fn(|_| r * rng.gen_range(-3.0..3.0)));
+            let dir: [f64; D] = std::array::from_fn(|_| rng.gen_range(-1.0..1.0));
+            let len = dir.iter().map(|v| v * v).sum::<f64>().sqrt();
+            let mut t = r;
+            for _ in 0..4 {
+                t = t.next_down();
+            }
+            for _ in 0..9 {
+                pairs.push((origin, axis(t)));
+                pairs.push((
+                    x,
+                    Point::new(std::array::from_fn(|d| x[d] + (d == 0) as u8 as f64 * t)),
+                ));
+                pairs.push((
+                    x,
+                    Point::new(std::array::from_fn(|d| x[d] + dir[d] / len * t)),
+                ));
+                t = t.next_up();
+            }
+        }
+        let kernels = [
+            Kernel::Linear,
+            Kernel::Step,
+            Kernel::Quadratic,
+            Kernel::Exponential { lambda: 2.5 },
+        ];
+        for norm in [Norm::L1, Norm::L2, Norm::LInf, Norm::Lp(3.0)] {
+            for kernel in kernels {
+                let inst = Instance::new(vec![origin], vec![1.0], r, 1, norm)
+                    .and_then(|inst| inst.with_kernel(kernel))
+                    .unwrap();
+                for ((x, c), (f, positive)) in
+                    pairs.iter().zip(with_pair_frac(&inst, Probe(&pairs)))
+                {
+                    assert_eq!(
+                        positive,
+                        f > 0.0,
+                        "D={D} {norm} {} r={r:e}: x={x} c={c}, frac {f:e}",
+                        kernel.name()
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        /// Radii from 2⁻¹⁰²² to 2¹⁰²¹: squares that underflow (below
+        /// about 10⁻¹⁵⁴) and overflow (above about 10¹⁵⁴) included.
+        #[test]
+        fn positive_is_exactly_a_positive_pair_fraction(
+            exp in -1022i32..=1020,
+            mantissa in 1.0..2.0f64,
+            seed in 0..u64::MAX,
+        ) {
+            let r = mantissa * 2f64.powi(exp);
+            check_positive::<2>(r, seed);
+            check_positive::<3>(r, seed);
+        }
+    }
+
+    /// The positivity test at hand-picked radii: powers of two (where
+    /// `r.next_down()` is nearest `r`), the smallest normal and
+    /// subnormal radii and the largest that keeps the pairs finite.
+    #[test]
+    fn positive_holds_at_extreme_radii() {
+        for (seed, r) in [
+            1.0,
+            0.5,
+            0.1,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::from_bits(1 << 20),
+            1e-160,
+            1e160,
+            f64::MAX / 8.0,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            check_positive::<2>(r, seed as u64);
+            check_positive::<3>(r, seed as u64);
+        }
     }
 
     fn bits(xs: &[f64]) -> Vec<u64> {
@@ -2224,11 +2540,17 @@ mod tests {
         check_root_pass::<3>();
     }
 
-    /// The CSR root pass of `engine` (the sparse backend) in 1, 2, 3 and 7
-    /// parts, and the warm pool builder's filtered pass with every
-    /// candidate dirty, against per-candidate `candidate_gain` on fresh
-    /// residuals, bit for bit.
-    fn check_csr_root_pass<const D: usize>(engine: &RewardEngine<'_, D>, what: &str) {
+    /// The root gains of `engine` (the sparse backend) against
+    /// per-candidate `candidate_gain` on fresh residuals, bit for bit:
+    /// the sums its build recorded (present exactly when `recorded`),
+    /// the CSR root pass in 1, 2, 3 and 7 parts, the engine's bulk pass
+    /// (which copies recorded sums) and the warm pool builder's
+    /// filtered pass with every candidate dirty.
+    fn check_csr_root_pass<const D: usize>(
+        engine: &RewardEngine<'_, D>,
+        recorded: bool,
+        what: &str,
+    ) {
         let n = engine.instance().n();
         let fresh = Residuals::new(n);
         let order = engine.eval_order().unwrap().to_vec();
@@ -2237,15 +2559,23 @@ mod tests {
             .map(|&i| engine.candidate_gain(i as usize, &fresh))
             .collect();
         let want = bits(&gains);
+        let Backend::Sparse(csr) = &engine.backend else {
+            unreachable!("sparse engine");
+        };
+        let set = |o: &mut f64, g| *o = g;
+        if recorded {
+            assert_eq!(bits(&csr.root_sums), want, "{what}: recorded root sums");
+        } else {
+            assert!(csr.root_sums.is_empty(), "{what}: stale root sums kept");
+        }
         for parts in [1, 2, 3, 7] {
             let mut got = vec![f64::NAN; n];
-            let set = |o: &mut f64, g| *o = g;
-            let Backend::Sparse(csr) = &engine.backend else {
-                unreachable!("sparse engine");
-            };
             csr.root_gains(&mut got, set, &|| false, parts);
             assert_eq!(bits(&got), want, "{what} parts={parts}: root pass");
         }
+        let mut got = vec![f64::NAN; n];
+        engine.root_gains_by_slot(&mut got, set, &|| false);
+        assert_eq!(bits(&got), want, "{what}: bulk root pass");
         let mut pool = Vec::new();
         assert!(engine.root_gains_into(&vec![true; n], &mut pool));
         let (pool_gains, pool_order): (Vec<f64>, Vec<usize>) = pool.into_iter().unzip();
@@ -2256,10 +2586,24 @@ mod tests {
             .all(|(&a, &b)| a == b as usize));
     }
 
-    /// The CSR root pass behind the sparse engine's CELF prime: on every
-    /// fill case under every norm and kernel, and on a churn-patched CSR
-    /// (rows relocated to the tail, so slot order no longer follows the
-    /// offsets).
+    /// Builds `inst`'s CSR in 1, 2, 3 and 7 parts and checks each
+    /// one's root gains, recorded sums included.
+    fn check_fresh_root_gains<const D: usize>(inst: &Instance<D>, what: &str) {
+        let grid = cell_index(inst);
+        let mut scratch = CsrScratch::new();
+        for parts in [1, 2, 3, 7] {
+            let csr = SparseCsr::build_in_parts(inst, &grid, &mut scratch, parts);
+            let engine = RewardEngine::from_csr(inst, csr);
+            check_csr_root_pass(&engine, true, &format!("{what} built in {parts}"));
+            engine.reclaim(&mut scratch);
+        }
+    }
+
+    /// The root gains behind the sparse engine's CELF prime: on every
+    /// fill case under every norm and kernel, built in several parts;
+    /// on a churn-patched CSR (no recorded sums, and rows relocated to
+    /// the tail, so slot order no longer follows the offsets); and on
+    /// its compaction rebuild, which records them again.
     #[test]
     fn csr_root_pass_matches_per_candidate_gains() {
         let kernels = [
@@ -2271,13 +2615,12 @@ mod tests {
         for norm in [Norm::L1, Norm::L2, Norm::LInf, Norm::Lp(3.0)] {
             for kernel in kernels {
                 for (label, inst, _) in fill_cases::<2>(norm, kernel) {
-                    let what = format!("{norm} {} {label}", kernel.name());
-                    check_csr_root_pass(&RewardEngine::sparse(&inst), &what);
+                    check_fresh_root_gains(&inst, &format!("{norm} {} {label}", kernel.name()));
                 }
             }
         }
         for (label, inst, _) in fill_cases::<3>(Norm::L2, Kernel::Linear) {
-            check_csr_root_pass(&RewardEngine::sparse(&inst), &format!("D=3 {label}"));
+            check_fresh_root_gains(&inst, &format!("D=3 {label}"));
         }
         use crate::incremental::IncrementalInstance;
         use crate::instance::Delta;
@@ -2296,10 +2639,15 @@ mod tests {
                 _ => Delta::Remove { index: 3 * i },
             })
             .collect();
-        inc.apply_churn(&deltas).unwrap();
+        inc.with_engine(|engine| check_csr_root_pass(engine, true, "before churn"));
+        inc.apply_churn(&deltas[..1]).unwrap();
+        inc.with_engine(|engine| check_csr_root_pass(engine, false, "one delta"));
+        inc.apply_churn(&deltas[1..]).unwrap();
         inc.verify_against_rebuild().unwrap();
         assert!(inc.dead_entries() > 0, "no row was relocated");
-        inc.with_engine(|engine| check_csr_root_pass(engine, "churned"));
+        inc.with_engine(|engine| check_csr_root_pass(engine, false, "churned"));
+        inc.rebuild();
+        inc.with_engine(|engine| check_csr_root_pass(engine, true, "rebuilt"));
     }
 
     /// A stop that reads true before the first cell leaves every output

@@ -12,7 +12,8 @@
 //!   with the row write replaced by `total += w · frac`, split across
 //!   the pool by cell ranges. It scores [`ROOT_LANES`] members of a
 //!   cell at once, one lane each ([`lane_sums`]); a member whose own
-//!   box is narrower than the union takes [`scan_row`] alone;
+//!   box is narrower than the union sums its own box's candidates
+//!   alone ([`for_each_in_box`]);
 //! * a single gain or commit gathers the query box's slots and sorts
 //!   them into ascending index.
 //!
@@ -26,8 +27,8 @@ use std::ops::ControlFlow;
 use mmph_geom::Point;
 
 use super::{
-    run_parts, scan_row, slot_weights, split_by_lens, with_pair_frac, Cand, CellFill, PairPass,
-    Residuals,
+    for_each_in_box, run_parts, slot_weights, split_by_lens, with_pair_frac, Cand, CellFill,
+    PairPass, Residuals,
 };
 use crate::cells::GridIndex;
 use crate::instance::Instance;
@@ -161,7 +162,13 @@ struct RootPass<'f, 'a, const D: usize, T, F> {
 
 impl<const D: usize, T: Send, F: Fn(&mut T, f64) + Sync> PairPass<D> for RootPass<'_, '_, D, T, F> {
     type Output = ();
-    fn run(self, pair: impl Fn(&Point<D>, &Point<D>) -> f64 + Copy + Send + Sync) {
+    // Every term is summed, zero or not, so positivity is not tested: a
+    // squared-distance compaction ahead of the lanes measured slower.
+    fn run(
+        self,
+        pair: impl Fn(&Point<D>, &Point<D>) -> f64 + Copy + Send + Sync,
+        _positive: impl Fn(&Point<D>, &Point<D>) -> bool + Copy + Send + Sync,
+    ) {
         let (fill, set, stop) = (self.fill, self.set, self.stop);
         let (grid, r) = (fill.grid, fill.inst.radius());
         let points = grid.slot_points();
@@ -180,11 +187,11 @@ impl<const D: usize, T: Send, F: Fn(&mut T, f64) + Sync> PairPass<D> for RootPas
                         full.push(slot);
                         continue;
                     }
-                    // A box narrower than the union: `scan_row` checks
-                    // each candidate's cell.
+                    // A box narrower than the union: each candidate's
+                    // cell is checked.
                     let mut total = 0.0;
-                    scan_row(grid, r, x, union, cands, pair, |_, p, f| {
-                        total += cands[p].weight * f;
+                    for_each_in_box(grid, r, x, union, cands, |p| {
+                        total += cands[p].weight * pair(x, &cands[p].point);
                     });
                     set(&mut out[slot - base], total);
                 }
@@ -202,8 +209,8 @@ impl<const D: usize, T: Send, F: Fn(&mut T, f64) + Sync> PairPass<D> for RootPas
 
 /// `Σ w · pair(x, c)` over `cands` for the points at up to
 /// [`ROOT_LANES`] slots whose query box is the cell's whole union, each
-/// lane adding its terms in candidate order, as [`scan_row`]'s first arm
-/// does for one member. The lanes share every candidate load and carry
+/// lane adding its terms in candidate order, as a lone member's sum
+/// over [`for_each_in_box`] does. The lanes share every candidate load and carry
 /// independent sums, so the compiler can interleave (and vectorize)
 /// them, and no lane's bits change. A short group repeats its last
 /// member; the repeated lanes' sums are not returned.
